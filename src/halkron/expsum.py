@@ -17,7 +17,7 @@ import numpy as np
 
 from .numtheory import UnitFraction
 from .sequences import PerturbSpec, mk_array, _parity_u64
-from .trigprod import TrigProductParams, log_pi_product
+from .trigprod import TrigProductParams, _abs_sin_pi, doubling_factors
 
 _MAX_MK_COUNT = 1 << 24
 _MAX_V = 1 << 22
@@ -106,8 +106,7 @@ def geometric_sum(count: int, alpha: UnitFraction) -> ExpSumResult:
 
 def frac_sin_abs(k: int, alpha: UnitFraction) -> float:
     """|sin(k * pi * alpha)| via the exact fractional part of k*alpha."""
-    f = alpha.mul_int(k).to_float()
-    return math.sin(math.pi * (f if f <= 0.5 else 1.0 - f))
+    return _abs_sin_pi(alpha.mul_int(k).to_float())
 
 
 def product_lower_bound(n: int, blocks: int, alpha: UnitFraction) -> float:
@@ -150,11 +149,19 @@ def two_additive_bound_check(
     phases = (_phases(vs, theta) + 0.5 * _parity_u64(vs & mask)) % 1.0
     lhs = _sum_of_phases(phases).modulus
     rmax = count.bit_length() - 1  # floor(log2 count)
-    gamma = shifted.gamma(rmax + 1)
-    rhs = 0.0
-    for r in range(rmax + 1):
-        rhs += 2.0**r * math.exp(log_pi_product(TrigProductParams(r, gamma, theta)))
-    return TwoAdditiveCheck(lhs, rhs, count)
+    factors = doubling_factors(theta.bits, theta.modulus, shifted.gamma(rmax), rmax)
+    return TwoAdditiveCheck(lhs, _weighted_prefix_sum(factors), count)
+
+
+def _weighted_prefix_sum(factors: list[float]) -> float:
+    """sum_{r=0}^{len(factors)} 2^r prod_{j<r} f_j, the partial products
+    grown incrementally."""
+    total = 1.0  # r = 0: empty product
+    running = 1.0
+    for r, f in enumerate(factors):
+        running *= f
+        total += 2.0 ** (r + 1) * running
+    return total
 
 
 @dataclass(frozen=True)
@@ -220,7 +227,7 @@ def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBo
     mod = alpha.modulus
     for ell in range(1, k_lim.bit_length()):  # ell <= floor(log2 K)
         rmax = log2n - ell
-        gamma = PerturbSpec(n, shift=ell).gamma(rmax + 1)
+        gamma = PerturbSpec(n, shift=ell).gamma(rmax)
         for h in range(1, h_lim // (1 << ell) + 1):
             b = (alpha.bits * h << ell) & (mod - 1)
             theta = UnitFraction(b, alpha.width)
@@ -229,20 +236,7 @@ def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBo
                 term_norm = math.inf
             else:
                 term_norm = 1.0 / float(theta.distance_to_int())
-            # sum_r 2^r Pi_r with the partial products grown incrementally
-            term_prod = 1.0  # r = 0: empty product
-            running = 1.0
-            bits = b
-            for r in range(rmax):
-                phase = bits / mod
-                f = (
-                    math.sin(math.pi * (phase if phase <= 0.5 else 1.0 - phase))
-                    if gamma[r]
-                    else math.sin(math.pi * abs(0.5 - phase))
-                )
-                running *= f
-                bits = (bits << 1) & (mod - 1)
-                term_prod += 2.0 ** (r + 1) * running
+            term_prod = _weighted_prefix_sum(doubling_factors(b, mod, gamma, rmax))
             rows.append(UpperBoundRow(ell, h, term_norm, term_prod))
             total += (term_norm + term_prod) / h
     return UpperBoundTerms(

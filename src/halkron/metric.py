@@ -2,7 +2,7 @@
 mu constant, monotone ratio brackets for the metric exponents, integral
 evaluation, and structural checks (symmetry, concavity, monotonicity).
 
-Levels are tabulated on a uniform grid of [0,1] with monotone cubic
+Levels are tabulated on a uniform grid of [0,1] with monotone cubic (PCHIP)
 interpolation for off-grid children.  Every level is rescaled by its maximum
 with the scale tracked in log space; the ratio extrema that produce the
 exponent brackets are invariant under that rescaling.
@@ -11,11 +11,10 @@ exponent brackets are invariant under that rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import PchipInterpolator
 
 from .sequences import PerturbSpec
 
@@ -31,20 +30,94 @@ def _abs_cos_pi(x: np.ndarray) -> np.ndarray:
     return np.sin(np.pi * np.abs(0.5 - x))
 
 
+def _edge_slope(d0: float, d1: float) -> float:
+    """One-sided three-point end derivative on equal steps, set to 0 or
+    clipped to 3 d0 where it would break shape preservation (Moler,
+    Numerical Computing with MATLAB, sec. 3.6)."""
+    d = (3.0 * d0 - d1) / 2.0
+    if np.sign(d) != np.sign(d0):
+        return 0.0
+    if np.sign(d0) != np.sign(d1) and abs(d) > 3.0 * abs(d0):
+        return 3.0 * d0
+    return d
+
+
+def _pchip_cells(grid: np.ndarray) -> np.ndarray:
+    """Fritsch-Carlson PCHIP of uniform samples as cubic coefficients
+    c[0..3, i], so cell i is ((c0 t + c1) t + c2) t + c3 for t in [0,1).
+
+    Slopes and derivatives are in units of one cell.  An interior
+    derivative is the harmonic mean of the adjacent slopes, or 0 where they
+    differ in sign or one vanishes.  The extra cell len(grid)-1 is the
+    constant last node, so t = 0 there evaluates x = 1.
+    """
+    delta = np.diff(grid)
+    a, b = delta[:-1], delta[1:]
+    d = np.zeros_like(grid)
+    inner = (np.sign(a) == np.sign(b)) & (a != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the weighted form (w/a + w/b) / 2w with w = 3: it rounds like the
+        # reference PCHIP that the tests compare against
+        d[1:-1] = np.where(inner, 1.0 / ((3.0 / a + 3.0 / b) / 6.0), 0.0)
+    d[0] = _edge_slope(delta[0], delta[1])
+    d[-1] = _edge_slope(delta[-1], delta[-2])
+    c = np.zeros((4, len(grid)))
+    c[0, :-1] = d[:-1] + d[1:] - 2.0 * delta
+    c[1, :-1] = (delta - d[:-1]) - c[0, :-1]
+    c[2, :-1] = d[:-1]
+    c[3] = grid
+    c.flags.writeable = False
+    return c
+
+
+def _children(cells: np.ndarray, b: int) -> np.ndarray:
+    """Interpolated values at every child (x_i + k)/b of the grid nodes,
+    indexed [r, k, q] for node i = q b + r.
+
+    On g cells with b | g that child lies in cell k g/b + q at the local
+    offset r/b, so one Horner pass at the b offsets gives every child, and
+    the (k, q) axes are an overlapping strided view of each offset's row.
+    Entries with q b + r > g belong to no node.
+    """
+    m = (cells.shape[1] - 1) // b
+    t = np.arange(b)[:, None] / b
+    v = cells[0] * t
+    v += cells[1]
+    v *= t
+    v += cells[2]
+    v *= t
+    v += cells[3]
+    row, col = v.strides
+    return np.lib.stride_tricks.as_strided(
+        v, shape=(b, b, m + 1), strides=(row, m * col, col), writeable=False
+    )
+
+
+def _simpson(y: np.ndarray) -> float:
+    """Composite Simpson rule over [0,1] for samples on an even number of
+    uniform cells: weights 1, 4, 2, ..., 2, 4, 1 times h/3."""
+    cells = len(y) - 1
+    s = y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
+    return float(s) / (3.0 * cells)
+
+
 @dataclass
 class PhiGrid:
     """One level of the recurrence, tabulated on grid_size+1 uniform nodes.
 
     ``grid`` is normalized to max 1; the true level values are
     ``grid * exp(log_scale)``.  Levels decay geometrically, so deep runs
-    would underflow without the split.
+    would underflow without the split.  ``grid`` is read-only: levels are
+    cached and shared, and the interpolation coefficients derive from it.
     """
 
     n: int
     level: int
     grid: np.ndarray
     log_scale: float
-    _interp: PchipInterpolator | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.grid.flags.writeable = False
 
     @property
     def grid_size(self) -> int:
@@ -54,42 +127,49 @@ class PhiGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, len(self.grid))
 
-    def interpolator(self) -> PchipInterpolator:
-        if self._interp is None:
-            self._interp = PchipInterpolator(self.nodes, self.grid)
-        return self._interp
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Read-only PCHIP coefficients of ``grid``, see ``_pchip_cells``."""
+        return _pchip_cells(self.grid)
+
+    def interpolate(self, x: float) -> float:
+        """Normalized PCHIP value at x in [0,1], from the one cell holding x."""
+        if not 0.0 <= x <= 1.0:
+            raise ValueError("x must lie in [0,1]")
+        idx = x * self.grid_size
+        i = int(idx)
+        t = idx - i
+        c0, c1, c2, c3 = self.cells[:, i]
+        return float(((c0 * t + c1) * t + c2) * t + c3)
 
     def values(self) -> np.ndarray:
         return self.grid * math.exp(self.log_scale)
 
     def value_at(self, x: float) -> float:
-        g = len(self.grid) - 1
-        idx = x * g
-        if idx == int(idx):
-            v = self.grid[int(idx)]
-        else:
-            v = float(self.interpolator()(x))
-        return float(v) * math.exp(self.log_scale)
+        return self.interpolate(x) * math.exp(self.log_scale)
 
     def integral(self) -> float:
         """Simpson integral of the level over [0,1]."""
-        return float(simpson(self.grid, dx=1.0 / self.grid_size)) * math.exp(self.log_scale)
+        return _simpson(self.grid) * math.exp(self.log_scale)
 
 
-def _kernel(n: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Branch weights w_k(x) = |sin(pi x)| / (2^n |cos((x+k) pi / 2^n)|) and
-    child coordinates (x+k)/2^n on the grid.  The 0/0 points (x=0 with the
-    middle branch, x=1 with its mirror) take their finite limit 1."""
+def _kernel(n: int, grid_size: int) -> np.ndarray:
+    """Branch weights w_k(x_i) = |sin(pi x_i)| / (2^n |cos((x_i+k) pi / 2^n)|)
+    indexed [r, k, q] for node i = q 2^n + r like ``_children``, zero where
+    q 2^n + r > grid_size.  The 0/0 points (x=0 with the middle branch, x=1
+    with its mirror) take their finite limit 1."""
     b = 1 << n
-    x = np.linspace(0.0, 1.0, grid_size + 1)
-    k = np.arange(b, dtype=float)[:, None]
-    child = (x[None, :] + k) / b
-    num = _abs_sin_pi(x)[None, :]
-    den = b * _abs_cos_pi(child)
+    x = np.zeros(grid_size + b)
+    x[: grid_size + 1] = np.linspace(0.0, 1.0, grid_size + 1)
+    x = np.ascontiguousarray(x.reshape(-1, b).T)[:, None, :]
+    k = np.arange(b, dtype=float)[None, :, None]
+    num = _abs_sin_pi(x)
+    den = b * _abs_cos_pi((x + k) / b)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = num / den
-    w = np.where(den == 0.0, 1.0, w)
-    return w, child
+    w[den == 0.0] = 1.0
+    w[1:, :, -1] = 0.0
+    return w
 
 
 _LEVEL_CACHE: dict[tuple[int, int], list[PhiGrid]] = {}
@@ -101,21 +181,20 @@ def phi_levels(n: int, j_max: int, grid_size: int) -> list[PhiGrid]:
         raise ValueError("n must be >= 1")
     if j_max < 0:
         raise ValueError("level must be >= 0")
-    if grid_size < _MIN_GRID or grid_size % 2:
-        raise ValueError(f"grid_size must be even and >= {_MIN_GRID}")
+    b = 1 << n
+    if grid_size < _MIN_GRID or grid_size % b:
+        raise ValueError(f"grid_size must be a multiple of 2^n = {b} and >= {_MIN_GRID}")
     key = (n, grid_size)
     levels = _LEVEL_CACHE.setdefault(
         key, [PhiGrid(n, 0, np.ones(grid_size + 1), 0.0)]
     )
     if j_max < len(levels):
         return levels[: j_max + 1]
-    w, child = _kernel(n, grid_size)
-    b = 1 << n
-    flat_child = child.ravel()
+    w = _kernel(n, grid_size)
     while len(levels) <= j_max:
         prev = levels[-1]
-        childvals = prev.interpolator()(flat_child).reshape(child.shape)
-        vals = (w * childvals).sum(axis=0) / b
+        sums = np.einsum("rkq,rkq->rq", w, _children(prev.cells, b))
+        vals = sums.T.ravel()[: grid_size + 1] / b
         s = float(vals.max())
         levels.append(PhiGrid(n, len(levels), vals / s, prev.log_scale + math.log(s)))
     return levels[: j_max + 1]
@@ -163,11 +242,9 @@ def _ratio_extrema(prev: PhiGrid, nxt: PhiGrid) -> tuple[float, float]:
     ratio = nxt.grid / prev.grid * scale
     g = prev.grid_size
     xs = prev.nodes
-    fp = prev.interpolator()
-    fn = nxt.interpolator()
 
     def q(x: float) -> float:
-        return scale * float(fn(x)) / float(fp(x))
+        return scale * nxt.interpolate(x) / prev.interpolate(x)
 
     imax = int(np.argmax(ratio))
     imin = int(np.argmin(ratio))
@@ -209,6 +286,15 @@ def _exponent(n: int, value: float) -> float:
     return 1.0 + math.log(value) / (n * math.log(2.0))
 
 
+def _level_records(n: int, levels: list[PhiGrid], j_max: int) -> list[LevelRecord]:
+    """Ratio extrema of levels j+1 over j, with their exponents, for j <= j_max."""
+    records = []
+    for j in range(j_max + 1):
+        lo, hi = _ratio_extrema(levels[j], levels[j + 1])
+        records.append(LevelRecord(j, lo, hi, _exponent(n, lo), _exponent(n, hi)))
+    return records
+
+
 def lambda_bracket(n: int, j_max: int, grid_size: int = 1 << 14) -> LambdaBracket:
     """Ratio extrema per level up to j_max; the max sequence is
     non-increasing and the min sequence non-decreasing, so the deepest pair
@@ -216,10 +302,7 @@ def lambda_bracket(n: int, j_max: int, grid_size: int = 1 << 14) -> LambdaBracke
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     levels = phi_levels(n, j_max + 1, grid_size)
-    records = []
-    for j in range(j_max + 1):
-        lo, hi = _ratio_extrema(levels[j], levels[j + 1])
-        records.append(LevelRecord(j, lo, hi, _exponent(n, lo), _exponent(n, hi)))
+    records = _level_records(n, levels, j_max)
     last = records[-1]
     return LambdaBracket(
         n,
@@ -342,10 +425,7 @@ def structural_checks(
         i = int(np.argmax(d2)) + 1
         failures.append(f"second difference {max_d2:.3e} > 1e-8 at node {i}")
 
-    records = []
-    for j in range(min(j_monotone, depth - 1) + 1):
-        lo, hi = _ratio_extrema(levels[j], levels[j + 1])
-        records.append(LevelRecord(j, lo, hi, _exponent(n, lo), _exponent(n, hi)))
+    records = _level_records(n, levels, min(j_monotone, depth - 1))
     monotonic_ok = True
     for a, b in zip(records, records[1:]):
         if b.ratio_max > a.ratio_max + 1e-9:

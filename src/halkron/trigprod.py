@@ -51,21 +51,34 @@ class TrigProductParams:
         return TrigProductParams(r, spec.gamma(r), alpha)
 
 
-def log_pi_product(params: TrigProductParams) -> float:
-    """log of the product, -inf on a hard zero.  Argument reduction by exact
-    left shifts of the fixed-point bits."""
-    bits = params.alpha.bits
-    mask = params.alpha.modulus - 1
-    mod = params.alpha.modulus
+def doubling_factors(num: int, den: int, gamma: Sequence[int], r: int) -> list[float]:
+    """The r factors |cos(2^j pi num/den + gamma_j pi/2)|, j < r.
+
+    The phase num/den is doubled exactly as ``num = 2 num mod den``: a
+    left shift of the fixed-point bits for den = 2^W, exact modular
+    reduction for a rational p/q.  Only the reduced phase becomes a double.
+    """
+    factors = []
+    for j in range(r):
+        phase = num / den
+        factors.append(_abs_sin_pi(phase) if gamma[j] else _abs_cos_pi(phase))
+        num = (num << 1) % den
+    return factors
+
+
+def _log_of_product(factors: list[float]) -> float:
     acc = 0.0
-    for j in range(params.r):
-        phase = bits / mod
-        f = _abs_sin_pi(phase) if params.gamma[j] else _abs_cos_pi(phase)
+    for f in factors:
         if f < _HARD_ZERO:
             return -math.inf
         acc += math.log(f)
-        bits = (bits << 1) & mask
     return acc
+
+
+def log_pi_product(params: TrigProductParams) -> float:
+    """log of the product, -inf on a hard zero."""
+    alpha = params.alpha
+    return _log_of_product(doubling_factors(alpha.bits, alpha.modulus, params.gamma, params.r))
 
 
 def pi_product(params: TrigProductParams) -> float:
@@ -77,16 +90,7 @@ def log_pi_product_rational(r: int, gamma: Sequence[int], p: int, q: int) -> flo
     """log Pi_{r,gamma}(p/q) with exact modular phase reduction 2^j p mod q."""
     if not 0 <= p < q:
         raise ValueError("need 0 <= p < q")
-    m = p
-    acc = 0.0
-    for j in range(r):
-        phase = m / q
-        f = _abs_sin_pi(phase) if gamma[j] else _abs_cos_pi(phase)
-        if f < _HARD_ZERO:
-            return -math.inf
-        acc += math.log(f)
-        m = (m << 1) % q
-    return acc
+    return _log_of_product(doubling_factors(p, q, gamma, r))
 
 
 def a_exponent(n: int) -> float:
@@ -186,7 +190,9 @@ class GelfondCertificate:
         return self.max_violation <= self.tolerance
 
 
-def _gelfond_violation(n: int, xs: np.ndarray, g_xi: float) -> np.ndarray:
+def gelfond_violation(n: int, xs: np.ndarray, g_xi: float) -> np.ndarray:
+    """min(G_n(x) - G_n(xi_n), G_n(x) G_n(f_n(x)) - G_n(xi_n)^2); the
+    dichotomy holds at x iff this is <= 0."""
     g1 = g_value(n, xs)
     g2 = g_value(n, f_iterate(n, xs))
     return np.minimum(g1 - g_xi, g1 * g2 - g_xi * g_xi)
@@ -200,7 +206,7 @@ def gelfond_certify(n: int, grid_size: int) -> GelfondCertificate:
         raise ValueError("grid_size must be >= 1000")
     g_xi = g_at_xi(n)
     xs = np.linspace(0.0, 1.0, grid_size + 1)
-    v = _gelfond_violation(n, xs, g_xi)
+    v = gelfond_violation(n, xs, g_xi)
     i = int(np.argmax(v))
     max_v = float(v[i])
     worst = float(xs[i])
@@ -208,7 +214,7 @@ def gelfond_certify(n: int, grid_size: int) -> GelfondCertificate:
     hi = xs[min(i + 1, grid_size)]
     for _ in range(3):
         fine = np.linspace(lo, hi, 201)
-        fv = _gelfond_violation(n, fine, g_xi)
+        fv = gelfond_violation(n, fine, g_xi)
         j = int(np.argmax(fv))
         if fv[j] > max_v:
             max_v = float(fv[j])

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from halkron.metric import (
+    PhiGrid,
+    _children,
+    _pchip_cells,
+    _simpson,
     integral_pi,
     lambda_bracket,
     mu,
@@ -50,6 +54,61 @@ class TestPhiLevel:
             phi_level(1, 1, 100)
         with pytest.raises(ValueError):
             phi_level(1, -1, GRID)
+        with pytest.raises(ValueError):
+            phi_level(3, 1, 260)  # even, but not a multiple of 2^3
+        with pytest.raises(ValueError):
+            phi_level(1, 1, GRID).value_at(1.5)
+
+    def test_cached_grid_is_read_only(self):
+        before = lambda_bracket(2, 4, GRID)
+        lv = phi_level(2, 3, GRID)
+        with pytest.raises(ValueError):
+            lv.grid[GRID // 2] = 0.0
+        with pytest.raises(ValueError):
+            lv.cells[3, 0] = 0.0
+        assert lambda_bracket(2, 4, GRID) == before
+
+
+class TestAgainstScipy:
+    """scipy as an oracle for the uniform-step PCHIP and Simpson rule."""
+
+    @staticmethod
+    def _grids(n):
+        rng = np.random.default_rng(n)
+        # a smooth level and noise with sign changes and flat steps
+        noisy = rng.random(GRID + 1)
+        noisy[100:110] = 0.5
+        return phi_level(n, 2, GRID).grid, noisy
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pchip_at_every_child(self, n):
+        interp = pytest.importorskip("scipy.interpolate")
+        b = 1 << n
+        x = np.linspace(0.0, 1.0, GRID + 1)
+        r, k, q = np.meshgrid(np.arange(b), np.arange(b), np.arange(GRID // b + 1), indexing="ij")
+        i = q * b + r
+        node = i <= GRID
+        child = (x[i[node]] + k[node]) / b
+        for y in self._grids(n):
+            got = _children(_pchip_cells(y), b)[node]
+            want = interp.PchipInterpolator(x, y)(child)
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pchip_at_random_points(self, n):
+        interp = pytest.importorskip("scipy.interpolate")
+        xs = np.random.default_rng(100 + n).random(2000)
+        for y in self._grids(n):
+            lv = PhiGrid(n, 0, y, 0.0)
+            got = np.array([lv.interpolate(float(x)) for x in xs])
+            want = interp.PchipInterpolator(lv.nodes, y)(xs)
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_simpson(self):
+        integrate = pytest.importorskip("scipy.integrate")
+        for y in self._grids(3):
+            want = integrate.simpson(y, dx=1.0 / GRID)
+            assert _simpson(y) == pytest.approx(want, rel=1e-14)
 
 
 class TestMu:
@@ -149,9 +208,7 @@ class TestIntegralPi:
         for idx in range(n * (l - j)):
             t = (xs * float(2**idx)) % 1.0
             prod *= np.sin(np.pi * np.minimum(t, 1 - t)) if gamma[idx] else np.sin(np.pi * np.abs(0.5 - t))
-        from scipy.integrate import simpson
-
-        lhs = simpson(lv.values() * prod, dx=1.0 / lv.grid_size)
+        lhs = _simpson(lv.values() * prod)
         rhs = _pi_direct_quadrature(n, l, 8)
         assert lhs == pytest.approx(rhs, abs=2e-7)
 

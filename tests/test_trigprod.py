@@ -9,6 +9,7 @@ from halkron.sequences import PerturbSpec
 from halkron.trigprod import (
     TrigProductParams,
     a_exponent,
+    doubling_factors,
     f_iterate,
     g_at_xi,
     g_value,
@@ -82,6 +83,34 @@ class TestPiProduct:
         gamma = PerturbSpec(2).gamma(4)
         val = log_pi_product_rational(4, gamma, 1, 2)
         assert math.isinf(val) and val < 0
+
+
+def inline_loop_factors(bits: int, width: int, gamma, r: int) -> list[float]:
+    """The factor loop formerly inlined in expsum.upper_bound_rhs: shift and
+    mask the fixed-point bits, sin/cos written out."""
+    mod = 1 << width
+    out = []
+    for j in range(r):
+        phase = bits / mod
+        out.append(
+            math.sin(math.pi * (phase if phase <= 0.5 else 1.0 - phase))
+            if gamma[j]
+            else math.sin(math.pi * abs(0.5 - phase))
+        )
+        bits = (bits << 1) & (mod - 1)
+    return out
+
+
+class TestDoublingFactors:
+    def test_bit_identical_to_inline_loop(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            width = rng.choice((32, 64, 128))
+            r = rng.randint(0, 80)
+            gamma = PerturbSpec(rng.randint(1, 5), shift=rng.randint(0, 7)).gamma(r)
+            bits = rng.getrandbits(width)
+            got = doubling_factors(bits, 1 << width, gamma, r)
+            assert got == inline_loop_factors(bits, width, gamma, r)
 
 
 class TestAExponent:
