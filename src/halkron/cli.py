@@ -49,13 +49,15 @@ class UsageError(ValueError):
 
 def parse_range(text: str) -> list[int]:
     """'4..13' -> [4..13]; '3' -> [3]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise UsageError(f"empty range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        lo_i = int(lo)
+        hi_i = int(hi) if sep else lo_i
+    except ValueError:
+        raise UsageError("range must look like 4..13 or 3") from None
+    if hi_i < lo_i:
+        raise UsageError(f"empty range {text!r}")
+    return list(range(lo_i, hi_i + 1))
 
 
 def parse_alpha(text: str, n: int, width: int) -> SpecialAlpha:
@@ -67,10 +69,12 @@ def parse_alpha(text: str, n: int, width: int) -> SpecialAlpha:
     if text == "rational":
         return rational_bad(n, width)
     if text.startswith("bits:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError("bits spec must look like bits:0x1234:128")
-        return user_alpha(int(parts[1], 16), int(parts[2]))
+        try:
+            digits, w = text[len("bits:"):].split(":")
+            bits, bits_width = int(digits, 16), int(w)
+        except ValueError:
+            raise UsageError("bits spec must look like bits:0x1234:128") from None
+        return user_alpha(bits, bits_width)
     if text.startswith("frac:"):
         try:
             p, q = (int(part) for part in text[len("frac:"):].split("/"))

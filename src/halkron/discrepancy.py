@@ -4,16 +4,27 @@ and growth-exponent fitting.
 The sup over anchored boxes is realized as a max over corner candidates
 taken from the point coordinates and 1: closed counting captures the
 overshoot limits (boxes shrinking onto a corner from above), open counting
-captures the undershoot side.  The 2D routine scans all candidate rows in
-floating point, then re-evaluates every near-maximal candidate in exact
-rational arithmetic, so the returned value is exact while the scan stays
-O(N^2) in vectorized work.
+captures the undershoot side.
+
+The 2D routine ranks the distinct coordinates exactly (by sorting the
+integer numerators) and makes one sweep over the rows of distinct x in
+increasing order, in blocks of at most ``_BLOCK_CELLS`` corners.  A running
+row holds the exact closed counts C (points with x <= row, y <= column);
+each point of a row adds 1 to a suffix of it.  The open count of a corner
+is the closed count one row up and one column left.  Counts are exact
+integers; only the volume is a float, so a block's terms C - N*x*y and
+N*x*y - C (in units of 1/N) err by a few ulp of N.  Every corner within
+N*_CONFIRM_MARGIN of the running float maximum is kept with its exact
+count, and the list is pruned each time the maximum rises.  The float
+error is orders of magnitude below the margin, so every exact maximizer
+survives, and each survivor is confirmed in O(1) as c/N - x*y (closed) or
+x*y - c/N (open) in exact rationals.  The sweep is O(N^2) vectorized work
+with O(N + _BLOCK_CELLS) memory.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,6 +37,8 @@ from .sequences import PerturbSpec, PointSet2, generate_point_set
 # float terms are accurate to a few ulp; anything this close to the float
 # maximum gets re-checked exactly
 _CONFIRM_MARGIN = 1e-9
+# a sweep block holds at most this many float64 corners (512 KiB)
+_BLOCK_CELLS = 1 << 16
 
 
 class GuardError(ValueError):
@@ -70,112 +83,81 @@ def star_discrepancy_1d(xs: Sequence[UnitFraction]) -> DiscrepancyResult:
     return DiscrepancyResult(n, best, witness)
 
 
-def _scan_rows(
-    n: int,
-    xs_f: np.ndarray,
-    ys_f: np.ndarray,
-    y_rank_sorted: np.ndarray,
-    x_bounds: np.ndarray,
-    threshold: float | None,
-):
-    """One sweep over the distinct x candidates in increasing order.
-
-    Returns the float maximum; when ``threshold`` is given also returns every
-    candidate corner (mode, x_float, y_float) whose term reaches it.
-    """
-    qy = len(ys_f)
-    ys_ext = np.append(ys_f, 1.0)
-    cnt = np.zeros(qy, dtype=np.int64)
-    included = 0
-    best = -math.inf
-    cands: list[tuple[bool, float, float]] = []
-    lt_ext = np.empty(qy + 1)
-
-    def neg_row(x: float) -> None:
-        nonlocal best
-        cums = np.cumsum(cnt)
-        lt_ext[:qy] = cums - cnt
-        lt_ext[qy] = included
-        terms = x * ys_ext - lt_ext / n
-        m = float(terms.max())
-        if m > best:
-            best = m
-        if threshold is not None:
-            for t in np.nonzero(terms >= threshold)[0]:
-                cands.append((False, x, float(ys_ext[t])))
-
-    for ix, x in enumerate(xs_f):
-        neg_row(float(x))
-        lo, hi = x_bounds[ix], x_bounds[ix + 1]
-        np.add.at(cnt, y_rank_sorted[lo:hi], 1)
-        included += hi - lo
-        cums = np.cumsum(cnt)
-        terms = cums / n - float(x) * ys_f
-        m = float(terms.max())
-        if m > best:
-            best = m
-        if threshold is not None:
-            for t in np.nonzero(terms >= threshold)[0]:
-                cands.append((True, float(x), float(ys_f[t])))
-    neg_row(1.0)
-    return best, cands
-
-
 def star_discrepancy_2d(ps: PointSet2) -> DiscrepancyResult:
-    """Exact supremum over anchored boxes; float pre-scan plus exact rational
-    confirmation of every near-maximal corner."""
+    """Exact supremum over anchored boxes: one blocked float sweep over the
+    exact coordinate ranks, then exact rational confirmation of every
+    near-maximal corner from its exact count."""
     n = len(ps)
     if n == 0:
         raise ValueError("empty point set")
     q = 1 << ps.width
-    xf, yf = ps.floats()
-    xs_f = np.unique(xf)
-    ys_f = np.unique(yf)
-    order = np.argsort(xf, kind="stable")
-    y_rank_sorted = np.searchsorted(ys_f, yf[order])
-    x_rank_sorted = np.searchsorted(xs_f, xf[order])
-    # start offset of each distinct x among the sorted points
-    x_bounds = np.searchsorted(x_rank_sorted, np.arange(len(xs_f) + 1))
+    xs = sorted(set(ps.x_bits))
+    ys = sorted(set(ps.y_bits))
+    nx, ny = len(xs), len(ys)
+    rank_x = {v: i for i, v in enumerate(xs)}
+    rank_y = {v: i for i, v in enumerate(ys)}
+    # y ranks of the points on each row; row nx (x = 1) holds none
+    row_ys: list[list[int]] = [[] for _ in range(nx + 1)]
+    for a, b in zip(ps.x_bits, ps.y_bits):
+        row_ys[rank_x[a]].append(rank_y[b])
+    # row nx and column ny are the corners at x = 1 and y = 1
+    xs.append(q)
+    ys.append(q)
+    x_n = np.array([v / q for v in xs]) * n
+    y_f = np.array([v / q for v in ys])
 
-    fmax, _ = _scan_rows(n, xs_f, ys_f, y_rank_sorted, x_bounds, None)
-    _, cands = _scan_rows(n, xs_f, ys_f, y_rank_sorted, x_bounds, fmax - _CONFIRM_MARGIN)
+    # terms are carried in units of 1/N: closed C - N*x*y, open N*x*y - C
+    margin = n * _CONFIRM_MARGIN
+    best = -math.inf
+    cands: list[tuple[float, bool, int, int, int]] = []  # (term, closed, row, col, count)
 
-    # float value -> exact numerators over q (several exact values can share
-    # a float, and the artificial corner at 1 shares the bucket of any
-    # coordinate that rounds to 1.0)
-    bx: dict[float, set[int]] = defaultdict(set)
-    by: dict[float, set[int]] = defaultdict(set)
-    for v in set(ps.x_bits):
-        bx[v / q].add(v)
-    for v in set(ps.y_bits):
-        by[v / q].add(v)
-    bx[1.0].add(q)
-    by[1.0].add(q)
+    def keep(terms: np.ndarray, closed: bool, a0: int, le: np.ndarray, above: np.ndarray):
+        nonlocal best, cands
+        m = float(terms.max())
+        if m > best:
+            best = m
+            cands = [c for c in cands if c[0] >= best - margin]
+        if m < best - margin:
+            return
+        for i, j in zip(*np.nonzero(terms >= best - margin)):
+            if closed:
+                c = le[i, j]
+            else:  # points strictly below and left: one row up, one column left
+                c = 0 if j == 0 else (le[i - 1] if i else above)[j - 1]
+            cands.append((float(terms[i, j]), closed, a0 + int(i), int(j), int(c)))
 
-    exact_cands: set[tuple[bool, int, int]] = set()
-    for closed, xfv, yfv in cands:
-        for xnum in bx[xfv]:
-            for ynum in by[yfv]:
-                exact_cands.add((closed, xnum, ynum))
+    step = max(1, _BLOCK_CELLS // (ny + 1))
+    le_buf = np.empty((step, ny))  # closed counts, exact in float64
+    xy_buf = np.empty((step, ny + 1))
+    t_buf = np.empty((step, ny))
+    cnt = np.zeros(ny)  # closed counts of the last row filled
+    above = np.zeros(ny)  # closed counts of the row above the block
+    for a0 in range(0, nx + 1, step):
+        r = min(step, nx + 1 - a0)
+        le, xy = le_buf[:r], xy_buf[:r]
+        for i in range(r):
+            for b in row_ys[a0 + i]:
+                cnt[b:] += 1
+            le[i] = cnt
+        np.multiply.outer(x_n[a0:a0 + r], y_f, out=xy)
+        rows = min(r, nx - a0)  # closed corners at x = 1 or y = 1 are dominated
+        if rows:
+            keep(np.subtract(le[:rows], xy[:rows, :ny], out=t_buf[:rows]), True, a0, le, above)
+        xy[0, 1:] -= above
+        xy[1:, 1:] -= le[:-1]
+        keep(xy, False, a0, le, above)
+        above[:] = le[-1]
 
-    xb = ps.x_bits
-    yb = ps.y_bits
-    best: Fraction | None = None
+    # the lexicographically smallest (closed, x, y) among the exact maximizers
+    d_star: Fraction | None = None
     witness: tuple[BoxSide, ...] = ()
-    for closed, xnum, ynum in sorted(exact_cands):
-        if closed:
-            c = sum(1 for a, b in zip(xb, yb) if a <= xnum and b <= ynum)
-            term = Fraction(c, n) - Fraction(xnum * ynum, q * q)
-        else:
-            c = sum(1 for a, b in zip(xb, yb) if a < xnum and b < ynum)
-            term = Fraction(xnum * ynum, q * q) - Fraction(c, n)
-        if best is None or term > best:
-            best = term
-            witness = (
-                BoxSide(Fraction(xnum, q), closed),
-                BoxSide(Fraction(ynum, q), closed),
-            )
-    return DiscrepancyResult(n, best, witness)
+    for _, closed, a, b, c in sorted(cands, key=lambda t: t[1:4]):
+        vol = Fraction(xs[a] * ys[b], q * q)
+        term = Fraction(c, n) - vol if closed else vol - Fraction(c, n)
+        if d_star is None or term > d_star:
+            d_star = term
+            witness = (BoxSide(Fraction(xs[a], q), closed), BoxSide(Fraction(ys[b], q), closed))
+    return DiscrepancyResult(n, d_star, witness)
 
 
 def brute_force_discrepancy_points(ps: PointSet2) -> Fraction:

@@ -164,13 +164,6 @@ class PointSet2:
     def points(self) -> Iterator[tuple[UnitFraction, UnitFraction]]:
         return (self.point(i) for i in range(len(self)))
 
-    def floats(self) -> tuple[np.ndarray, np.ndarray]:
-        """Round-to-nearest double coordinates."""
-        q = 1 << self.width
-        xs = np.array([b / q for b in self.x_bits], dtype=float)
-        ys = np.array([b / q for b in self.y_bits], dtype=float)
-        return xs, ys
-
     def write_csv(self, fh) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["k", "x_bits_hex", "y_bits_hex", "x_float", "y_float"])

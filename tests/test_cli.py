@@ -43,6 +43,19 @@ class TestGen:
             code, _, err = run(capsys, "gen", "--n", "1", "--alpha", spec, "--count", "4")
             assert code == 2
             assert "frac spec must look like frac:P/Q" in err
+        for spec in ("bits:zz:128", "bits:0x12", "bits:0x12:x", "bits:0x12:8:9"):
+            code, _, err = run(capsys, "gen", "--n", "1", "--alpha", spec, "--count", "4")
+            assert code == 2
+            assert "bits spec must look like bits:0x1234:128" in err
+
+    def test_bad_range(self, capsys):
+        for text in ("x", "3..x", "..4", "1..2..3"):
+            code, _, err = run(capsys, "scan", "--n", "1", "--alpha", "theorem", "--L", text)
+            assert code == 2
+            assert err.strip() == "error: range must look like 4..13 or 3"
+        code, _, err = run(capsys, "gen", "--n", "one", "--alpha", "theorem", "--count", "4")
+        assert code == 2
+        assert "range must look like 4..13 or 3" in err
 
 
 class TestDiscAndScan:

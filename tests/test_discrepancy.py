@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_point_set
+from row_sweep_oracle import row_sweep_discrepancy_2d
 from halkron.discrepancy import (
     GuardError,
     brute_force_discrepancy_2d,
@@ -12,7 +13,7 @@ from halkron.discrepancy import (
     star_discrepancy_1d,
     star_discrepancy_2d,
 )
-from halkron.numtheory import UnitFraction, make_unit_fraction, theorem_alpha
+from halkron.numtheory import UnitFraction, make_unit_fraction, rational_bad, theorem_alpha
 from halkron.sequences import PerturbSpec, PointSet2, generate_point_set
 
 
@@ -153,6 +154,22 @@ class TestStar2D:
             ps = PointSet2(xs, ys, 128)
             assert float(xs[0] / (1 << 128)) == float(xs[1] / (1 << 128))
             assert star_discrepancy_2d(ps).d_star == brute_force_discrepancy_points(ps)
+
+
+class TestRowSweepOracle:
+    """The exact-rank sweep against the former two-pass float row sweep on
+    generated sets up to N = 2^12: the rational alpha puts k*alpha on a
+    handful of doubles, so it covers the float ties."""
+
+    @pytest.mark.parametrize("make_alpha", [theorem_alpha, rational_bad])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generated_sets(self, n, make_alpha):
+        alpha = make_alpha(n).fraction
+        for count in (1, 7, 64, 1000, 4096):
+            ps = generate_point_set(PerturbSpec(n), alpha, count)
+            got = star_discrepancy_2d(ps)
+            want = row_sweep_discrepancy_2d(ps)
+            assert (got.d_star, got.witness_box) == (want.d_star, want.witness_box), count
 
 
 class TestBruteForceGrid:
