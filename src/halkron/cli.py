@@ -41,6 +41,7 @@ DEFAULT_GRID_LAMBDA = 1 << 14
 DEFAULT_DEPTH = 12
 DEFAULT_GUARD = 1 << 16
 DEFAULT_CERTIFY_GRID = 100_000
+DEFAULT_KERNEL_CAP = 1 << 30  # bytes of one transfer-operator kernel
 
 
 class UsageError(ValueError):
@@ -114,6 +115,19 @@ def _config(args, keys: list[str]) -> dict:
     cfg = {k: getattr(args, k) for k in keys}
     cfg["width"] = args.width
     return cfg
+
+
+def _guard_kernels(ns: list[int], grids: list[int], force: bool) -> None:
+    """Usage error for a grid that breaks the grid rule; guard error for a
+    level kernel above ``DEFAULT_KERNEL_CAP`` unless forced."""
+    for n in ns:
+        for grid in grids:
+            size = metric.kernel_bytes(n, grid)
+            if size > DEFAULT_KERNEL_CAP and not force:
+                raise discrepancy.GuardError(
+                    f"n={n}, grid {grid}: the level kernel needs {size} bytes, "
+                    f"above the cap of {DEFAULT_KERNEL_CAP}; pass --force to build it"
+                )
 
 
 def cmd_gen(args) -> int:
@@ -215,6 +229,7 @@ def cmd_trig(args) -> int:
 def cmd_lambda(args) -> int:
     ns = parse_range(args.n)
     cfg = _config(args, ["n", "depth", "grid"])
+    _guard_kernels(ns, [g for g in (args.grid, args.compare_grid) if g], args.force)
     brackets = {n: metric.lambda_bracket(n, args.depth, args.grid) for n in ns}
     header = ["j", "m_j", "M_j", "exp_lower", "exp_upper"]
     rows = []
@@ -257,6 +272,7 @@ def cmd_certify(args) -> int:
     ns = parse_range(args.n)
     if args.grid < 1000:
         raise UsageError("certification grid must be >= 1000")
+    _guard_kernels(ns, [args.struct_grid], args.force)
     reports = []
     failed = False
     for n in ns:
@@ -316,7 +332,8 @@ def cmd_integral(args) -> int:
     ns = parse_range(args.n)
     if len(ns) != 1:
         raise UsageError("integral takes a single n")
-    res = metric.integral_pi(ns[0], args.L, args.quad)
+    _guard_kernels(ns, [DEFAULT_GRID_LAMBDA], args.force)
+    res = metric.integral_pi(ns[0], args.L, args.quad, DEFAULT_GRID_LAMBDA)
     cfg = _config(args, ["n", "L", "quad"])
     payload = {
         "by_recurrence": res.by_recurrence,
@@ -380,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=DEFAULT_GRID_LAMBDA)
     sp.add_argument("--compare-grid", type=int, default=None,
                     help="second grid size; report refinement deltas")
+    sp.add_argument("--force", action="store_true", help="build kernels above the cap")
     sp.add_argument("--out", default="-")
     sp.add_argument("--json")
     sp.set_defaults(func=cmd_lambda)
@@ -390,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--blocks", type=int, default=20,
                     help="L for the sharpness identity")
     sp.add_argument("--struct-grid", type=int, default=DEFAULT_GRID_LAMBDA)
+    sp.add_argument("--force", action="store_true", help="build kernels above the cap")
     sp.add_argument("--out", default="-")
     sp.add_argument("--json")
     sp.set_defaults(func=cmd_certify)
@@ -408,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", required=True)
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--quad", type=int, default=8)
+    sp.add_argument("--force", action="store_true", help="build kernels above the cap")
     sp.add_argument("--out", default="-")
     sp.add_argument("--json")
     sp.set_defaults(func=cmd_integral)

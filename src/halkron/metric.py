@@ -3,9 +3,15 @@ mu constant, monotone ratio brackets for the metric exponents, integral
 evaluation, and structural checks (symmetry, concavity, monotonicity).
 
 Levels are tabulated on a uniform grid of [0,1] with monotone cubic (PCHIP)
-interpolation for off-grid children.  Every level is rescaled by its maximum
-with the scale tracked in log space; the ratio extrema that produce the
-exponent brackets are invariant under that rescaling.
+interpolation for off-grid children.  The grid is a multiple of 2^n, so the
+children (x_i + k)/2^n of node i = q 2^n + r all sit at the local offset
+r/2^n of cell k g/2^n + q.  A level step therefore gathers the cubic
+coefficients of those cells as [q, k, p], multiplies them by a [q, r, k]
+branch-weight kernel built once per (n, grid) in one batched matmul, and
+contracts the result with the offset powers (r/2^n)^(3-p).  Every level is
+rescaled by its maximum with the scale tracked in log space; the ratio
+extrema that produce the exponent brackets are invariant under that
+rescaling.
 """
 
 from __future__ import annotations
@@ -70,29 +76,6 @@ def _pchip_cells(grid: np.ndarray) -> np.ndarray:
     return c
 
 
-def _children(cells: np.ndarray, b: int) -> np.ndarray:
-    """Interpolated values at every child (x_i + k)/b of the grid nodes,
-    indexed [r, k, q] for node i = q b + r.
-
-    On g cells with b | g that child lies in cell k g/b + q at the local
-    offset r/b, so one Horner pass at the b offsets gives every child, and
-    the (k, q) axes are an overlapping strided view of each offset's row.
-    Entries with q b + r > g belong to no node.
-    """
-    m = (cells.shape[1] - 1) // b
-    t = np.arange(b)[:, None] / b
-    v = cells[0] * t
-    v += cells[1]
-    v *= t
-    v += cells[2]
-    v *= t
-    v += cells[3]
-    row, col = v.strides
-    return np.lib.stride_tricks.as_strided(
-        v, shape=(b, b, m + 1), strides=(row, m * col, col), writeable=False
-    )
-
-
 def _simpson(y: np.ndarray) -> float:
     """Composite Simpson rule over [0,1] for samples on an even number of
     uniform cells: weights 1, 4, 2, ..., 2, 4, 1 times h/3."""
@@ -153,37 +136,77 @@ class PhiGrid:
         return _simpson(self.grid) * math.exp(self.log_scale)
 
 
+def _check_grid(n: int, grid_size: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    b = 1 << n
+    if grid_size < _MIN_GRID or grid_size % b:
+        raise ValueError(f"grid_size must be a multiple of 2^n = {b} and >= {_MIN_GRID}")
+
+
+def kernel_bytes(n: int, grid_size: int) -> int:
+    """Bytes of the float64 kernel that building levels of (n, grid_size)
+    allocates, the largest array of a level step: 2^n x 2^n weights for
+    each of the grid_size/2^n + 1 blocks of 2^n nodes."""
+    _check_grid(n, grid_size)
+    return 8 * (1 << n) * (grid_size + (1 << n))
+
+
 def _kernel(n: int, grid_size: int) -> np.ndarray:
     """Branch weights w_k(x_i) = |sin(pi x_i)| / (2^n |cos((x_i+k) pi / 2^n)|)
-    indexed [r, k, q] for node i = q 2^n + r like ``_children``, zero where
-    q 2^n + r > grid_size.  The 0/0 points (x=0 with the middle branch, x=1
-    with its mirror) take their finite limit 1."""
+    indexed [q, r, k] for node i = q 2^n + r.  Rows with i > grid_size
+    belong to no node; they hold finite values that the level step drops.
+    The 0/0 points (x=0 with the middle branch, x=1 with its mirror) take
+    their finite limit 1.  One buffer of ``kernel_bytes`` is filled in place:
+    the child of branch k sits at (i + k g) / (2^n g) on the fine grid."""
     b = 1 << n
-    x = np.zeros(grid_size + b)
-    x[: grid_size + 1] = np.linspace(0.0, 1.0, grid_size + 1)
-    x = np.ascontiguousarray(x.reshape(-1, b).T)[:, None, :]
-    k = np.arange(b, dtype=float)[None, :, None]
-    num = _abs_sin_pi(x)
-    den = b * _abs_cos_pi((x + k) / b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = num / den
-    w[den == 0.0] = 1.0
-    w[1:, :, -1] = 0.0
+    m = grid_size // b
+    i = np.arange((m + 1) * b, dtype=float).reshape(m + 1, b, 1)
+    w = np.add(i, grid_size * np.arange(b, dtype=float), out=np.empty((m + 1, b, b)))
+    # b |cos(pi y)| as b sin(pi |1/2 - y|), like _abs_cos_pi
+    w /= b * grid_size
+    np.subtract(0.5, w, out=w)
+    np.abs(w, out=w)
+    w *= np.pi
+    np.sin(w, out=w)
+    w *= b
+    with np.errstate(invalid="ignore"):
+        np.divide(_abs_sin_pi(i / grid_size), w, out=w)
+    w[0, 0, b // 2] = 1.0
+    w[m, 0, b // 2 - 1] = 1.0
     return w
+
+
+def _gather_cells(cells: np.ndarray, b: int) -> np.ndarray:
+    """Cell coefficients of every child, indexed [q, k, p].
+
+    On g cells with b | g the child (x_i + k)/b of node i = q b + r lies in
+    cell k g/b + q at the local offset r/b, so the cell depends on (q, k)
+    only and the offset on r only."""
+    m = (cells.shape[1] - 1) // b
+    return cells.T[np.arange(b) * m + np.arange(m + 1)[:, None]]
+
+
+def _offset_powers(b: int) -> np.ndarray:
+    """Powers t^(3-p) of the local offsets t = r/b, indexed [r, p], so a cell
+    polynomial at offset r is its coefficients dotted with row r."""
+    t = np.arange(b) / b
+    return t[:, None] ** np.arange(3, -1, -1)
 
 
 _LEVEL_CACHE: dict[tuple[int, int], list[PhiGrid]] = {}
 
 
 def phi_levels(n: int, j_max: int, grid_size: int) -> list[PhiGrid]:
-    """Levels 0..j_max of the recurrence, iterated from the constant 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Levels 0..j_max of the recurrence, iterated from the constant 1.
+
+    A level step is one batched matmul: for each block q of 2^n nodes, the
+    [r, k] weights times the [k, p] coefficients of the children's cells,
+    then each row r evaluated at its offset r/2^n."""
+    _check_grid(n, grid_size)
     if j_max < 0:
         raise ValueError("level must be >= 0")
     b = 1 << n
-    if grid_size < _MIN_GRID or grid_size % b:
-        raise ValueError(f"grid_size must be a multiple of 2^n = {b} and >= {_MIN_GRID}")
     key = (n, grid_size)
     levels = _LEVEL_CACHE.setdefault(
         key, [PhiGrid(n, 0, np.ones(grid_size + 1), 0.0)]
@@ -191,10 +214,12 @@ def phi_levels(n: int, j_max: int, grid_size: int) -> list[PhiGrid]:
     if j_max < len(levels):
         return levels[: j_max + 1]
     w = _kernel(n, grid_size)
+    powers = _offset_powers(b)
     while len(levels) <= j_max:
         prev = levels[-1]
-        sums = np.einsum("rkq,rkq->rq", w, _children(prev.cells, b))
-        vals = sums.T.ravel()[: grid_size + 1] / b
+        # [q, r, p]: weighted coefficient sums over the branches k
+        sums = np.einsum("qrp,rp->qr", w @ _gather_cells(prev.cells, b), powers)
+        vals = sums.ravel()[: grid_size + 1] / b
         s = float(vals.max())
         levels.append(PhiGrid(n, len(levels), vals / s, prev.log_scale + math.log(s)))
     return levels[: j_max + 1]
@@ -341,8 +366,12 @@ class IntegralPi:
 
 
 def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
-    """Composite Gauss-Legendre over dyadic panels; panel boundaries contain
-    every kink of the |cos| factors up to 2^20 panels."""
+    """Composite Gauss-Legendre over 2^min(r, 18) dyadic panels, r = n blocks.
+
+    The factor j has its kinks at multiples of 2^-(j+1), so the panel
+    boundaries contain every kink only for r <= 18.  Beyond that the panels
+    straddle kinks and the route goes wrong (about 3 times the recurrence
+    value at n = 2, blocks = 12), so ``by_direct`` is no check there."""
     r = n * blocks
     panels = 1 << min(r, 18)
     nodes, weights = np.polynomial.legendre.leggauss(qpts)

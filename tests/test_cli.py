@@ -135,6 +135,39 @@ class TestTrigAndLambda:
         assert abs(doc["refinement"]["1"]["exp_upper_delta"]) < 1e-3
 
 
+class TestKernelGuard:
+    def test_large_n_is_guarded(self, capsys):
+        # 4 GiB and 1.5 GiB kernels at the default grid 2^14
+        code, out, err = run(capsys, "lambda", "--n", "14")
+        assert code == 3
+        assert out == ""
+        assert f"needs {8 * 2**14 * (2**14 + 2**14)} bytes" in err
+        code, out, err = run(capsys, "certify", "--n", "13")
+        assert code == 3
+        assert f"needs {8 * 2**13 * (2**14 + 2**13)} bytes" in err
+
+    def test_force_overrides_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_KERNEL_CAP", 1000)
+        argv = ["lambda", "--n", "1", "--depth", "1", "--grid", "256"]
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "guard:" in err and "--force" in err
+        code, _, _ = run(capsys, *argv, "--compare-grid", "512")
+        assert code == 3
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0
+        assert "exponent bracket" in out
+        for argv in (["certify", "--n", "1", "--grid", "2000", "--struct-grid", "256"],
+                     ["integral", "--n", "1", "--L", "1"]):
+            code, _, _ = run(capsys, *argv)
+            assert code == 3
+
+    def test_grid_rule_is_checked_first(self, capsys):
+        code, _, err = run(capsys, "integral", "--n", "30", "--L", "1")
+        assert code == 2
+        assert "multiple of 2^n" in err
+
+
 class TestCertify:
     def test_small_grid_is_usage_error(self, capsys):
         code, _, err = run(capsys, "certify", "--n", "1", "--grid", "100")
@@ -195,3 +228,16 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_lambda_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "halkron.cli", "lambda", "--n", "8", "--depth", "3",
+            "--grid", "1024"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        outs.append(subprocess.run(argv, env=env, capture_output=True, check=True,
+                                   timeout=120).stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 3 + 4 + 1

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from level_step_oracle import oracle_phi_levels
 from halkron.metric import (
     PhiGrid,
-    _children,
+    _gather_cells,
+    _kernel,
+    _offset_powers,
     _pchip_cells,
     _simpson,
     integral_pi,
+    kernel_bytes,
     lambda_bracket,
     mu,
     phi_level,
@@ -69,6 +73,27 @@ class TestPhiLevel:
         assert lambda_bracket(2, 4, GRID) == before
 
 
+class TestLevelStepOracle:
+    """The batched matmul level step against the former einsum step in
+    ``level_step_oracle``, on power-of-two and other grids."""
+
+    CASES = [(n, g) for n in range(1, 7) for g in (1 << 10, 1 << 14, 3 << 10)]
+    CASES += [(7, 1 << 12), (8, 1 << 12)]
+
+    @pytest.mark.parametrize("n,grid", CASES)
+    def test_levels_match(self, n, grid):
+        got = phi_levels(n, 13, grid)
+        want = oracle_phi_levels(n, 13, grid)
+        assert len(got) == len(want) == 14
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a.grid - b.grid)) <= 1e-12
+            assert abs(a.log_scale - b.log_scale) <= 1e-12
+
+    @pytest.mark.parametrize("n,grid", [(1, 256), (3, 3 << 10), (6, 1 << 10)])
+    def test_kernel_bytes_is_the_kernel_size(self, n, grid):
+        assert kernel_bytes(n, grid) == _kernel(n, grid).nbytes
+
+
 class TestAgainstScipy:
     """scipy as an oracle for the uniform-step PCHIP and Simpson rule."""
 
@@ -90,7 +115,8 @@ class TestAgainstScipy:
         node = i <= GRID
         child = (x[i[node]] + k[node]) / b
         for y in self._grids(n):
-            got = _children(_pchip_cells(y), b)[node]
+            coef = _gather_cells(_pchip_cells(y), b)
+            got = np.einsum("qkp,rp->rkq", coef, _offset_powers(b))[node]
             want = interp.PchipInterpolator(x, y)(child)
             assert np.max(np.abs(got - want)) <= 1e-13
 
