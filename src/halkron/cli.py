@@ -61,6 +61,13 @@ def parse_range(text: str) -> list[int]:
     return list(range(lo_i, hi_i + 1))
 
 
+def _single_n(ns: list[int], command: str) -> int:
+    """The one n of a parsed range, for commands that take a single n."""
+    if len(ns) != 1:
+        raise UsageError(f"{command} takes a single n")
+    return ns[0]
+
+
 def parse_alpha(text: str, n: int, width: int) -> SpecialAlpha:
     """theorem | shallit | rational | bits:HEX:WIDTH | frac:P/Q."""
     if text == "theorem":
@@ -131,13 +138,11 @@ def _guard_kernels(ns: list[int], grids: list[int], force: bool) -> None:
 
 
 def cmd_gen(args) -> int:
-    ns = parse_range(args.n)
-    if len(ns) != 1:
-        raise UsageError("gen takes a single n")
+    n = _single_n(parse_range(args.n), "gen")
     if args.count < 1:
         raise UsageError("count must be >= 1")
-    alpha = parse_alpha(args.alpha, ns[0], args.width)
-    spec = PerturbSpec(ns[0])
+    alpha = parse_alpha(args.alpha, n, args.width)
+    spec = PerturbSpec(n)
     ps = generate_point_set(spec, alpha.fraction, args.count)
     cfg = _config(args, ["n", "alpha", "count"])
     with _open_out(args.out) as fh:
@@ -149,15 +154,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_disc(args) -> int:
-    ns = parse_range(args.n)
-    if len(ns) != 1:
-        raise UsageError("disc takes a single n")
+    n = _single_n(parse_range(args.n), "disc")
     if args.count < 1:
         raise UsageError("count must be >= 1")
     if args.count > args.guard and not args.force:
         raise discrepancy.GuardError(f"count {args.count} exceeds guard {args.guard}")
-    alpha = parse_alpha(args.alpha, ns[0], args.width)
-    ps = generate_point_set(PerturbSpec(ns[0]), alpha.fraction, args.count)
+    alpha = parse_alpha(args.alpha, n, args.width)
+    ps = generate_point_set(PerturbSpec(n), alpha.fraction, args.count)
     res = discrepancy.star_discrepancy_2d(ps)
     cfg = _config(args, ["n", "alpha", "count"])
     payload = {
@@ -177,13 +180,11 @@ def cmd_disc(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    ns = parse_range(args.n)
-    if len(ns) != 1:
-        raise UsageError("scan takes a single n")
-    alpha = parse_alpha(args.alpha, ns[0], args.width)
+    n = _single_n(parse_range(args.n), "scan")
+    alpha = parse_alpha(args.alpha, n, args.width)
     ls = parse_range(args.L)
     rec = discrepancy.growth_scan(
-        PerturbSpec(ns[0]), alpha.fraction, ls, guard=args.guard, force=args.force
+        PerturbSpec(n), alpha.fraction, ls, guard=args.guard, force=args.force
     )
     cfg = _config(args, ["n", "alpha", "L", "guard"])
     rows = [
@@ -213,9 +214,7 @@ def cmd_trig(args) -> int:
             _emit_csv(fh, cfg, ["n", "a_n"], rows)
         return EXIT_OK
     # mode gn: dichotomy sweep values for one n
-    if len(ns) != 1:
-        raise UsageError("trig --mode gn takes a single n")
-    n = ns[0]
+    n = _single_n(ns, "trig --mode gn")
     cert = trigprod.gelfond_certify(n, args.grid)
     xs = np.linspace(0.0, 1.0, args.grid + 1)
     g1 = trigprod.g_value(n, xs)
@@ -303,12 +302,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    ns = parse_range(args.n)
-    if len(ns) != 1:
-        raise UsageError("bound takes a single n")
-    alpha = parse_alpha(args.alpha, ns[0], args.width)
+    n = _single_n(parse_range(args.n), "bound")
+    alpha = parse_alpha(args.alpha, n, args.width)
     params = expsum.BoundParams(args.N, args.H, args.K)
-    res = expsum.upper_bound_rhs(params, ns[0], alpha.fraction)
+    res = expsum.upper_bound_rhs(params, n, alpha.fraction)
     cfg = _config(args, ["n", "alpha", "N", "H", "K"])
     rows = [[r.ell, r.h, repr(r.term_norm), repr(r.term_prod)] for r in res.rows]
     with _open_out(args.out) as fh:
@@ -329,11 +326,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_integral(args) -> int:
-    ns = parse_range(args.n)
-    if len(ns) != 1:
-        raise UsageError("integral takes a single n")
-    _guard_kernels(ns, [DEFAULT_GRID_LAMBDA], args.force)
-    res = metric.integral_pi(ns[0], args.L, args.quad, DEFAULT_GRID_LAMBDA)
+    n = _single_n(parse_range(args.n), "integral")
+    _guard_kernels([n], [DEFAULT_GRID_LAMBDA], args.force)
+    res = metric.integral_pi(n, args.L, args.quad, DEFAULT_GRID_LAMBDA)
     cfg = _config(args, ["n", "L", "quad"])
     payload = {
         "by_recurrence": res.by_recurrence,

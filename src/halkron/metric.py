@@ -7,11 +7,11 @@ interpolation for off-grid children.  The grid is a multiple of 2^n, so the
 children (x_i + k)/2^n of node i = q 2^n + r all sit at the local offset
 r/2^n of cell k g/2^n + q.  A level step therefore gathers the cubic
 coefficients of those cells as [q, k, p], multiplies them by a [q, r, k]
-branch-weight kernel built once per (n, grid) in one batched matmul, and
-contracts the result with the offset powers (r/2^n)^(3-p).  Every level is
-rescaled by its maximum with the scale tracked in log space; the ratio
-extrema that produce the exponent brackets are invariant under that
-rescaling.
+branch-weight kernel (built once per ``phi_levels`` call) in one batched
+matmul, and contracts the result with the offset powers (r/2^n)^(3-p).
+Every level is rescaled by its maximum with the scale tracked in log space;
+the ratio extrema that produce the exponent brackets are invariant under
+that rescaling.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ class PhiGrid:
 
     ``grid`` is normalized to max 1; the true level values are
     ``grid * exp(log_scale)``.  Levels decay geometrically, so deep runs
-    would underflow without the split.  ``grid`` is read-only: levels are
-    cached and shared, and the interpolation coefficients derive from it.
+    would underflow without the split.  ``grid`` is read-only because the
+    interpolation coefficients ``cells`` derive from it.
     """
 
     n: int
@@ -194,11 +194,9 @@ def _offset_powers(b: int) -> np.ndarray:
     return t[:, None] ** np.arange(3, -1, -1)
 
 
-_LEVEL_CACHE: dict[tuple[int, int], list[PhiGrid]] = {}
-
-
 def phi_levels(n: int, j_max: int, grid_size: int) -> list[PhiGrid]:
-    """Levels 0..j_max of the recurrence, iterated from the constant 1.
+    """Levels 0..j_max of the recurrence, iterated from the constant 1 on
+    every call; nothing is kept once the caller drops the list.
 
     A level step is one batched matmul: for each block q of 2^n nodes, the
     [r, k] weights times the [k, p] coefficients of the children's cells,
@@ -207,22 +205,17 @@ def phi_levels(n: int, j_max: int, grid_size: int) -> list[PhiGrid]:
     if j_max < 0:
         raise ValueError("level must be >= 0")
     b = 1 << n
-    key = (n, grid_size)
-    levels = _LEVEL_CACHE.setdefault(
-        key, [PhiGrid(n, 0, np.ones(grid_size + 1), 0.0)]
-    )
-    if j_max < len(levels):
-        return levels[: j_max + 1]
     w = _kernel(n, grid_size)
     powers = _offset_powers(b)
-    while len(levels) <= j_max:
+    levels = [PhiGrid(n, 0, np.ones(grid_size + 1), 0.0)]
+    for j in range(1, j_max + 1):
         prev = levels[-1]
         # [q, r, p]: weighted coefficient sums over the branches k
         sums = np.einsum("qrp,rp->qr", w @ _gather_cells(prev.cells, b), powers)
         vals = sums.ravel()[: grid_size + 1] / b
         s = float(vals.max())
-        levels.append(PhiGrid(n, len(levels), vals / s, prev.log_scale + math.log(s)))
-    return levels[: j_max + 1]
+        levels.append(PhiGrid(n, j, vals / s, prev.log_scale + math.log(s)))
+    return levels
 
 
 def phi_level(n: int, j: int, grid_size: int) -> PhiGrid:
@@ -439,7 +432,7 @@ def structural_checks(
     levels = phi_levels(n, depth, grid_size)
 
     sym_dev = 0.0
-    for j in range(min(j_symmetry, depth) + 1):
+    for j in range(j_symmetry + 1):
         dev = float(np.max(np.abs(levels[j].grid - levels[j].grid[::-1])))
         sym_dev = max(sym_dev, dev)
     symmetry_ok = sym_dev <= 1e-10
@@ -454,7 +447,7 @@ def structural_checks(
         i = int(np.argmax(d2)) + 1
         failures.append(f"second difference {max_d2:.3e} > 1e-8 at node {i}")
 
-    records = _level_records(n, levels, min(j_monotone, depth - 1))
+    records = _level_records(n, levels, j_monotone)
     monotonic_ok = True
     for a, b in zip(records, records[1:]):
         if b.ratio_max > a.ratio_max + 1e-9:

@@ -93,20 +93,27 @@ def log_pi_product_rational(r: int, gamma: Sequence[int], p: int, q: int) -> flo
     return _log_of_product(doubling_factors(p, q, gamma, r))
 
 
+def _xi_angle(n: int) -> float:
+    """pi / (2 (2^n + 1)) for 1 <= n <= 1022.  From n = 1023 on the double
+    2 (2^n + 1) overflows, so the angle is 0 and its cotangent infinite."""
+    if not 1 <= n <= 1022:
+        raise ValueError("n must lie in 1..1022")
+    return math.pi / (2.0 * ((1 << n) + 1))
+
+
+def _log_cot_xi_angle(n: int) -> float:
+    return math.log(1.0 / math.tan(_xi_angle(n)))
+
+
 def a_exponent(n: int) -> float:
     """a(n) = log_{2^n} cot(pi / (2 (2^n + 1)))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    angle = math.pi / (2.0 * ((1 << n) + 1))
-    return math.log(1.0 / math.tan(angle)) / (n * math.log(2.0))
+    return _log_cot_xi_angle(n) / (n * math.log(2.0))
 
 
 def xi_fixed_point(n: int) -> float:
     """xi_n = sin(2^n pi / (2 (2^n + 1))) = cos(pi / (2 (2^n + 1))), the
     fixed point of the n-fold angle-doubling iterate."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return math.cos(math.pi / (2.0 * ((1 << n) + 1)))
+    return math.cos(_xi_angle(n))
 
 
 def f_iterate(nu: int, x):
@@ -167,10 +174,7 @@ def g_at_xi(n: int) -> float:
 
 
 def log_g_at_xi(n: int) -> float:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    angle = math.pi / (2.0 * ((1 << n) + 1))
-    return math.log(1.0 / math.tan(angle)) - n * math.log(2.0)
+    return _log_cot_xi_angle(n) - n * math.log(2.0)
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,14 @@ class TestTrigAndLambda:
         assert lines[0] == "x,Gn,bound_ok"
         assert len(lines) == 2002
 
+    def test_n_beyond_1022_is_usage_error(self, capsys):
+        for argv in (["--n", "1100", "--mode", "an"],
+                     ["--n", "1030", "--mode", "gn", "--grid", "1000"]):
+            code, out, err = run(capsys, "trig", *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
     def test_lambda_depth_zero_anchor(self, tmp_path, capsys):
         jpath = tmp_path / "l.json"
         code, out, _ = run(capsys, "lambda", "--n", "1", "--depth", "0",
@@ -219,6 +227,16 @@ class TestReproducibility:
         _, out1, _ = run(capsys, "scan", "--n", "1", "--alpha", "theorem", "--L", "4..6")
         _, out2, _ = run(capsys, "scan", "--n", "1", "--alpha", "theorem", "--L", "4..6")
         assert out1 == out2
+
+
+def test_single_n_commands_reject_a_range(capsys):
+    for argv in (["gen", "--count", "4"], ["disc", "--count", "4"],
+                 ["scan", "--L", "4"], ["bound", "--N", "4", "--H", "4", "--K", "4"],
+                 ["integral", "--L", "1"], ["trig", "--mode", "gn"]):
+        code, _, err = run(capsys, *argv, "--n", "1..2")
+        assert code == 2
+        command = " ".join(argv[:3]) if argv[0] == "trig" else argv[0]
+        assert err == f"error: {command} takes a single n\n"
 
 
 def test_cli_import_loads_no_scipy():

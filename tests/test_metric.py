@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +73,18 @@ class TestPhiLevel:
         with pytest.raises(ValueError):
             lv.cells[3, 0] = 0.0
         assert lambda_bracket(2, 4, GRID) == before
+
+    def test_levels_are_not_retained(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            lambda_bracket(3, 12, 1 << 14)
+            structural_checks(2, GRID)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
 
 class TestLevelStepOracle:

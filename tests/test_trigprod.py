@@ -15,6 +15,7 @@ from halkron.trigprod import (
     g_value,
     g_value_product,
     gelfond_certify,
+    log_g_at_xi,
     log_pi_product,
     log_pi_product_rational,
     pi_product,
@@ -132,6 +133,20 @@ class TestAExponent:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             a_exponent(0)
+
+    def test_range_ends_at_1022(self):
+        # the former inline formulas, which hold to n = 1022
+        for n in (1, 2, 50, 500, 1022):
+            angle = math.pi / (2.0 * ((1 << n) + 1))
+            log_cot = math.log(1.0 / math.tan(angle))
+            assert a_exponent(n) == log_cot / (n * math.log(2.0))
+            assert log_g_at_xi(n) == log_cot - n * math.log(2.0)
+            assert xi_fixed_point(n) == math.cos(angle)
+        # past it the double 2 (2^n + 1) overflows
+        for n in (1023, 1024, 1100):
+            for f in (a_exponent, log_g_at_xi, g_at_xi, xi_fixed_point):
+                with pytest.raises(ValueError, match="1..1022"):
+                    f(n)
 
 
 class TestXiAndIterate:
