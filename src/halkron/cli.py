@@ -105,8 +105,7 @@ def _emit_csv(fh, config: dict, header: list[str], rows: list[list]) -> None:
     fh.write(f"# format_version: {FORMAT_VERSION}\n")
     fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(str(v) for v in row) + "\n")
+    fh.write("".join([",".join(map(str, row)) + "\n" for row in rows]))
 
 
 def _write_json(path: str | None, config: dict, payload: dict) -> None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .trigprod import TrigProductParams, _abs_sin_pi, doubling_factors
 
 _MAX_MK_COUNT = 1 << 24
 _MAX_V = 1 << 22
+_TABLE_ROWS = 1 << 14  # rows per bound-table block: bounds the [rows, r] temporaries
 
 
 def _compensated_sum(arr: np.ndarray) -> float:
@@ -97,7 +100,7 @@ def geometric_sum(count: int, alpha: UnitFraction) -> ExpSumResult:
         return ExpSumResult(complex(count, 0.0), float(count), count)
     a = alpha.to_float()
     top = frac_sin_abs(count, alpha)
-    den = math.sin(math.pi * a)
+    den = _abs_sin_pi(a)
     num = cmath.exp(2j * math.pi * ((count * alpha.bits & (alpha.modulus - 1)) / alpha.modulus)) - 1.0
     dencplx = cmath.exp(2j * math.pi * a) - 1.0
     value = num / dencplx
@@ -117,7 +120,7 @@ def product_lower_bound(n: int, blocks: int, alpha: UnitFraction) -> float:
     r = n * blocks
     params = TrigProductParams.from_spec(PerturbSpec(n), r, alpha)
     lead = 2.0 ** (r - 3) * pi_product(params)
-    corr = frac_sin_abs(1 << r, alpha) / (8.0 * math.sin(math.pi * alpha.to_float()))
+    corr = frac_sin_abs(1 << r, alpha) / (8.0 * _abs_sin_pi(alpha.to_float()))
     return lead - corr
 
 
@@ -150,16 +153,17 @@ def two_additive_bound_check(
     lhs = _sum_of_phases(phases).modulus
     rmax = count.bit_length() - 1  # floor(log2 count)
     factors = doubling_factors(theta.bits, theta.modulus, shifted.gamma(rmax), rmax)
-    return TwoAdditiveCheck(lhs, _weighted_prefix_sum(factors), count)
+    rhs = float(_weighted_prefix_sum(np.array([factors]))[0])
+    return TwoAdditiveCheck(lhs, rhs, count)
 
 
-def _weighted_prefix_sum(factors: list[float]) -> float:
-    """sum_{r=0}^{len(factors)} 2^r prod_{j<r} f_j, the partial products
-    grown incrementally."""
-    total = 1.0  # r = 0: empty product
-    running = 1.0
-    for r, f in enumerate(factors):
-        running *= f
+def _weighted_prefix_sum(factors: np.ndarray) -> np.ndarray:
+    """sum_{r=0}^{R} 2^r prod_{j<r} f_j for each row of an [rows, R] factor
+    table, the partial products grown one column at a time."""
+    total = np.ones(len(factors))  # r = 0: empty product
+    running = np.ones(len(factors))
+    for r in range(factors.shape[1]):
+        running *= factors[:, r]
         total += 2.0 ** (r + 1) * running
     return total
 
@@ -181,8 +185,7 @@ class BoundParams:
             raise ValueError("need 1 <= K <= N")
 
 
-@dataclass(frozen=True)
-class UpperBoundRow:
+class UpperBoundRow(NamedTuple):
     ell: int
     h: int
     term_norm: float  # 1 / ||2^l h alpha||
@@ -211,10 +214,58 @@ class UpperBoundTerms:
         return not self.degenerate
 
 
+def _doubled_phases(bs: list[int], width: int, r: int) -> np.ndarray:
+    """The [rows, r] table of phases ((b << j) mod 2^W) / 2^W, j < r, each
+    rounded to double exactly as the int division ``num / 2^W`` rounds.
+
+    Column j < 64 reads the 64 bits of b that start j bits below its top
+    bit, out of b's top 128, and folds every lower bit of b into the
+    window's last bit (round to odd).  A
+    window of at least 2^54 keeps 55 or more bits, so the one rounding of
+    the uint64 -> float64 cast is then the correct one; so is the cast of a
+    window with no lower bits.  The remaining entries, and every column
+    from j = 64 on, take the int division.
+    """
+    rows = len(bs)
+    mod = 1 << width
+    cols = min(r, 64)
+    if width >= 128:
+        low = (1 << (width - 128)) - 1
+        tops = [b >> (width - 128) for b in bs]
+        rest = np.array([b & low != 0 for b in bs], dtype=bool).reshape(rows, 1)
+    else:
+        tops = [b << (128 - width) for b in bs]
+        rest = False
+    limbs = np.frombuffer(b"".join(t.to_bytes(16, "little") for t in tops), dtype="<u8")
+    lo, hi = limbs.reshape(rows, 2).T.astype(np.uint64)[:, :, None]
+    js = np.arange(cols, dtype=np.uint64)
+    window = (hi << js) | ((lo >> np.uint64(1)) >> (np.uint64(63) - js))
+    sticky = ((lo << js) != 0) | rest
+    phases = np.empty((rows, r))
+    np.multiply((window | sticky).astype(np.float64), 2.0**-64, out=phases[:, :cols])
+    for i, j in zip(*np.nonzero(sticky & (window < np.uint64(1 << 54)))):
+        phases[i, j] = ((bs[i] << int(j)) & (mod - 1)) / mod
+    for j in range(cols, r):
+        phases[:, j] = [((b << j) & (mod - 1)) / mod for b in bs]
+    return phases
+
+
+def _factor_table(phases: np.ndarray, gamma: Sequence[int]) -> np.ndarray:
+    """|sin(pi p)| where gamma_j = 1 and |cos(pi p)| where gamma_j = 0, on
+    the same reduced arguments as trigprod's scalar factors."""
+    sin_col = np.asarray(gamma[: phases.shape[1]], dtype=bool)
+    arg = np.where(sin_col, np.minimum(phases, 1.0 - phases), np.abs(0.5 - phases))
+    return np.sin(np.pi * arg)
+
+
 def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBoundTerms:
     """N/K + (N/H) log N + log^2 N + the double sum over (l, h); natural
     logarithms.  A vanishing ||2^l h alpha|| (alpha effectively rational at
-    that shift) makes the term +inf and is reported in ``degenerate``."""
+    that shift) makes the term +inf and is reported in ``degenerate``.
+
+    Each l is one [rows, r] table over h of the doubled phases of
+    2^l h alpha, evaluated by columns; the rows are bit-identical to
+    doubling each row's phase on its own with ``doubling_factors``."""
     big_n, h_lim, k_lim = params.n_points, params.h_limit, params.k_limit
     log_n = math.log(big_n)
     term_nk = big_n / k_lim
@@ -225,20 +276,23 @@ def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBo
     total = 0.0
     log2n = big_n.bit_length() - 1  # floor(log2 N)
     mod = alpha.modulus
+    half = mod >> 1
     for ell in range(1, k_lim.bit_length()):  # ell <= floor(log2 K)
         rmax = log2n - ell
         gamma = PerturbSpec(n, shift=ell).gamma(rmax)
-        for h in range(1, h_lim // (1 << ell) + 1):
-            b = (alpha.bits * h << ell) & (mod - 1)
-            theta = UnitFraction(b, alpha.width)
-            if b == 0:
-                degenerate.append((ell, h))
-                term_norm = math.inf
-            else:
-                term_norm = 1.0 / float(theta.distance_to_int())
-            term_prod = _weighted_prefix_sum(doubling_factors(b, mod, gamma, rmax))
-            rows.append(UpperBoundRow(ell, h, term_norm, term_prod))
-            total += (term_norm + term_prod) / h
+        step = (alpha.bits << ell) & (mod - 1)
+        h_max = h_lim >> ell
+        for h0 in range(1, h_max + 1, _TABLE_ROWS):
+            hs = range(h0, min(h0 + _TABLE_ROWS, h_max + 1))
+            bs = [(step * h) & (mod - 1) for h in hs]
+            # 1 / (min(b, 2^W - b) / 2^W), rounded as the exact distance's float
+            norms = [1.0 / ((b if b <= half else mod - b) / mod) if b else math.inf for b in bs]
+            factors = _factor_table(_doubled_phases(bs, alpha.width, rmax), gamma)
+            prods = _weighted_prefix_sum(factors).tolist()
+            for h, norm, prod in zip(hs, norms, prods):
+                total += (norm + prod) / h
+            rows += map(UpperBoundRow._make, zip(repeat(ell), hs, norms, prods))
+            degenerate += [(ell, h) for h, b in zip(hs, bs) if b == 0]
     return UpperBoundTerms(
         params, term_nk, term_nh, term_log2, total, tuple(rows), tuple(degenerate)
     )

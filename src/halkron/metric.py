@@ -26,6 +26,7 @@ from .sequences import PerturbSpec
 
 _MIN_GRID = 256
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_QUAD_CHUNK = 1 << 14  # quadrature points whose factors are taken together, in cache
 
 
 def _abs_sin_pi(x: np.ndarray) -> np.ndarray:
@@ -373,9 +374,21 @@ def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     xs = (mids[:, None] + (0.5 * h) * nodes[None, :]).ravel()
     gamma = PerturbSpec(n).gamma(r)
     prod = np.ones_like(xs)
-    for j in range(r):
-        t = (xs * float(2**j)) % 1.0
-        prod *= _abs_sin_pi(t) if gamma[j] else _abs_cos_pi(t)
+    scratch = np.empty(min(xs.size, _QUAD_CHUNK))
+    for c in range(0, xs.size, _QUAD_CHUNK):
+        # t holds the phase {2^j x}, doubled in place: 2t - floor(2t) is exact on [0, 1)
+        t, p = xs[c : c + _QUAD_CHUNK], prod[c : c + _QUAD_CHUNK]
+        f = scratch[: t.size]
+        for j in range(r):
+            if j:
+                t *= 2.0
+                t -= np.floor(t, out=f)
+            if gamma[j]:  # in place as _abs_sin_pi and _abs_cos_pi
+                np.minimum(t, np.subtract(1.0, t, out=f), out=f)
+            else:
+                np.abs(np.subtract(0.5, t, out=f), out=f)
+            f *= np.pi
+            p *= np.sin(f, out=f)
     prod = prod.reshape(panels, qpts)
     return float((prod * weights[None, :]).sum() * 0.5 * h)
 

@@ -57,6 +57,11 @@ def doubling_factors(num: int, den: int, gamma: Sequence[int], r: int) -> list[f
     The phase num/den is doubled exactly as ``num = 2 num mod den``: a
     left shift of the fixed-point bits for den = 2^W, exact modular
     reduction for a rational p/q.  Only the reduced phase becomes a double.
+
+    This is the scalar route: one product at a time, any modulus.  It serves
+    the rational moduli (``log_pi_product_rational``, ``sharpness_identity``)
+    and single products, and it is the reference for the bound table, which
+    doubles many 2^W phases at once (``expsum.upper_bound_rhs``).
     """
     factors = []
     for j in range(r):

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from bound_table_oracle import upper_bound_rhs as oracle_upper_bound_rhs
 from halkron.expsum import (
     BoundParams,
+    _doubled_phases,
     exp_sum_mk,
     exp_sum_perturbed,
     geometric_sum,
@@ -20,6 +22,19 @@ from halkron.trigprod import TrigProductParams, pi_product
 
 def direct_exp_sum(values, alpha_frac: float) -> complex:
     return sum(cmath.exp(2j * math.pi * ((v * alpha_frac) % 1.0)) for v in values)
+
+
+def run_bits(rng: random.Random, width: int) -> int:
+    """width bits made of random runs of equal bits, up to 30 long: doubled
+    phases then often lie below 2^-10 (or above 1 - 2^-10) with set bits
+    beyond a 64-bit window."""
+    bits, pos = 0, 0
+    while pos < width:
+        run = rng.randint(1, 30)
+        if rng.random() < 0.5:
+            bits |= ((1 << run) - 1) << pos
+        pos += run
+    return bits & ((1 << width) - 1)
 
 
 class TestExpSumMk:
@@ -174,3 +189,133 @@ class TestProductLowerBound:
     def test_evaluates_finite(self):
         val = product_lower_bound(2, 2, theorem_alpha(2).fraction)
         assert math.isfinite(val)
+
+
+class TestBoundTableOracle:
+    """The bound table against the former scalar row loop in
+    ``bound_table_oracle``: rows, degenerate pairs and term_sum compared
+    with ==."""
+
+    @staticmethod
+    def assert_same(params, n, alpha):
+        got = upper_bound_rhs(params, n, alpha)
+        want = oracle_upper_bound_rhs(params, n, alpha)
+        assert got.rows == want.rows
+        assert got.degenerate == want.degenerate
+        assert got.term_sum == want.term_sum
+        assert got == want
+
+    @pytest.mark.parametrize("width", [8, 53, 64, 100, 128, 200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_widths_h_and_k_below_n(self, width, n):
+        rng = random.Random(1000 * width + n)
+        for bits in (rng.getrandbits(width), run_bits(rng, width)):
+            self.assert_same(BoundParams(1 << 10, 700, 300), n, UnitFraction(bits, width))
+
+    @pytest.mark.parametrize("width", [64, 128, 200])
+    def test_factor_index_beyond_64(self, width):
+        # N = 2^70: rows of 69 and 68 factors
+        rng = random.Random(width)
+        for bits in (rng.getrandbits(width), run_bits(rng, width)):
+            for n in (1, 3):
+                self.assert_same(BoundParams(1 << 70, 4, 4), n, UnitFraction(bits, width))
+
+    def test_all_phases_zero(self):
+        alpha = make_unit_fraction(1, 2, 128)
+        self.assert_same(BoundParams(1 << 10, 1 << 10, 1 << 10), 2, alpha)
+
+    def test_dyadic_alpha_with_long_zero_runs(self):
+        # 1/2 + 2^-70 + 2^-127: the phases fall to 2^-60 and below
+        alpha = UnitFraction((1 << 127) | (1 << 58) | 1, 128)
+        for n in (1, 2):
+            self.assert_same(BoundParams(1 << 12, 1 << 12, 1 << 12), n, alpha)
+
+    def test_rows_in_several_blocks(self):
+        # l = 1 has 2^14 + 3 rows, more than one block of the table
+        rng = random.Random(3)
+        for alpha in (theorem_alpha(2).fraction, UnitFraction(rng.getrandbits(128), 128)):
+            self.assert_same(BoundParams(1 << 16, (1 << 15) + 6, 4), 2, alpha)
+
+    def test_benchmark_table(self):
+        # the bound table of perfbench's brackets workload: N = H = K = 2^16
+        self.assert_same(BoundParams(1 << 16, 1 << 16, 1 << 16), 1, theorem_alpha(1).fraction)
+
+
+class TestDoubledPhases:
+    @pytest.mark.parametrize("width", [8, 53, 64, 100, 128, 200])
+    def test_every_entry_is_the_int_division(self, width):
+        rng = random.Random(width)
+        mod = 1 << width
+        r = 70
+        bs = [rng.getrandbits(width) for _ in range(200)] + [run_bits(rng, width) for _ in range(800)]
+        want = [[((b << j) & (mod - 1)) / mod for j in range(r)] for b in bs]
+        assert _doubled_phases(bs, width, r).tolist() == want
+
+    def test_small_phases_with_low_bits_occur(self):
+        # the entries the 64-bit window cannot round: phase below 2^-10
+        # with set bits beyond the window
+        rng = random.Random(128)
+        mod = 1 << 128
+        nums = [(run_bits(rng, 128) << j) & (mod - 1) for _ in range(800) for j in range(64)]
+        assert sum(0 < x < mod >> 10 and x & ((1 << 64) - 1) != 0 for x in nums) > 100
+
+
+class TestBoundCounts:
+    """Rows and factors of the table in the closed forms that perfbench's
+    workloads.computed_counts uses for its expsum.rows and expsum.factors
+    counters."""
+
+    @pytest.mark.parametrize(
+        "big_n,h_lim,k_lim",
+        [(1 << 16, 1 << 16, 1 << 16), (1 << 10, 700, 300), (1000, 1000, 37), (64, 3, 64), (2, 1, 2)],
+    )
+    def test_closed_forms(self, big_n, h_lim, k_lim):
+        res = upper_bound_rhs(BoundParams(big_n, h_lim, k_lim), 1, theorem_alpha(1).fraction)
+        log2n = big_n.bit_length() - 1
+        ells = range(1, k_lim.bit_length())
+        assert len(res.rows) == sum(h_lim >> ell for ell in ells)
+        assert sum(log2n - r.ell for r in res.rows) == sum((h_lim >> ell) * (log2n - ell) for ell in ells)
+
+    def test_brackets_counts(self):
+        size = 1 << 16
+        res = upper_bound_rhs(BoundParams(size, size, size), 1, theorem_alpha(1).fraction)
+        assert len(res.rows) == 65535
+        assert sum(16 - r.ell for r in res.rows) == 917506
+
+
+class TestSinPiAlphaNearEnds:
+    """sin(pi alpha) in the closed forms, against mpmath at alpha = 1 - 2^-40
+    and 2^-40 (width 128)."""
+
+    ALPHAS = [(1 << 128) - (1 << 88), 1 << 88]
+
+    @staticmethod
+    def exact_alpha(mpmath, bits):
+        return mpmath.mpf(bits) / mpmath.mpf(2) ** 128
+
+    @pytest.mark.parametrize("bits", ALPHAS)
+    def test_geometric_sum(self, bits):
+        mpmath = pytest.importorskip("mpmath")
+        count = 1000
+        with mpmath.workprec(256):
+            a = self.exact_alpha(mpmath, bits)
+            want = abs(mpmath.sin(count * mpmath.pi * a)) / abs(mpmath.sin(mpmath.pi * a))
+        got = geometric_sum(count, UnitFraction(bits, 128)).modulus
+        assert got == pytest.approx(float(want), rel=1e-13)
+
+    @pytest.mark.parametrize("bits", ALPHAS)
+    @pytest.mark.parametrize("n,blocks", [(1, 4), (2, 3)])
+    def test_product_lower_bound(self, bits, n, blocks):
+        mpmath = pytest.importorskip("mpmath")
+        r = n * blocks
+        gamma = PerturbSpec(n).gamma(r)
+        with mpmath.workprec(256):
+            a = self.exact_alpha(mpmath, bits)
+            prod = mpmath.mpf(1)
+            for j in range(r):
+                x = 2**j * mpmath.pi * a
+                prod *= abs(mpmath.sin(x)) if gamma[j] else abs(mpmath.cos(x))
+            corr = abs(mpmath.sin(2**r * mpmath.pi * a)) / (8 * mpmath.sin(mpmath.pi * a))
+            want = 2 ** (r - 3) * prod - corr
+        got = product_lower_bound(n, blocks, UnitFraction(bits, 128))
+        assert got == pytest.approx(float(want), rel=1e-13)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from level_step_oracle import oracle_phi_levels
+from quadrature_oracle import pi_direct_quadrature
 from halkron.metric import (
     PhiGrid,
     _gather_cells,
     _kernel,
     _offset_powers,
     _pchip_cells,
+    _pi_direct_quadrature,
     _simpson,
     integral_pi,
     kernel_bytes,
@@ -251,6 +253,23 @@ class TestIntegralPi:
         lhs = _simpson(lv.values() * prod)
         rhs = _pi_direct_quadrature(n, l, 8)
         assert lhs == pytest.approx(rhs, abs=2e-7)
+
+
+class TestDirectQuadratureOracle:
+    """The in-place phase doubling of ``_pi_direct_quadrature`` against the
+    former loop with fresh arrays per factor, for every n = 1..5 and L with
+    n L <= 16 (the pair of routes takes under 1 s each)."""
+
+    CASES = [(n, l) for n in range(1, 6) for l in range(1, 16 // n + 1)]
+
+    @pytest.mark.parametrize("n,l", CASES)
+    def test_bit_identical(self, n, l):
+        assert _pi_direct_quadrature(n, l, 8) == pi_direct_quadrature(n, l, 8)
+
+    def test_bit_identical_other_quadrature_orders(self):
+        # (1, 13, 3) and (2, 6, 5): the last block of points is a short one
+        for n, l, q in [(1, 5, 2), (2, 4, 5), (3, 3, 16), (1, 13, 3), (2, 6, 5)]:
+            assert _pi_direct_quadrature(n, l, q) == pi_direct_quadrature(n, l, q)
 
 
 class TestStructuralChecks:
