@@ -4,20 +4,15 @@ brackets for the metric discrepancy exponents."""
 
 from .numtheory import (
     DEFAULT_WIDTH,
-    ContinuedFraction,
     SpecialAlpha,
     UnitFraction,
-    continued_fraction,
-    frac_mul_int,
     make_unit_fraction,
-    nearest_int_distance,
     rational_bad,
     shallit_beta,
     theorem_alpha,
     user_alpha,
 )
 from .sequences import (
-    DigitVector,
     PerturbSpec,
     PointSet2,
     digital_point,
@@ -74,7 +69,6 @@ from .expsum import (
     TwoAdditiveCheck,
     exp_sum_mk,
     exp_sum_perturbed,
-    geometric_sum,
     upper_bound_rhs,
     product_lower_bound,
     two_additive_bound_check,

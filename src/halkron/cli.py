@@ -42,6 +42,7 @@ DEFAULT_DEPTH = 12
 DEFAULT_GUARD = 1 << 16
 DEFAULT_CERTIFY_GRID = 100_000
 DEFAULT_KERNEL_CAP = 1 << 30  # bytes of one transfer-operator kernel
+DEFAULT_BOUND_ROW_CAP = 1 << 22  # rows of one bound table
 
 
 class UsageError(ValueError):
@@ -102,10 +103,15 @@ def _open_out(path: str):
 
 
 def _emit_csv(fh, config: dict, header: list[str], rows: list[list]) -> None:
+    _emit_csv_body(fh, config, header, "".join([",".join(map(str, row)) + "\n" for row in rows]))
+
+
+def _emit_csv_body(fh, config: dict, header: list[str], body: str) -> None:
+    """The CSV header lines, then ``body``: the data lines, already formatted."""
     fh.write(f"# format_version: {FORMAT_VERSION}\n")
     fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
     fh.write(",".join(header) + "\n")
-    fh.write("".join([",".join(map(str, row)) + "\n" for row in rows]))
+    fh.write(body)
 
 
 def _write_json(path: str | None, config: dict, payload: dict) -> None:
@@ -304,11 +310,16 @@ def cmd_bound(args) -> int:
     n = _single_n(parse_range(args.n), "bound")
     alpha = parse_alpha(args.alpha, n, args.width)
     params = expsum.BoundParams(args.N, args.H, args.K)
+    if params.table_rows > DEFAULT_BOUND_ROW_CAP and not args.force:
+        raise discrepancy.GuardError(
+            f"the bound table has {params.table_rows} rows, above the cap of "
+            f"{DEFAULT_BOUND_ROW_CAP}; pass --force to build it"
+        )
     res = expsum.upper_bound_rhs(params, n, alpha.fraction)
     cfg = _config(args, ["n", "alpha", "N", "H", "K"])
-    rows = [[r.ell, r.h, repr(r.term_norm), repr(r.term_prod)] for r in res.rows]
+    body = "".join([f"{r.ell},{r.h},{r.term_norm!r},{r.term_prod!r}\n" for r in res.rows])
     with _open_out(args.out) as fh:
-        _emit_csv(fh, cfg, ["ell", "h", "term_norm", "term_prod"], rows)
+        _emit_csv_body(fh, cfg, ["ell", "h", "term_norm", "term_prod"], body)
     _write_json(
         args.json,
         cfg,
@@ -413,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--H", type=int, required=True)
     sp.add_argument("--K", type=int, required=True)
+    sp.add_argument("--force", action="store_true", help="build tables above the row cap")
     sp.add_argument("--out", default="-")
     sp.add_argument("--json")
     sp.set_defaults(func=cmd_bound)

@@ -7,19 +7,55 @@ overshoot limits (boxes shrinking onto a corner from above), open counting
 captures the undershoot side.
 
 The 2D routine ranks the distinct coordinates exactly (by sorting the
-integer numerators) and makes one sweep over the rows of distinct x in
-increasing order, in blocks of at most ``_BLOCK_CELLS`` corners.  A running
-row holds the exact closed counts C (points with x <= row, y <= column);
-each point of a row adds 1 to a suffix of it.  The open count of a corner
-is the closed count one row up and one column left.  Counts are exact
-integers; only the volume is a float, so a block's terms C - N*x*y and
-N*x*y - C (in units of 1/N) err by a few ulp of N.  Every corner within
-N*_CONFIRM_MARGIN of the running float maximum is kept with its exact
-count, and the list is pruned each time the maximum rises.  The float
-error is orders of magnitude below the margin, so every exact maximizer
-survives, and each survivor is confirmed in O(1) as c/N - x*y (closed) or
-x*y - c/N (open) in exact rationals.  The sweep is O(N^2) vectorized work
-with O(N + _BLOCK_CELLS) memory.
+integer numerators).  Row a is the a-th distinct x (row nx is x = 1),
+column b the b-th distinct y (column ny is y = 1).  With X_a = N*x_a and
+C(a, b) the number of points with x rank <= a and y rank <= b, row a holds
+the closed terms C(a, b) - X_a*y_b (b < ny, a < nx; closed corners at x = 1
+or y = 1 are dominated) and the open terms X_a*y_b - C(a-1, b-1), all in
+units of 1/N.  Rows are filled in blocks of at most ``_BLOCK_CELLS``
+corners from a running row of exact closed counts, to which each point
+adds 1 on a suffix (or, past more than ``_FOLD_POINTS`` points, one
+cumulative histogram).  Counts are exact integers; only the volume is a
+float, so a term errs by a few ulp of N.
+
+Two passes share the same block buffers.
+
+Pass 1 takes the float maxima of both kinds of term on the sample rows:
+every ``_SAMPLE_STRIDE``-th row and row nx.  Let best0 be the largest
+(row nx's closed maximum only serves as a bound).  For s < a of the same
+column b, with all y <= 1:
+
+- closed, forward: C(a, b) - X_a*y_b <= C(s, b) + (points in rows (s, a])
+  - X_s*y_b, since X_a >= X_s;
+- closed, backward from t > a: C(a, b) - X_a*y_b <= C(t, b) - X_t*y_b +
+  (X_t - X_a)*y_b <= closed(t, b) + X_t - X_a;
+- open, forward: X_a*y_b - C(a-1, b-1) <= X_s*y_b - C(s-1, b-1) + X_a - X_s;
+- open, backward from t > a: X_a*y_b - C(a-1, b-1) <= X_t*y_b - C(t-1, b-1)
+  + (points in rows [a, t)).
+
+So a row a between the sample rows s < a < t has no term above the bound
+max(min(closed max(s) + points in (s, a], closed max(t) + X_t - X_a),
+min(open max(s) + X_a - X_s, open max(t) + points in [a, t))), and a
+sample row none above its own maxima.  Pass 1 keeps the rows whose bound
+is at least best0 - 2*N*_CONFIRM_MARGIN.
+
+Pass 2 sweeps only those rows and keeps every corner within
+N*_CONFIRM_MARGIN of the running float maximum, with its exact count; the
+list is pruned each time the maximum rises.  Every row with a corner in
+that band is swept: its bound is at least the corner's term, which is at
+least (float maximum) - N*_CONFIRM_MARGIN >= best0 - N*_CONFIRM_MARGIN,
+and the second margin covers the float error of the bounds.  So pass 2
+keeps the same corners as a sweep of every row, and since the float error
+is orders of magnitude below the margin, every exact maximizer.  Each
+survivor is confirmed in O(1) as c/N - x*y (closed) or x*y - c/N (open)
+in exact rationals, and the witness is the smallest (closed, x, y) among
+the exact maximizers.
+
+Pass 1 costs 1/_SAMPLE_STRIDE of a full sweep plus one suffix add per
+point.  On the generated sets only a few dozen rows reach pass 2, but the
+worst case stays O(N^2): on a set where no row can be ruled out (every
+row holds the maximum), pass 2 sweeps every row.  Memory is
+O(N + _BLOCK_CELLS).
 """
 
 from __future__ import annotations
@@ -39,6 +75,12 @@ from .sequences import PerturbSpec, PointSet2, generate_point_set
 _CONFIRM_MARGIN = 1e-9
 # a sweep block holds at most this many float64 corners (512 KiB)
 _BLOCK_CELLS = 1 << 16
+# the first pass takes the row maxima of every this many-th row
+_SAMPLE_STRIDE = 8
+# more points than this between two swept rows are added as one histogram
+_FOLD_POINTS = 8
+# rows bounded at once after the first pass
+_BOUND_ROWS = 1024
 
 
 class GuardError(ValueError):
@@ -83,72 +125,151 @@ def star_discrepancy_1d(xs: Sequence[UnitFraction]) -> DiscrepancyResult:
     return DiscrepancyResult(n, best, witness)
 
 
+class _RankSweep:
+    """Exact coordinate ranks of a point set, and the one set of block
+    buffers that both passes of the 2D sweep fill row by row.
+
+    Rows are the distinct x in increasing order plus row nx (x = 1),
+    columns the distinct y plus column ny (y = 1).  Row a holds the closed
+    terms C(a, b) - X_a*y_b and the open terms X_a*y_b - C(a-1, b-1) in
+    units of 1/N, with X = N*x and C(a, b) the number of points with x rank
+    <= a and y rank <= b."""
+
+    def __init__(self, ps: PointSet2):
+        n = len(ps)
+        self.q = q = 1 << ps.width
+        self.xs = xs = sorted(set(ps.x_bits))
+        self.ys = ys = sorted(set(ps.y_bits))
+        self.nx, self.ny = nx, ny = len(xs), len(ys)
+        rank_x = {v: i for i, v in enumerate(xs)}
+        rank_y = {v: i for i, v in enumerate(ys)}
+        row_ys: list[list[int]] = [[] for _ in range(nx)]
+        for a, b in zip(ps.x_bits, ps.y_bits):
+            row_ys[rank_x[a]].append(rank_y[b])
+        # y ranks of the points in increasing x rank; rows a-1 and a end at
+        # k[a] and k[a+1] (row nx holds no point)
+        self.pts_y = [b for row in row_ys for b in row]
+        self.k = np.zeros(nx + 2, dtype=np.int64)
+        np.cumsum([len(row) for row in row_ys], out=self.k[1:nx + 1])
+        self.k[nx + 1] = n
+        self.x_n = np.array([v / q for v in xs] + [1.0]) * n
+        self.y_f = np.array([v / q for v in ys] + [1.0])
+        self.step = step = max(1, _BLOCK_CELLS // (ny + 1))
+        self.le = np.empty((step, ny))  # C(a, b), exact in float64
+        self.lt = np.empty((step, ny))  # C(a-1, b)
+        self.xy = np.empty((step, ny + 1))  # X_a*y_b, then the terms
+
+    def blocks(self, rows: np.ndarray):
+        """Yield (rows, le, lt, xy) for chunks of at most ``step`` of the
+        increasing ``rows``: the closed counts of each row and of the row
+        before it, and X*y.  Skipped rows cost one cumulative histogram."""
+        cnt = np.zeros(self.ny)  # closed counts of the points folded so far
+        done = 0  # points folded, in increasing x rank
+        k = self.k.tolist()
+
+        def fold(upto: int) -> None:
+            nonlocal done
+            ys = self.pts_y[done:upto]
+            if len(ys) > _FOLD_POINTS:
+                cnt[:] += np.bincount(ys, minlength=self.ny).cumsum()
+            else:
+                for b in ys:
+                    cnt[b:] += 1
+            done = upto
+
+        for i0 in range(0, len(rows), self.step):
+            chunk = rows[i0:i0 + self.step]
+            r = len(chunk)
+            le, lt, xy = self.le[:r], self.lt[:r], self.xy[:r]
+            for i, a in enumerate(chunk.tolist()):
+                fold(k[a])
+                lt[i] = cnt
+                fold(k[a + 1])
+                le[i] = cnt
+            np.multiply.outer(self.x_n[chunk], self.y_f, out=xy)
+            yield chunk, le, lt, xy
+
+    def rows_to_visit(self, margin: float) -> np.ndarray:
+        """Pass 1: the float row maxima of the sample rows (every
+        ``_SAMPLE_STRIDE``-th and row nx), then the rows whose bound is at
+        least best0 - 2*margin, best0 the largest sample maximum."""
+        nx, ny, k, x_n = self.nx, self.ny, self.k, self.x_n
+        samples = np.append(np.arange(0, nx, _SAMPLE_STRIDE), nx)
+        top_c = np.empty(len(samples))  # closed maxima; row nx's only bounds
+        top_o = np.empty(len(samples))
+        i0 = 0
+        for chunk, le, lt, xy in self.blocks(samples):
+            i1 = i0 + len(chunk)
+            top_c[i0:i1] = np.subtract(le, xy[:, :ny], out=le).max(axis=1)
+            xy[:, 1:] -= lt
+            top_o[i0:i1] = xy.max(axis=1)
+            i0 = i1
+        best0 = max(float(top_c[:-1].max()), float(top_o.max()))
+        thr = best0 - 2.0 * margin
+        # rows a < nx lie between the samples s = samples[lo] <= a < t =
+        # samples[lo + 1]; bounded in chunks, so the temporaries stay small
+        visit = []
+        for a0 in range(0, nx, _BOUND_ROWS):
+            a = np.arange(a0, min(a0 + _BOUND_ROWS, nx))
+            lo = a // _SAMPLE_STRIDE
+            s, t = samples[lo], samples[lo + 1]
+            closed = np.minimum(top_c[lo] + (k[a + 1] - k[s + 1]),
+                                top_c[lo + 1] + (x_n[t] - x_n[a]))
+            opened = np.minimum(top_o[lo] + (x_n[a] - x_n[s]),
+                                top_o[lo + 1] + (k[t] - k[a]))
+            visit.append(a[np.maximum(closed, opened) >= thr])
+        if top_o[-1] >= thr:
+            visit.append(np.array([nx]))
+        return np.concatenate(visit)
+
+    def near_max_corners(self, rows: np.ndarray, margin: float):
+        """Pass 2: every corner of ``rows`` whose float term lies within
+        ``margin`` of the float maximum, as (term, closed, row, col, count)."""
+        nx, ny = self.nx, self.ny
+        best = -math.inf
+        cands: list[tuple[float, bool, int, int, int]] = []
+
+        def keep(terms: np.ndarray, closed: bool, chunk: np.ndarray, counts: np.ndarray):
+            nonlocal best, cands
+            m = float(terms.max())
+            if m > best:
+                best = m
+                cands = [c for c in cands if c[0] >= best - margin]
+            if m < best - margin:
+                return
+            for i, j in zip(*np.nonzero(terms >= best - margin)):
+                if closed:
+                    c = counts[i, j]
+                else:  # points strictly below and left: one column left
+                    c = 0 if j == 0 else counts[i, j - 1]
+                cands.append((float(terms[i, j]), closed, int(chunk[i]), int(j), int(c)))
+
+        for chunk, le, lt, xy in self.blocks(rows):
+            r = int(np.searchsorted(chunk, nx))  # closed corners at x = 1 or y = 1 are dominated
+            if r:
+                t = np.subtract(le[:r], xy[:r, :ny], out=xy[:r, :ny])
+                keep(t, True, chunk, le)
+                np.multiply.outer(self.x_n[chunk], self.y_f, out=xy)
+            xy[:, 1:] -= lt
+            keep(xy, False, chunk, lt)
+        return cands
+
+
 def star_discrepancy_2d(ps: PointSet2) -> DiscrepancyResult:
-    """Exact supremum over anchored boxes: one blocked float sweep over the
-    exact coordinate ranks, then exact rational confirmation of every
-    near-maximal corner from its exact count."""
+    """Exact supremum over anchored boxes: a pass over the sample rows that
+    proves most rows cannot hold the maximum, a blocked float sweep over
+    the rest, then exact rational confirmation of every near-maximal corner
+    from its exact count."""
     n = len(ps)
     if n == 0:
         raise ValueError("empty point set")
-    q = 1 << ps.width
-    xs = sorted(set(ps.x_bits))
-    ys = sorted(set(ps.y_bits))
-    nx, ny = len(xs), len(ys)
-    rank_x = {v: i for i, v in enumerate(xs)}
-    rank_y = {v: i for i, v in enumerate(ys)}
-    # y ranks of the points on each row; row nx (x = 1) holds none
-    row_ys: list[list[int]] = [[] for _ in range(nx + 1)]
-    for a, b in zip(ps.x_bits, ps.y_bits):
-        row_ys[rank_x[a]].append(rank_y[b])
-    # row nx and column ny are the corners at x = 1 and y = 1
-    xs.append(q)
-    ys.append(q)
-    x_n = np.array([v / q for v in xs]) * n
-    y_f = np.array([v / q for v in ys])
-
-    # terms are carried in units of 1/N: closed C - N*x*y, open N*x*y - C
+    sweep = _RankSweep(ps)
+    # terms are carried in units of 1/N
     margin = n * _CONFIRM_MARGIN
-    best = -math.inf
-    cands: list[tuple[float, bool, int, int, int]] = []  # (term, closed, row, col, count)
-
-    def keep(terms: np.ndarray, closed: bool, a0: int, le: np.ndarray, above: np.ndarray):
-        nonlocal best, cands
-        m = float(terms.max())
-        if m > best:
-            best = m
-            cands = [c for c in cands if c[0] >= best - margin]
-        if m < best - margin:
-            return
-        for i, j in zip(*np.nonzero(terms >= best - margin)):
-            if closed:
-                c = le[i, j]
-            else:  # points strictly below and left: one row up, one column left
-                c = 0 if j == 0 else (le[i - 1] if i else above)[j - 1]
-            cands.append((float(terms[i, j]), closed, a0 + int(i), int(j), int(c)))
-
-    step = max(1, _BLOCK_CELLS // (ny + 1))
-    le_buf = np.empty((step, ny))  # closed counts, exact in float64
-    xy_buf = np.empty((step, ny + 1))
-    t_buf = np.empty((step, ny))
-    cnt = np.zeros(ny)  # closed counts of the last row filled
-    above = np.zeros(ny)  # closed counts of the row above the block
-    for a0 in range(0, nx + 1, step):
-        r = min(step, nx + 1 - a0)
-        le, xy = le_buf[:r], xy_buf[:r]
-        for i in range(r):
-            for b in row_ys[a0 + i]:
-                cnt[b:] += 1
-            le[i] = cnt
-        np.multiply.outer(x_n[a0:a0 + r], y_f, out=xy)
-        rows = min(r, nx - a0)  # closed corners at x = 1 or y = 1 are dominated
-        if rows:
-            keep(np.subtract(le[:rows], xy[:rows, :ny], out=t_buf[:rows]), True, a0, le, above)
-        xy[0, 1:] -= above
-        xy[1:, 1:] -= le[:-1]
-        keep(xy, False, a0, le, above)
-        above[:] = le[-1]
+    cands = sweep.near_max_corners(sweep.rows_to_visit(margin), margin)
 
     # the lexicographically smallest (closed, x, y) among the exact maximizers
+    q, xs, ys = sweep.q, sweep.xs + [sweep.q], sweep.ys + [sweep.q]
     d_star: Fraction | None = None
     witness: tuple[BoxSide, ...] = ()
     for _, closed, a, b, c in sorted(cands, key=lambda t: t[1:4]):

@@ -9,7 +9,6 @@ shifted bit pattern is still exact modulo 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -19,7 +18,7 @@ import numpy as np
 
 from .numtheory import UnitFraction
 from .sequences import PerturbSpec, mk_array, _parity_u64
-from .trigprod import TrigProductParams, _abs_sin_pi, doubling_factors
+from .trigprod import TrigProductParams, doubling_factors
 
 _MAX_MK_COUNT = 1 << 24
 _MAX_V = 1 << 22
@@ -91,25 +90,10 @@ def exp_sum_perturbed(n: int, log2_count: int, alpha: UnitFraction) -> ExpSumRes
     return _sum_of_phases(phases)
 
 
-def geometric_sum(count: int, alpha: UnitFraction) -> ExpSumResult:
-    """sum_{m<count} e(m*alpha) in closed form; modulus
-    |sin(count*pi*alpha)| / |sin(pi*alpha)| for non-integer alpha."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if alpha.bits == 0:
-        return ExpSumResult(complex(count, 0.0), float(count), count)
-    a = alpha.to_float()
-    top = frac_sin_abs(count, alpha)
-    den = _abs_sin_pi(a)
-    num = cmath.exp(2j * math.pi * ((count * alpha.bits & (alpha.modulus - 1)) / alpha.modulus)) - 1.0
-    dencplx = cmath.exp(2j * math.pi * a) - 1.0
-    value = num / dencplx
-    return ExpSumResult(value, top / den if den else abs(value), count)
-
-
 def frac_sin_abs(k: int, alpha: UnitFraction) -> float:
-    """|sin(k * pi * alpha)| via the exact fractional part of k*alpha."""
-    return _abs_sin_pi(alpha.mul_int(k).to_float())
+    """|sin(k * pi * alpha)| = sin(pi * ||k*alpha||), with the exact distance
+    of {k*alpha} to the nearest integer rounded to double once."""
+    return math.sin(math.pi * float(alpha.mul_int(k).distance_to_int()))
 
 
 def product_lower_bound(n: int, blocks: int, alpha: UnitFraction) -> float:
@@ -120,7 +104,7 @@ def product_lower_bound(n: int, blocks: int, alpha: UnitFraction) -> float:
     r = n * blocks
     params = TrigProductParams.from_spec(PerturbSpec(n), r, alpha)
     lead = 2.0 ** (r - 3) * pi_product(params)
-    corr = frac_sin_abs(1 << r, alpha) / (8.0 * _abs_sin_pi(alpha.to_float()))
+    corr = frac_sin_abs(1 << r, alpha) / (8.0 * frac_sin_abs(1, alpha))
     return lead - corr
 
 
@@ -183,6 +167,12 @@ class BoundParams:
             raise ValueError("need 1 <= H <= N")
         if not 1 <= self.k_limit <= self.n_points:
             raise ValueError("need 1 <= K <= N")
+
+    @property
+    def table_rows(self) -> int:
+        """Rows (l, h) of the double sum: floor(H / 2^l) for each
+        1 <= l <= floor(log2 K)."""
+        return sum(self.h_limit >> ell for ell in range(1, self.k_limit.bit_length()))
 
 
 class UpperBoundRow(NamedTuple):

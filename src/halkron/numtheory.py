@@ -1,5 +1,4 @@
-"""Exact fixed-point arithmetic on [0,1), special binary numbers, and
-continued fractions.
+"""Exact fixed-point arithmetic on [0,1) and special binary numbers.
 
 Everything here is integer arithmetic: a value is ``bits / 2**width`` and all
 operations act modulo 1 (i.e. modulo ``2**width``).  Keeping the substrate
@@ -10,7 +9,6 @@ floats only appear when a caller converts at the trigonometric boundary.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,19 +72,6 @@ def make_unit_fraction(numerator: int, denominator: int, width: int = DEFAULT_WI
     if not 0 <= numerator < denominator:
         raise ValueError("need 0 <= numerator < denominator")
     return UnitFraction((numerator << width) // denominator, width)
-
-
-def frac_mul_int(a: UnitFraction, k: int) -> UnitFraction:
-    """{k*a} by W-bit modular multiply; truncation error below k * 2**-W."""
-    return a.mul_int(k)
-
-
-def nearest_int_distance(t: float) -> float:
-    """min({t}, 1-{t}), the distance of t to the nearest integer."""
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    f = t % 1.0
-    return min(f, 1.0 - f)
 
 
 # -- special alpha constructions ---------------------------------------------
@@ -164,46 +149,3 @@ def theorem_alpha(n: int, width: int = DEFAULT_WIDTH) -> SpecialAlpha:
 
 def user_alpha(bits: int, width: int = DEFAULT_WIDTH) -> SpecialAlpha:
     return SpecialAlpha(KIND_USER, UnitFraction(bits, width))
-
-
-# -- continued fractions -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """[0; a_1, a_2, ...] with the convergents p_i/q_i of the same depth.
-
-    ``terminated`` is set when Euclid's algorithm exhausted the (truncated)
-    input before ``max_terms``; the tail of a truncated irrational is
-    truncation noise, not part of the true expansion.
-    """
-
-    coefficients: tuple[int, ...]
-    convergents: tuple[tuple[int, int], ...]
-    terminated: bool
-
-
-def continued_fraction(a: UnitFraction, max_terms: int) -> ContinuedFraction:
-    """Euclid's algorithm on (bits, 2**width)."""
-    if a.bits == 0:
-        raise ValueError("continued fraction of 0 is not defined here")
-    if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
-    coeffs: list[int] = []
-    convs: list[tuple[int, int]] = []
-    # value = r1/r0 with the invariant r0 > r1 >= 0
-    r0, r1 = a.modulus, a.bits
-    h_prev, h = 1, 0  # numerators of [0;] seed
-    k_prev, k = 0, 1  # denominators
-    terminated = False
-    while len(coeffs) < max_terms:
-        q, r = divmod(r0, r1)
-        coeffs.append(q)
-        h_prev, h = h, q * h + h_prev
-        k_prev, k = k, q * k + k_prev
-        convs.append((h, k))
-        r0, r1 = r1, r
-        if r1 == 0:
-            terminated = True
-            break
-    return ContinuedFraction(tuple(coeffs), tuple(convs), terminated)

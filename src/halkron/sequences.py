@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .numtheory import DEFAULT_WIDTH, UnitFraction, frac_mul_int
+from .numtheory import DEFAULT_WIDTH, UnitFraction
 
 
 @dataclass(frozen=True)
@@ -54,22 +54,6 @@ class PerturbSpec:
         return mask
 
 
-@dataclass(frozen=True)
-class DigitVector:
-    """Dyadic digits of a non-negative integer, least significant first."""
-
-    digits: tuple[int, ...]
-
-    @staticmethod
-    def of(k: int) -> "DigitVector":
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        return DigitVector(tuple((k >> i) & 1 for i in range(max(1, k.bit_length()))))
-
-    def reconstruct(self) -> int:
-        return sum(d << i for i, d in enumerate(self.digits))
-
-
 def weighted_digit_sum(k: int, spec: PerturbSpec) -> int:
     """Parity of the dyadic digits of k at the positions selected by the
     shifted pattern (positions congruent to -shift mod period)."""
@@ -100,7 +84,7 @@ def digital_point(k: int, spec: PerturbSpec, width: int = DEFAULT_WIDTH) -> Unit
 
 def hybrid_point(k: int, spec: PerturbSpec, alpha: UnitFraction) -> tuple[UnitFraction, UnitFraction]:
     """z_k = (x_k, {k*alpha})."""
-    return digital_point(k, spec, alpha.width), frac_mul_int(alpha, k)
+    return digital_point(k, spec, alpha.width), alpha.mul_int(k)
 
 
 def _parity_u64(a: np.ndarray) -> np.ndarray:

@@ -222,6 +222,35 @@ class TestBoundAndIntegral:
         assert doc["consistent"]
 
 
+class TestBoundGuard:
+    def test_huge_table_is_refused_before_it_is_built(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(cli.expsum, "upper_bound_rhs", build)
+        size = str(2**40)
+        code, out, err = run(capsys, "bound", "--n", "1", "--N", size, "--H", size, "--K", size)
+        assert code == 3
+        assert out == ""
+        assert f"has {2**40 - 1} rows" in err and "--force" in err
+
+    def test_benchmark_table_runs(self, capsys):
+        size = str(2**16)
+        code, out, _ = run(capsys, "bound", "--n", "1", "--N", size, "--H", size, "--K", size)
+        assert code == 0
+        assert len([l for l in out.splitlines() if not l.startswith("#")]) == 1 + 65535
+
+    def test_force_overrides_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_BOUND_ROW_CAP", 100)
+        argv = ["bound", "--n", "1", "--N", "256", "--H", "256", "--K", "256"]
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "has 255 rows" in err
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0
+        assert len([l for l in out.splitlines() if not l.startswith("#")]) == 1 + 255
+
+
 class TestReproducibility:
     def test_same_config_same_bytes(self, capsys):
         _, out1, _ = run(capsys, "scan", "--n", "1", "--alpha", "theorem", "--L", "4..6")

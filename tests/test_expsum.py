@@ -5,12 +5,13 @@ import random
 import pytest
 
 from bound_table_oracle import upper_bound_rhs as oracle_upper_bound_rhs
+from exact_helpers import geometric_sum
 from halkron.expsum import (
     BoundParams,
     _doubled_phases,
     exp_sum_mk,
     exp_sum_perturbed,
-    geometric_sum,
+    frac_sin_abs,
     upper_bound_rhs,
     product_lower_bound,
     two_additive_bound_check,
@@ -285,9 +286,10 @@ class TestBoundCounts:
 
 class TestSinPiAlphaNearEnds:
     """sin(pi alpha) in the closed forms, against mpmath at alpha = 1 - 2^-40
-    and 2^-40 (width 128)."""
+    and 2^-40, and at 1 - 2^-40 - 2^-60 and 2^-40 + 2^-60, where a double
+    alpha would drop the 2^-60 (width 128)."""
 
-    ALPHAS = [(1 << 128) - (1 << 88), 1 << 88]
+    ALPHAS = [(1 << 128) - (1 << 88), 1 << 88, (1 << 128) - (1 << 88) - (1 << 68), (1 << 88) + (1 << 68)]
 
     @staticmethod
     def exact_alpha(mpmath, bits):
@@ -319,3 +321,12 @@ class TestSinPiAlphaNearEnds:
             want = 2 ** (r - 3) * prod - corr
         got = product_lower_bound(n, blocks, UnitFraction(bits, 128))
         assert got == pytest.approx(float(want), rel=1e-13)
+
+    @pytest.mark.parametrize("bits", ALPHAS)
+    @pytest.mark.parametrize("k", [1, 3, 1000, 1 << 20])
+    def test_frac_sin_abs(self, bits, k):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(256):
+            want = abs(mpmath.sin(k * mpmath.pi * self.exact_alpha(mpmath, bits)))
+        got = frac_sin_abs(k, UnitFraction(bits, 128))
+        assert got == pytest.approx(float(want), rel=1e-13, abs=0)

@@ -4,14 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from exact_helpers import continued_fraction, nearest_int_distance
 from halkron.numtheory import (
-    ContinuedFraction,
     SpecialAlpha,
     UnitFraction,
-    continued_fraction,
-    frac_mul_int,
     make_unit_fraction,
-    nearest_int_distance,
     rational_bad,
     shallit_beta,
     theorem_alpha,
@@ -61,17 +58,19 @@ class TestUnitFractionValidation:
 
 
 class TestFracMulInt:
+    """{k*a} by W-bit modular multiply (``UnitFraction.mul_int``)."""
+
     def test_three_halves_wraps(self):
         u = make_unit_fraction(1, 2, 8)
-        assert frac_mul_int(u, 3).as_fraction() == Fraction(1, 2)
+        assert u.mul_int(3).as_fraction() == Fraction(1, 2)
 
     def test_three_times_one_third_truncation(self):
         u = UnitFraction(85, 8)  # 8-bit truncation of 1/3
-        assert frac_mul_int(u, 3).bits == 255
+        assert u.mul_int(3).bits == 255
 
     def test_k_zero(self):
         u = UnitFraction(85, 8)
-        assert frac_mul_int(u, 0).bits == 0
+        assert u.mul_int(0).bits == 0
 
     def test_additivity_is_exact(self):
         # {(k1+k2) a} = {k1 a} (+) {k2 a} in the W-bit modular model
@@ -79,8 +78,8 @@ class TestFracMulInt:
         for _ in range(200):
             a = UnitFraction(rng.getrandbits(128), 128)
             k1, k2 = rng.getrandbits(40), rng.getrandbits(40)
-            lhs = frac_mul_int(a, k1 + k2)
-            rhs = frac_mul_int(a, k1).add(frac_mul_int(a, k2))
+            lhs = a.mul_int(k1 + k2)
+            rhs = a.mul_int(k1).add(a.mul_int(k2))
             assert lhs == rhs
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from halkron.numtheory import UnitFraction, make_unit_fraction
+from exact_helpers import DigitVector
 from halkron.sequences import (
-    DigitVector,
     PerturbSpec,
     digital_point,
     generate_point_set,
