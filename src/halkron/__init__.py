@@ -36,7 +36,6 @@ from .discrepancy import (
 from .trigprod import (
     GelfondCertificate,
     SharpnessResult,
-    TrigProductParams,
     a_exponent,
     f_iterate,
     g_at_xi,
@@ -44,8 +43,6 @@ from .trigprod import (
     g_value_product,
     gelfond_certify,
     log_pi_product,
-    log_pi_product_rational,
-    pi_product,
     product_upper_bound_log,
     sharpness_identity,
     xi_fixed_point,

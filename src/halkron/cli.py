@@ -106,21 +106,31 @@ def _emit_csv(fh, config: dict, header: list[str], rows: list[list]) -> None:
     _emit_csv_body(fh, config, header, "".join([",".join(map(str, row)) + "\n" for row in rows]))
 
 
-def _emit_csv_body(fh, config: dict, header: list[str], body: str) -> None:
-    """The CSV header lines, then ``body``: the data lines, already formatted."""
+def _emit_header(fh, config: dict) -> None:
+    """The ``# format_version`` and ``# config`` lines of a CSV output."""
     fh.write(f"# format_version: {FORMAT_VERSION}\n")
     fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+
+
+def _emit_csv_body(fh, config: dict, header: list[str], body: str) -> None:
+    """The CSV header lines, then ``body``: the data lines, already formatted."""
+    _emit_header(fh, config)
     fh.write(",".join(header) + "\n")
     fh.write(body)
+
+
+def _emit_json(fh, config: dict, payload: dict, indent: int | None = None) -> None:
+    """One JSON document, the format version and config first in the same
+    object as ``payload``, keys sorted, then a newline."""
+    doc = {"format_version": FORMAT_VERSION, "config": config, **payload}
+    fh.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
 
 
 def _write_json(path: str | None, config: dict, payload: dict) -> None:
     if not path:
         return
-    doc = {"format_version": FORMAT_VERSION, "config": config, **payload}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _emit_json(fh, config, payload, indent=2)
 
 
 def _config(args, keys: list[str]) -> dict:
@@ -151,8 +161,7 @@ def cmd_gen(args) -> int:
     ps = generate_point_set(spec, alpha.fraction, args.count)
     cfg = _config(args, ["n", "alpha", "count"])
     with _open_out(args.out) as fh:
-        fh.write(f"# format_version: {FORMAT_VERSION}\n")
-        fh.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
+        _emit_header(fh, cfg)
         fh.write(f"# alpha: {alpha.to_json()}\n")
         ps.write_csv(fh)
     return EXIT_OK
@@ -179,8 +188,7 @@ def cmd_disc(args) -> int:
     }
     _write_json(args.json, cfg, payload)
     with _open_out(args.out) as fh:
-        fh.write(json.dumps({"format_version": FORMAT_VERSION, "config": cfg, **payload},
-                            sort_keys=True) + "\n")
+        _emit_json(fh, cfg, payload)
     return EXIT_OK
 
 
@@ -299,10 +307,10 @@ def cmd_certify(args) -> int:
             }
         )
     cfg = _config(args, ["n", "grid", "blocks", "struct_grid"])
-    _write_json(args.json, cfg, {"reports": reports})
+    payload = {"reports": reports}
+    _write_json(args.json, cfg, payload)
     with _open_out(args.out) as fh:
-        fh.write(json.dumps({"format_version": FORMAT_VERSION, "config": cfg,
-                             "reports": reports}, sort_keys=True, indent=2) + "\n")
+        _emit_json(fh, cfg, payload, indent=2)
     return EXIT_CERTIFY if failed else EXIT_OK
 
 
@@ -348,8 +356,7 @@ def cmd_integral(args) -> int:
     }
     _write_json(args.json, cfg, payload)
     with _open_out(args.out) as fh:
-        fh.write(json.dumps({"format_version": FORMAT_VERSION, "config": cfg, **payload},
-                            sort_keys=True) + "\n")
+        _emit_json(fh, cfg, payload)
     return EXIT_OK
 
 

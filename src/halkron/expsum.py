@@ -18,7 +18,7 @@ import numpy as np
 
 from .numtheory import UnitFraction
 from .sequences import PerturbSpec, mk_array, _parity_u64
-from .trigprod import TrigProductParams, doubling_factors
+from .trigprod import lacunary_factor, log_pi_product
 
 _MAX_MK_COUNT = 1 << 24
 _MAX_V = 1 << 22
@@ -99,11 +99,9 @@ def frac_sin_abs(k: int, alpha: UnitFraction) -> float:
 def product_lower_bound(n: int, blocks: int, alpha: UnitFraction) -> float:
     """Right-hand side of the discrepancy lower bound at N = 2^{nL}:
     2^{nL-3} Pi_{nL,c}(alpha) - |sin(2^{nL} pi alpha)| / (8 sin(pi alpha))."""
-    from .trigprod import pi_product
-
     r = n * blocks
-    params = TrigProductParams.from_spec(PerturbSpec(n), r, alpha)
-    lead = 2.0 ** (r - 3) * pi_product(params)
+    log_prod = log_pi_product(r, PerturbSpec(n).gamma(r), alpha.bits, alpha.modulus)
+    lead = 2.0 ** (r - 3) * math.exp(log_prod)
     corr = frac_sin_abs(1 << r, alpha) / (8.0 * frac_sin_abs(1, alpha))
     return lead - corr
 
@@ -136,18 +134,20 @@ def two_additive_bound_check(
     phases = (_phases(vs, theta) + 0.5 * _parity_u64(vs & mask)) % 1.0
     lhs = _sum_of_phases(phases).modulus
     rmax = count.bit_length() - 1  # floor(log2 count)
-    factors = doubling_factors(theta.bits, theta.modulus, shifted.gamma(rmax), rmax)
-    rhs = float(_weighted_prefix_sum(np.array([factors]))[0])
+    table = _doubled_phases([theta.bits], theta.width, rmax)
+    rhs = float(_weighted_prefix_sum(table, shifted.gamma(rmax))[0])
     return TwoAdditiveCheck(lhs, rhs, count)
 
 
-def _weighted_prefix_sum(factors: np.ndarray) -> np.ndarray:
-    """sum_{r=0}^{R} 2^r prod_{j<r} f_j for each row of an [rows, R] factor
-    table, the partial products grown one column at a time."""
-    total = np.ones(len(factors))  # r = 0: empty product
-    running = np.ones(len(factors))
-    for r in range(factors.shape[1]):
-        running *= factors[:, r]
+def _weighted_prefix_sum(phases: np.ndarray, gamma: Sequence[int]) -> np.ndarray:
+    """sum_{r=0}^{R} 2^r prod_{j<r} f_j for each row of an [rows, R] phase
+    table, f_j the ``lacunary_factor`` of column j (sine where gamma_j = 1)
+    and the partial products grown one column at a time."""
+    total = np.ones(len(phases))  # r = 0: empty product
+    running = np.ones(len(phases))
+    f = np.empty(len(phases))
+    for r in range(phases.shape[1]):
+        running *= lacunary_factor(phases[:, r], gamma[r], out=f)
         total += 2.0 ** (r + 1) * running
     return total
 
@@ -240,22 +240,16 @@ def _doubled_phases(bs: list[int], width: int, r: int) -> np.ndarray:
     return phases
 
 
-def _factor_table(phases: np.ndarray, gamma: Sequence[int]) -> np.ndarray:
-    """|sin(pi p)| where gamma_j = 1 and |cos(pi p)| where gamma_j = 0, on
-    the same reduced arguments as trigprod's scalar factors."""
-    sin_col = np.asarray(gamma[: phases.shape[1]], dtype=bool)
-    arg = np.where(sin_col, np.minimum(phases, 1.0 - phases), np.abs(0.5 - phases))
-    return np.sin(np.pi * arg)
-
-
 def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBoundTerms:
     """N/K + (N/H) log N + log^2 N + the double sum over (l, h); natural
     logarithms.  A vanishing ||2^l h alpha|| (alpha effectively rational at
     that shift) makes the term +inf and is reported in ``degenerate``.
 
     Each l is one [rows, r] table over h of the doubled phases of
-    2^l h alpha, evaluated by columns; the rows are bit-identical to
-    doubling each row's phase on its own with ``doubling_factors``."""
+    2^l h alpha.  Its factors are taken column by column, one
+    ``trigprod.lacunary_factor`` call per column, and multiplied into the
+    weighted prefix sums; the rows are bit-identical to doubling each row's
+    phase on its own with ``trigprod.doubling_factors``."""
     big_n, h_lim, k_lim = params.n_points, params.h_limit, params.k_limit
     log_n = math.log(big_n)
     term_nk = big_n / k_lim
@@ -277,8 +271,7 @@ def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBo
             bs = [(step * h) & (mod - 1) for h in hs]
             # 1 / (min(b, 2^W - b) / 2^W), rounded as the exact distance's float
             norms = [1.0 / ((b if b <= half else mod - b) / mod) if b else math.inf for b in bs]
-            factors = _factor_table(_doubled_phases(bs, alpha.width, rmax), gamma)
-            prods = _weighted_prefix_sum(factors).tolist()
+            prods = _weighted_prefix_sum(_doubled_phases(bs, alpha.width, rmax), gamma).tolist()
             for h, norm, prod in zip(hs, norms, prods):
                 total += (norm + prod) / h
             rows += map(UpperBoundRow._make, zip(repeat(ell), hs, norms, prods))

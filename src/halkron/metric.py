@@ -23,18 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from .sequences import PerturbSpec
+from .trigprod import lacunary_factor
 
 _MIN_GRID = 256
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _QUAD_CHUNK = 1 << 14  # quadrature points whose factors are taken together, in cache
-
-
-def _abs_sin_pi(x: np.ndarray) -> np.ndarray:
-    return np.sin(np.pi * np.minimum(x, 1.0 - x))
-
-
-def _abs_cos_pi(x: np.ndarray) -> np.ndarray:
-    return np.sin(np.pi * np.abs(0.5 - x))
 
 
 def _edge_slope(d0: float, d1: float) -> float:
@@ -164,15 +157,11 @@ def _kernel(n: int, grid_size: int) -> np.ndarray:
     m = grid_size // b
     i = np.arange((m + 1) * b, dtype=float).reshape(m + 1, b, 1)
     w = np.add(i, grid_size * np.arange(b, dtype=float), out=np.empty((m + 1, b, b)))
-    # b |cos(pi y)| as b sin(pi |1/2 - y|), like _abs_cos_pi
     w /= b * grid_size
-    np.subtract(0.5, w, out=w)
-    np.abs(w, out=w)
-    w *= np.pi
-    np.sin(w, out=w)
+    lacunary_factor(w, False, out=w)  # |cos(pi y)| in place, as the cosine allows
     w *= b
     with np.errstate(invalid="ignore"):
-        np.divide(_abs_sin_pi(i / grid_size), w, out=w)
+        np.divide(lacunary_factor(i / grid_size, True), w, out=w)
     w[0, 0, b // 2] = 1.0
     w[m, 0, b // 2 - 1] = 1.0
     return w
@@ -230,7 +219,7 @@ def mu(n: int) -> float:
         raise ValueError("n must be >= 1")
     b = 1 << n
     ks = np.arange(b, dtype=float)
-    terms = 1.0 / _abs_cos_pi((1.0 + 2.0 * ks) / (2.0 * b))
+    terms = 1.0 / lacunary_factor((1.0 + 2.0 * ks) / (2.0 * b), False)
     return float(terms.sum()) / (4.0**n)
 
 
@@ -383,12 +372,7 @@ def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
             if j:
                 t *= 2.0
                 t -= np.floor(t, out=f)
-            if gamma[j]:  # in place as _abs_sin_pi and _abs_cos_pi
-                np.minimum(t, np.subtract(1.0, t, out=f), out=f)
-            else:
-                np.abs(np.subtract(0.5, t, out=f), out=f)
-            f *= np.pi
-            p *= np.sin(f, out=f)
+            p *= lacunary_factor(t, gamma[j], out=f)
     prod = prod.reshape(panels, qpts)
     return float((prod * weights[None, :]).sum() * 0.5 * h)
 

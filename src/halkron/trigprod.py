@@ -16,86 +16,67 @@ from typing import Sequence
 
 import numpy as np
 
-from .numtheory import UnitFraction
 from .sequences import PerturbSpec
 
 _HARD_ZERO = 1e-300
 
 
-def _abs_sin_pi(x: float) -> float:
-    """|sin(pi x)| for x in [0,1], accurate near both endpoints."""
-    return math.sin(math.pi * (x if x <= 0.5 else 1.0 - x))
+def lacunary_factor(phase, sine, out=None):
+    """|sin(pi p)| if ``sine`` else |cos(pi p)|, for a phase p in [0,1] given
+    as a float or an array.
 
-
-def _abs_cos_pi(x: float) -> float:
-    """|cos(pi x)| for x in [0,1], accurate near the zero at 1/2."""
-    return math.sin(math.pi * abs(0.5 - x))
-
-
-@dataclass(frozen=True)
-class TrigProductParams:
-    """Parameters of prod_{j<r} |cos(2^j alpha pi + gamma_j pi/2)|."""
-
-    r: int
-    gamma: tuple[int, ...]
-    alpha: UnitFraction
-
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
-        if len(self.gamma) < self.r:
-            raise ValueError("gamma must define indices 0..r-1")
-
-    @staticmethod
-    def from_spec(spec: PerturbSpec, r: int, alpha: UnitFraction) -> "TrigProductParams":
-        return TrigProductParams(r, spec.gamma(r), alpha)
+    Both are sin(pi a) of a reduced argument, a = min(p, 1 - p) for the sine
+    and a = |1/2 - p| for the cosine, so the factor keeps its relative
+    accuracy near its zeros at p = 0, 1 and p = 1/2.  With ``out`` every
+    step writes into that array.  For the sine, ``out`` must not share
+    memory with ``phase``: 1 - p is written to it before the minimum reads
+    p.  For the cosine, ``out`` may be ``phase`` itself.
+    """
+    if sine:
+        arg = np.minimum(phase, np.subtract(1.0, phase, out=out), out=out)
+    else:
+        arg = np.abs(np.subtract(0.5, phase, out=out), out=out)
+    return np.sin(np.multiply(arg, np.pi, out=out), out=out)
 
 
 def doubling_factors(num: int, den: int, gamma: Sequence[int], r: int) -> list[float]:
-    """The r factors |cos(2^j pi num/den + gamma_j pi/2)|, j < r.
+    """The r factors |cos(2^j pi num/den + gamma_j pi/2)|, j < r: the
+    ``lacunary_factor`` of each doubled phase, sine where gamma_j = 1.
 
     The phase num/den is doubled exactly as ``num = 2 num mod den``: a
     left shift of the fixed-point bits for den = 2^W, exact modular
     reduction for a rational p/q.  Only the reduced phase becomes a double.
+    Both factors are taken of the r phases at once and gamma picks one of
+    each pair: a numpy call per factor would cost more than the doubling.
 
-    This is the scalar route: one product at a time, any modulus.  It serves
-    the rational moduli (``log_pi_product_rational``, ``sharpness_identity``)
-    and single products, and it is the reference for the bound table, which
-    doubles many 2^W phases at once (``expsum.upper_bound_rhs``).
+    This is the single-product route, for any modulus.  It serves
+    ``log_pi_product`` and through it ``sharpness_identity`` and
+    ``expsum.product_lower_bound``.  The bound table doubles many 2^W phases
+    at once (``expsum.upper_bound_rhs``) and gives the same factors.
     """
-    factors = []
-    for j in range(r):
-        phase = num / den
-        factors.append(_abs_sin_pi(phase) if gamma[j] else _abs_cos_pi(phase))
+    if not 0 <= r <= len(gamma):
+        raise ValueError("need 0 <= r <= len(gamma)")
+    phases = []
+    for _ in range(r):
+        phases.append(num / den)
         num = (num << 1) % den
-    return factors
+    phases = np.array(phases)
+    sine = np.array(gamma[:r], dtype=bool)
+    return np.where(sine, lacunary_factor(phases, True), lacunary_factor(phases, False)).tolist()
 
 
-def _log_of_product(factors: list[float]) -> float:
+def log_pi_product(r: int, gamma: Sequence[int], p: int, q: int) -> float:
+    """log Pi_{r,gamma}(p/q) = sum_{j<r} log |cos(2^j pi p/q + gamma_j pi/2)|,
+    -inf on a hard zero.  The phases 2^j p mod q are reduced exactly; a
+    W-bit alpha is p = its bits and q = 2^W."""
+    if not 0 <= p < q:
+        raise ValueError("need 0 <= p < q")
     acc = 0.0
-    for f in factors:
+    for f in doubling_factors(p, q, gamma, r):
         if f < _HARD_ZERO:
             return -math.inf
         acc += math.log(f)
     return acc
-
-
-def log_pi_product(params: TrigProductParams) -> float:
-    """log of the product, -inf on a hard zero."""
-    alpha = params.alpha
-    return _log_of_product(doubling_factors(alpha.bits, alpha.modulus, params.gamma, params.r))
-
-
-def pi_product(params: TrigProductParams) -> float:
-    """The product itself, in [0,1]; log-space accumulation underneath."""
-    return math.exp(log_pi_product(params))
-
-
-def log_pi_product_rational(r: int, gamma: Sequence[int], p: int, q: int) -> float:
-    """log Pi_{r,gamma}(p/q) with exact modular phase reduction 2^j p mod q."""
-    if not 0 <= p < q:
-        raise ValueError("need 0 <= p < q")
-    return _log_of_product(doubling_factors(p, q, gamma, r))
 
 
 def _xi_angle(n: int) -> float:
@@ -263,7 +244,7 @@ def sharpness_identity(n: int, blocks: int) -> SharpnessResult:
     if r > 1000:
         raise ValueError("n * blocks must stay <= 1000")
     gamma = PerturbSpec(n).gamma(r)
-    log_lhs = log_pi_product_rational(r, gamma, 1 << (n - 1), (1 << n) + 1)
+    log_lhs = log_pi_product(r, gamma, 1 << (n - 1), (1 << n) + 1)
     log_rhs = blocks * log_g_at_xi(n)
     return SharpnessResult(n, blocks, log_lhs, log_rhs)
 

@@ -2,9 +2,10 @@
 ``expsum.upper_bound_rhs``.
 
 Every row doubles its phase one factor at a time on the exact fixed-point
-bits (``trigprod.doubling_factors``), converts each reduced phase with one
-int division, and grows the weighted prefix sum one factor at a time.  It
-makes one Python call per factor, so keep N and H small.
+bits, converts each reduced phase with one int division, takes |sin(pi p)|
+or |cos(pi p)| with math.sin on the reduced argument, and grows the
+weighted prefix sum one factor at a time.  It shares no factor code with
+``halkron``.  It makes one Python call per factor, so keep N and H small.
 """
 
 from __future__ import annotations
@@ -14,7 +15,19 @@ import math
 from halkron.expsum import BoundParams, UpperBoundRow, UpperBoundTerms
 from halkron.numtheory import UnitFraction
 from halkron.sequences import PerturbSpec
-from halkron.trigprod import doubling_factors
+
+
+def row_factors(b: int, width: int, gamma, r: int) -> list[float]:
+    """|sin(pi p)| where gamma_j = 1 and |cos(pi p)| where gamma_j = 0, for
+    the phases p = ((b << j) mod 2^W) / 2^W, j < r."""
+    mod = 1 << width
+    out = []
+    for j in range(r):
+        p = b / mod
+        out.append(math.sin(math.pi * (p if p <= 0.5 else 1.0 - p)) if gamma[j]
+                   else math.sin(math.pi * abs(0.5 - p)))
+        b = (b << 1) & (mod - 1)
+    return out
 
 
 def weighted_prefix_sum(factors: list[float]) -> float:
@@ -50,7 +63,7 @@ def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBo
                 term_norm = math.inf
             else:
                 term_norm = 1.0 / float(theta.distance_to_int())
-            term_prod = weighted_prefix_sum(doubling_factors(b, mod, gamma, rmax))
+            term_prod = weighted_prefix_sum(row_factors(b, alpha.width, gamma, rmax))
             rows.append(UpperBoundRow(ell, h, term_norm, term_prod))
             total += (term_norm + term_prod) / h
     return UpperBoundTerms(

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from halkron.metric import PhiGrid, _abs_cos_pi, _abs_sin_pi
+from halkron.metric import PhiGrid
 
 
 def _children(cells: np.ndarray, b: int) -> np.ndarray:
@@ -50,8 +50,8 @@ def _kernel(n: int, grid_size: int) -> np.ndarray:
     x[: grid_size + 1] = np.linspace(0.0, 1.0, grid_size + 1)
     x = np.ascontiguousarray(x.reshape(-1, b).T)[:, None, :]
     k = np.arange(b, dtype=float)[None, :, None]
-    num = _abs_sin_pi(x)
-    den = b * _abs_cos_pi((x + k) / b)
+    num = np.sin(np.pi * np.minimum(x, 1.0 - x))  # |sin(pi x)|
+    den = b * np.sin(np.pi * np.abs(0.5 - (x + k) / b))  # b |cos(pi (x + k) / b)|
     with np.errstate(divide="ignore", invalid="ignore"):
         w = num / den
     w[den == 0.0] = 1.0

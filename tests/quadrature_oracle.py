@@ -1,13 +1,13 @@
 """Oracle for the direct quadrature of Pi_{nL,c}: the former loop of
 ``metric._pi_direct_quadrature``, which forms each factor's phase as
-``(x * 2^j) % 1.0`` and allocates fresh arrays for every factor.
+``(x * 2^j) % 1.0`` and allocates fresh arrays for every factor, with its
+own |sin(pi t)| and |cos(pi t)| on the reduced arguments.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from halkron.metric import _abs_cos_pi, _abs_sin_pi
 from halkron.sequences import PerturbSpec
 
 
@@ -22,6 +22,7 @@ def pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     prod = np.ones_like(xs)
     for j in range(r):
         t = (xs * float(2**j)) % 1.0
-        prod *= _abs_sin_pi(t) if gamma[j] else _abs_cos_pi(t)
+        arg = np.minimum(t, 1.0 - t) if gamma[j] else np.abs(0.5 - t)
+        prod *= np.sin(np.pi * arg)
     prod = prod.reshape(panels, qpts)
     return float((prod * weights[None, :]).sum() * 0.5 * h)

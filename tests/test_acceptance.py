@@ -153,7 +153,8 @@ def test_criterion_08_product_and_sum_identities():
         r = n * blocks
         alpha = hk.UnitFraction(rng.getrandbits(128), 128)
         lhs = hk.exp_sum_perturbed(n, r, alpha).modulus
-        rhs = 2.0**r * hk.pi_product(hk.TrigProductParams.from_spec(PerturbSpec(n), r, alpha))
+        log_prod = hk.log_pi_product(r, PerturbSpec(n).gamma(r), alpha.bits, alpha.modulus)
+        rhs = 2.0**r * math.exp(log_prod)
         # the direct sum carries a provable rounding envelope of
         # ~1.5e-15 per unit-modulus term (phase tables round twice); the
         # relative tolerance applies wherever the oracle can resolve it

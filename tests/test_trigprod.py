@@ -7,7 +7,6 @@ import pytest
 from halkron.numtheory import UnitFraction
 from halkron.sequences import PerturbSpec
 from halkron.trigprod import (
-    TrigProductParams,
     a_exponent,
     doubling_factors,
     f_iterate,
@@ -15,10 +14,9 @@ from halkron.trigprod import (
     g_value,
     g_value_product,
     gelfond_certify,
+    lacunary_factor,
     log_g_at_xi,
     log_pi_product,
-    log_pi_product_rational,
-    pi_product,
     product_upper_bound_log,
     sharpness_identity,
     xi_fixed_point,
@@ -29,27 +27,26 @@ SQRT3_2 = math.sqrt(3.0) / 2.0
 
 class TestPiProduct:
     def test_empty_product(self):
-        p = TrigProductParams(0, (), UnitFraction(1, 8))
-        assert pi_product(p) == 1.0
+        assert math.exp(log_pi_product(0, (), 1, 1 << 8)) == 1.0
 
     def test_single_factor_one_third(self):
         # |cos(pi/3 + pi/2)| = sin(pi/3)
-        val = math.exp(log_pi_product_rational(1, (1,), 1, 3))
+        val = math.exp(log_pi_product(1, (1,), 1, 3))
         assert val == pytest.approx(SQRT3_2, abs=1e-15)
 
     def test_closed_form_power(self):
         # n = 1 at alpha = 1/3: each block contributes sqrt(3)/2
         for blocks in (1, 5, 40):
             gamma = PerturbSpec(1).gamma(blocks)
-            val = log_pi_product_rational(blocks, gamma, 1, 3)
+            val = log_pi_product(blocks, gamma, 1, 3)
             assert val == pytest.approx(blocks * math.log(SQRT3_2), abs=1e-12)
 
     def test_bits_and_rational_agree(self):
-        # dyadic alpha: both reductions are exact
+        # 182/256 = 546/768: the dyadic reduction (a masked shift) and the
+        # non-dyadic one (mod 768) give the same phases
         gamma = PerturbSpec(2).gamma(12)
-        u = UnitFraction(0b1011_0110, 8)
-        lb = log_pi_product(TrigProductParams(12, gamma, u))
-        lr = log_pi_product_rational(12, gamma, 0b1011_0110, 256)
+        lb = log_pi_product(12, gamma, 0b1011_0110, 256)
+        lr = log_pi_product(12, gamma, 546, 768)
         if math.isinf(lb):
             assert math.isinf(lr)
         else:
@@ -62,10 +59,10 @@ class TestPiProduct:
         for _ in range(50):
             q = rng.randint(3, 10_000)
             p = rng.randrange(q)
-            a = log_pi_product_rational(24, gamma, p, q)
+            a = log_pi_product(24, gamma, p, q)
             # alpha + 1 == (p + q)/q: reduce phases of (p+q) mod q by hand
             m = (p + q) % q
-            b = log_pi_product_rational(24, gamma, m, q)
+            b = log_pi_product(24, gamma, m, q)
             assert a == b
 
     def test_value_in_unit_interval(self):
@@ -74,7 +71,7 @@ class TestPiProduct:
             r = rng.randint(0, 60)
             gamma = PerturbSpec(rng.randint(1, 4)).gamma(r)
             u = UnitFraction(rng.getrandbits(128), 128)
-            v = pi_product(TrigProductParams(r, gamma, u))
+            v = math.exp(log_pi_product(r, gamma, u.bits, u.modulus))
             assert 0.0 <= v <= 1.0
 
     def test_hard_zero(self):
@@ -82,8 +79,17 @@ class TestPiProduct:
         # second (gamma_1 = 0 for n=2) is |cos(pi)| = 1; shift to hit
         # |sin(0)| at j=2: 2^2 * 1/2 = 2 = 0 mod 1 -> gamma_2 = 1 gives 0
         gamma = PerturbSpec(2).gamma(4)
-        val = log_pi_product_rational(4, gamma, 1, 2)
+        val = log_pi_product(4, gamma, 1, 2)
         assert math.isinf(val) and val < 0
+
+    def test_gamma_shorter_than_r(self):
+        gamma = PerturbSpec(2).gamma(3)
+        with pytest.raises(ValueError, match="r <= len"):
+            doubling_factors(1, 3, gamma, 4)
+        with pytest.raises(ValueError, match="r <= len"):
+            log_pi_product(4, gamma, 1, 3)
+        with pytest.raises(ValueError, match="0 <= r"):
+            doubling_factors(1, 3, gamma, -1)
 
 
 def inline_loop_factors(bits: int, width: int, gamma, r: int) -> list[float]:
@@ -112,6 +118,48 @@ class TestDoublingFactors:
             bits = rng.getrandbits(width)
             got = doubling_factors(bits, 1 << width, gamma, r)
             assert got == inline_loop_factors(bits, width, gamma, r)
+
+
+def former_factor(p: float, sine: int) -> float:
+    """The former scalar factors of trigprod: |sin(pi p)| and |cos(pi p)|
+    on the reduced arguments, with math.sin."""
+    if sine:
+        return math.sin(math.pi * (p if p <= 0.5 else 1.0 - p))
+    return math.sin(math.pi * abs(0.5 - p))
+
+
+class TestLacunaryFactor:
+    """``lacunary_factor`` against the former math.sin forms, with ==."""
+
+    @staticmethod
+    def phases() -> list[float]:
+        rng = random.Random(37)
+        ends = [0.0, 0.5, 1.0 - 2.0**-53, 2.0**-60, 0.25, 0.5 - 2.0**-54, 0.5 + 2.0**-53]
+        return ends + [rng.random() for _ in range(2000)] + [
+            rng.getrandbits(128) / 2.0**128 for _ in range(2000)
+        ]
+
+    @pytest.mark.parametrize("sine", [0, 1])
+    def test_scalars(self, sine):
+        for p in self.phases():
+            assert lacunary_factor(p, sine) == former_factor(p, sine)
+
+    @pytest.mark.parametrize("sine", [0, 1])
+    def test_arrays_with_and_without_out(self, sine):
+        ps = self.phases()
+        want = [former_factor(p, sine) for p in ps]
+        phase = np.array(ps)
+        assert lacunary_factor(phase, sine).tolist() == want
+        out = np.empty_like(phase)
+        assert lacunary_factor(phase, sine, out=out) is out
+        assert out.tolist() == want
+        assert phase.tolist() == ps
+
+    def test_cosine_in_place(self):
+        ps = self.phases()
+        phase = np.array(ps)
+        lacunary_factor(phase, 0, out=phase)
+        assert phase.tolist() == [former_factor(p, 0) for p in ps]
 
 
 class TestAExponent:
@@ -268,7 +316,7 @@ class TestUpperBoundChain:
                 continue
             alpha = UnitFraction(rng.getrandbits(128), 128)
             gamma = PerturbSpec(n, shift=ell).gamma(r)
-            lp = log_pi_product(TrigProductParams(r, gamma, alpha))
+            lp = log_pi_product(r, gamma, alpha.bits, alpha.modulus)
             checked += 1
             assert lp <= log_bound + 1e-9
         assert checked > 9000
