@@ -26,7 +26,6 @@ from .discrepancy import (
     BoxSide,
     DiscrepancyResult,
     GrowthRecord,
-    GuardError,
     brute_force_discrepancy_2d,
     brute_force_discrepancy_points,
     growth_scan,

@@ -2,20 +2,21 @@
 growth scans, emits the exponent curve and certification reports, and
 writes the exponent-bracket tables as CSV/JSON.
 
-Every output embeds the run configuration and a format version so a file
-can be re-produced byte-for-byte from its own header.  Exit codes:
-0 success, 2 usage, 3 guard, 4 certification failure.
+Each flag that several commands share is declared once, as a parent
+parser.  Every output goes through ``_emit``, which embeds the run
+configuration and a format version so a file can be re-produced
+byte-for-byte from its own header.  Every size cap goes through
+``_guard``: the caps are CLI policy, and the library functions cap no
+size.  Exit codes: 0 success, 2 usage, 3 guard, 4 certification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
-from contextlib import contextmanager
-
-import numpy as np
 
 from . import discrepancy, expsum, metric, trigprod
 from .numtheory import (
@@ -46,7 +47,11 @@ DEFAULT_BOUND_ROW_CAP = 1 << 22  # rows of one bound table
 
 
 class UsageError(ValueError):
-    pass
+    """A bad argument (exit 2)."""
+
+
+class GuardError(ValueError):
+    """A size above its cap without ``--force`` (exit 3)."""
 
 
 def parse_range(text: str) -> list[int]:
@@ -93,44 +98,37 @@ def parse_alpha(text: str, n: int, width: int) -> SpecialAlpha:
     raise UsageError(f"unknown alpha spec {text!r}")
 
 
-@contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
+def _emit(args, config: dict, body: str | None = None, payload: dict | None = None,
+          indent: int | None = None) -> None:
+    """Write one command's output.  ``--out`` gets the ``# format_version``
+    and ``# config`` lines and then ``body``, the formatted data lines; with
+    no body it gets ``payload`` as one JSON document instead.  ``--json``,
+    where the command has it, gets ``payload`` with indent 2.  A JSON
+    document is one object, keys sorted, that holds the format version and
+    config next to ``payload``.  The path ``-`` is stdout."""
+
+    def document(ind: int | None) -> str:
+        doc = {"format_version": FORMAT_VERSION, "config": config, **payload}
+        return json.dumps(doc, indent=ind, sort_keys=True) + "\n"
+
+    if body is None:
+        outputs = [(args.out, document(indent))]
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+        outputs = [(args.out, f"# format_version: {FORMAT_VERSION}\n"
+                              f"# config: {json.dumps(config, sort_keys=True)}\n{body}")]
+    if getattr(args, "json", None):
+        outputs.append((args.json, document(2)))
+    for path, text in outputs:
+        if path == "-":
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
 
 
-def _emit_csv(fh, config: dict, header: list[str], rows: list[list]) -> None:
-    _emit_csv_body(fh, config, header, "".join([",".join(map(str, row)) + "\n" for row in rows]))
-
-
-def _emit_header(fh, config: dict) -> None:
-    """The ``# format_version`` and ``# config`` lines of a CSV output."""
-    fh.write(f"# format_version: {FORMAT_VERSION}\n")
-    fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-
-
-def _emit_csv_body(fh, config: dict, header: list[str], body: str) -> None:
-    """The CSV header lines, then ``body``: the data lines, already formatted."""
-    _emit_header(fh, config)
-    fh.write(",".join(header) + "\n")
-    fh.write(body)
-
-
-def _emit_json(fh, config: dict, payload: dict, indent: int | None = None) -> None:
-    """One JSON document, the format version and config first in the same
-    object as ``payload``, keys sorted, then a newline."""
-    doc = {"format_version": FORMAT_VERSION, "config": config, **payload}
-    fh.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
-
-
-def _write_json(path: str | None, config: dict, payload: dict) -> None:
-    if not path:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        _emit_json(fh, config, payload, indent=2)
+def _csv(header: list[str], rows) -> str:
+    """CSV lines of ``header`` and ``rows``, each value written by ``str``."""
+    return "".join([",".join(map(str, row)) + "\n" for row in [header, *rows]])
 
 
 def _config(args, keys: list[str]) -> dict:
@@ -139,17 +137,21 @@ def _config(args, keys: list[str]) -> dict:
     return cfg
 
 
-def _guard_kernels(ns: list[int], grids: list[int], force: bool) -> None:
-    """Usage error for a grid that breaks the grid rule; guard error for a
-    level kernel above ``DEFAULT_KERNEL_CAP`` unless forced."""
+def _guard(need: int, cap: int, force: bool, what: str) -> None:
+    """The one size guard: ``GuardError`` (exit 3) when ``need`` is above
+    ``cap`` and ``--force`` is not given.  ``what`` names the size."""
+    if need > cap and not force:
+        raise GuardError(f"{what}, above the cap of {cap}; pass --force to go past it")
+
+
+def _check_kernels(ns: list[int], grids: list[int], force: bool) -> None:
+    """Usage error for a grid that breaks the grid rule; guard on each level
+    kernel's bytes against ``DEFAULT_KERNEL_CAP``."""
     for n in ns:
         for grid in grids:
             size = metric.kernel_bytes(n, grid)
-            if size > DEFAULT_KERNEL_CAP and not force:
-                raise discrepancy.GuardError(
-                    f"n={n}, grid {grid}: the level kernel needs {size} bytes, "
-                    f"above the cap of {DEFAULT_KERNEL_CAP}; pass --force to build it"
-                )
+            _guard(size, DEFAULT_KERNEL_CAP, force,
+                   f"n={n}, grid {grid}: the level kernel needs {size} bytes")
 
 
 def cmd_gen(args) -> int:
@@ -157,13 +159,11 @@ def cmd_gen(args) -> int:
     if args.count < 1:
         raise UsageError("count must be >= 1")
     alpha = parse_alpha(args.alpha, n, args.width)
-    spec = PerturbSpec(n)
-    ps = generate_point_set(spec, alpha.fraction, args.count)
-    cfg = _config(args, ["n", "alpha", "count"])
-    with _open_out(args.out) as fh:
-        _emit_header(fh, cfg)
-        fh.write(f"# alpha: {alpha.to_json()}\n")
-        ps.write_csv(fh)
+    ps = generate_point_set(PerturbSpec(n), alpha.fraction, args.count)
+    csv_text = io.StringIO()
+    ps.write_csv(csv_text)
+    body = f"# alpha: {alpha.to_json()}\n{csv_text.getvalue()}"
+    _emit(args, _config(args, ["n", "alpha", "count"]), body)
     return EXIT_OK
 
 
@@ -171,12 +171,10 @@ def cmd_disc(args) -> int:
     n = _single_n(parse_range(args.n), "disc")
     if args.count < 1:
         raise UsageError("count must be >= 1")
-    if args.count > args.guard and not args.force:
-        raise discrepancy.GuardError(f"count {args.count} exceeds guard {args.guard}")
+    _guard(args.count, args.guard, args.force, f"the point set has {args.count} points")
     alpha = parse_alpha(args.alpha, n, args.width)
     ps = generate_point_set(PerturbSpec(n), alpha.fraction, args.count)
     res = discrepancy.star_discrepancy_2d(ps)
-    cfg = _config(args, ["n", "alpha", "count"])
     payload = {
         "n_points": res.n_points,
         "d_star": float(res.d_star),
@@ -186,9 +184,7 @@ def cmd_disc(args) -> int:
             {"coord": float(s.coord), "closed": s.closed} for s in res.witness_box
         ],
     }
-    _write_json(args.json, cfg, payload)
-    with _open_out(args.out) as fh:
-        _emit_json(fh, cfg, payload)
+    _emit(args, _config(args, ["n", "alpha", "count"]), payload=payload)
     return EXIT_OK
 
 
@@ -196,25 +192,22 @@ def cmd_scan(args) -> int:
     n = _single_n(parse_range(args.n), "scan")
     alpha = parse_alpha(args.alpha, n, args.width)
     ls = parse_range(args.L)
-    rec = discrepancy.growth_scan(
-        PerturbSpec(n), alpha.fraction, ls, guard=args.guard, force=args.force
-    )
-    cfg = _config(args, ["n", "alpha", "L", "guard"])
+    if ls[0] < 1:
+        raise UsageError("L values must be >= 1")
+    bits = n * ls[-1]
+    _guard(1 << bits, args.guard, args.force, f"L = {ls[-1]} gives N = 2^{bits} points")
+    rec = discrepancy.growth_scan(PerturbSpec(n), alpha.fraction, ls)
     rows = [
         [ell, n_pts, repr(nd), repr(math.log(n_pts)), repr(math.log(nd))]
         for (ell, n_pts, nd) in rec.samples
     ]
-    with _open_out(args.out) as fh:
-        _emit_csv(fh, cfg, ["L", "N", "NDstar", "logN", "logNDstar"], rows)
-    _write_json(
-        args.json,
-        cfg,
-        {
-            "fitted_exponent": rec.fitted_exponent,
-            "residual": rec.residual,
-            "a_n_reference": rec.reference_exponent,
-        },
-    )
+    payload = {
+        "fitted_exponent": rec.fitted_exponent,
+        "residual": rec.residual,
+        "a_n_reference": rec.reference_exponent,
+    }
+    _emit(args, _config(args, ["n", "alpha", "L", "guard"]),
+          _csv(["L", "N", "NDstar", "logN", "logNDstar"], rows), payload)
     return EXIT_OK
 
 
@@ -222,40 +215,36 @@ def cmd_trig(args) -> int:
     ns = parse_range(args.n)
     cfg = _config(args, ["n", "mode", "grid"])
     if args.mode == "an":
-        rows = [[n, repr(trigprod.a_exponent(n))] for n in ns]
-        with _open_out(args.out) as fh:
-            _emit_csv(fh, cfg, ["n", "a_n"], rows)
+        _emit(args, cfg, _csv(["n", "a_n"], [[n, repr(trigprod.a_exponent(n))] for n in ns]))
         return EXIT_OK
     # mode gn: dichotomy sweep values for one n
     n = _single_n(ns, "trig --mode gn")
-    cert = trigprod.gelfond_certify(n, args.grid)
-    xs = np.linspace(0.0, 1.0, args.grid + 1)
+    xs = trigprod.dichotomy_grid(args.grid)
+    g_xi = trigprod.g_at_xi(n)
     g1 = trigprod.g_value(n, xs)
-    ok = trigprod.gelfond_violation(n, xs, trigprod.g_at_xi(n)) <= cert.tolerance
+    ok = trigprod.gelfond_violation(n, xs, g_xi) <= trigprod.GELFOND_TOLERANCE
     rows = [[repr(float(x)), repr(float(v)), int(o)] for x, v, o in zip(xs, g1, ok)]
-    with _open_out(args.out) as fh:
-        _emit_csv(fh, cfg, ["x", "Gn", "bound_ok"], rows)
+    _emit(args, cfg, _csv(["x", "Gn", "bound_ok"], rows))
     return EXIT_OK
 
 
 def cmd_lambda(args) -> int:
     ns = parse_range(args.n)
-    cfg = _config(args, ["n", "depth", "grid"])
-    _guard_kernels(ns, [g for g in (args.grid, args.compare_grid) if g], args.force)
+    keys = ["n", "depth", "grid"] + (["compare_grid"] if args.compare_grid else [])
+    _check_kernels(ns, [g for g in (args.grid, args.compare_grid) if g], args.force)
     brackets = {n: metric.lambda_bracket(n, args.depth, args.grid) for n in ns}
-    header = ["j", "m_j", "M_j", "exp_lower", "exp_upper"]
-    rows = []
-    for n, br in brackets.items():
-        for rec in br.levels:
-            row = [rec.j, repr(rec.ratio_min), repr(rec.ratio_max),
-                   repr(rec.exp_lower), repr(rec.exp_upper)]
-            if len(ns) > 1:
-                row = [n] + row
-            rows.append(row)
-    if len(ns) > 1:
-        header = ["n"] + header
-    with _open_out(args.out) as fh:
-        _emit_csv(fh, cfg, header, rows)
+    lead = len(ns) > 1  # a range of n puts n in the first column
+    rows = [
+        [n] * lead + [rec.j, repr(rec.ratio_min), repr(rec.ratio_max),
+                      repr(rec.exp_lower), repr(rec.exp_upper)]
+        for n, br in brackets.items() for rec in br.levels
+    ]
+    body = _csv(["n"] * lead + ["j", "m_j", "M_j", "exp_lower", "exp_upper"], rows)
+    if args.out == "-" and args.json is None:
+        body += "".join(
+            f"# n={n}: exponent bracket [{br.exponent_lower:.5f}, {br.exponent_upper:.5f}]\n"
+            for n, br in brackets.items()
+        )
     payload = {
         "table": {
             str(n): {"exp_lower": br.exponent_lower, "exp_upper": br.exponent_upper}
@@ -271,12 +260,7 @@ def cmd_lambda(args) -> int:
                 "exp_upper_delta": brackets[n].exponent_upper - other.exponent_upper,
             }
         payload["refinement"] = deltas
-    _write_json(args.json, cfg, payload)
-    if args.out == "-" and args.json is None:
-        for n, br in brackets.items():
-            sys.stdout.write(
-                f"# n={n}: exponent bracket [{br.exponent_lower:.5f}, {br.exponent_upper:.5f}]\n"
-            )
+    _emit(args, _config(args, keys), body, payload)
     return EXIT_OK
 
 
@@ -284,7 +268,7 @@ def cmd_certify(args) -> int:
     ns = parse_range(args.n)
     if args.grid < 1000:
         raise UsageError("certification grid must be >= 1000")
-    _guard_kernels(ns, [args.struct_grid], args.force)
+    _check_kernels(ns, [args.struct_grid], args.force)
     reports = []
     failed = False
     for n in ns:
@@ -306,11 +290,8 @@ def cmd_certify(args) -> int:
                 "passed": ok,
             }
         )
-    cfg = _config(args, ["n", "grid", "blocks", "struct_grid"])
-    payload = {"reports": reports}
-    _write_json(args.json, cfg, payload)
-    with _open_out(args.out) as fh:
-        _emit_json(fh, cfg, payload, indent=2)
+    _emit(args, _config(args, ["n", "grid", "blocks", "struct_grid"]),
+          payload={"reports": reports}, indent=2)
     return EXIT_CERTIFY if failed else EXIT_OK
 
 
@@ -318,49 +299,53 @@ def cmd_bound(args) -> int:
     n = _single_n(parse_range(args.n), "bound")
     alpha = parse_alpha(args.alpha, n, args.width)
     params = expsum.BoundParams(args.N, args.H, args.K)
-    if params.table_rows > DEFAULT_BOUND_ROW_CAP and not args.force:
-        raise discrepancy.GuardError(
-            f"the bound table has {params.table_rows} rows, above the cap of "
-            f"{DEFAULT_BOUND_ROW_CAP}; pass --force to build it"
-        )
+    _guard(params.table_rows, DEFAULT_BOUND_ROW_CAP, args.force,
+           f"the bound table has {params.table_rows} rows")
     res = expsum.upper_bound_rhs(params, n, alpha.fraction)
-    cfg = _config(args, ["n", "alpha", "N", "H", "K"])
-    body = "".join([f"{r.ell},{r.h},{r.term_norm!r},{r.term_prod!r}\n" for r in res.rows])
-    with _open_out(args.out) as fh:
-        _emit_csv_body(fh, cfg, ["ell", "h", "term_norm", "term_prod"], body)
-    _write_json(
-        args.json,
-        cfg,
-        {
-            "term_nk": res.term_nk,
-            "term_nh_log": res.term_nh_log,
-            "term_log2": res.term_log2,
-            "term_sum": res.term_sum,
-            "total": res.total,
-            "degenerate": [list(d) for d in res.degenerate],
-        },
-    )
+    body = "ell,h,term_norm,term_prod\n" + "".join(
+        [f"{r.ell},{r.h},{r.term_norm!r},{r.term_prod!r}\n" for r in res.rows])
+    payload = {
+        "term_nk": res.term_nk,
+        "term_nh_log": res.term_nh_log,
+        "term_log2": res.term_log2,
+        "term_sum": res.term_sum,
+        "total": res.total,
+        "degenerate": [list(d) for d in res.degenerate],
+    }
+    _emit(args, _config(args, ["n", "alpha", "N", "H", "K"]), body, payload)
     return EXIT_OK
 
 
 def cmd_integral(args) -> int:
     n = _single_n(parse_range(args.n), "integral")
-    _guard_kernels([n], [DEFAULT_GRID_LAMBDA], args.force)
+    _check_kernels([n], [DEFAULT_GRID_LAMBDA], args.force)
     res = metric.integral_pi(n, args.L, args.quad, DEFAULT_GRID_LAMBDA)
-    cfg = _config(args, ["n", "L", "quad"])
     payload = {
         "by_recurrence": res.by_recurrence,
         "by_direct": res.by_direct,
         "disagreement": res.disagreement,
         "consistent": res.consistent,
     }
-    _write_json(args.json, cfg, payload)
-    with _open_out(args.out) as fh:
-        _emit_json(fh, cfg, payload)
+    _emit(args, _config(args, ["n", "L", "quad"]), payload=payload)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def flag(*names, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser that declares one shared flag."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    n_flag = flag("--n", required=True, help="n, or a range such as 1..8 where allowed")
+    out = flag("--out", default="-", help="output file (default -, stdout)")
+    alpha = flag("--alpha", default="theorem",
+                 help="theorem | shallit | rational | bits:HEX:WIDTH | frac:P/Q")
+    json_out = flag("--json", help="also write the result as a JSON document to this file")
+    force = flag("--force", action="store_true", help="build sizes above their cap")
+    guard = flag("--guard", type=int, default=DEFAULT_GUARD,
+                 help="largest point count built without --force")
+
     p = argparse.ArgumentParser(
         prog="halkron",
         description="perturbed Halton-Kronecker hybrid sequences and their discrepancy apparatus",
@@ -369,81 +354,48 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed-point width in bits (default 128)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("gen", help="write a point-set CSV")
-    sp.add_argument("--n", required=True)
-    sp.add_argument("--alpha", default="theorem")
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_gen)
+    def command(name, func, summary, *parents) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, parents=[n_flag, out, *parents], help=summary)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("disc", help="exact 2D star discrepancy of a generated set")
-    sp.add_argument("--n", required=True)
-    sp.add_argument("--alpha", default="theorem")
+    sp = command("gen", cmd_gen, "write a point-set CSV", alpha)
     sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    sp.add_argument("--force", action="store_true")
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--json")
-    sp.set_defaults(func=cmd_disc)
 
-    sp = sub.add_parser("scan", help="growth scan N*D*_N over N = 2^{nL}")
-    sp.add_argument("--n", required=True)
-    sp.add_argument("--alpha", default="theorem")
+    sp = command("disc", cmd_disc, "exact 2D star discrepancy of a generated set",
+                 alpha, guard, force, json_out)
+    sp.add_argument("--count", type=int, required=True)
+
+    sp = command("scan", cmd_scan, "growth scan N*D*_N over N = 2^{nL}",
+                 alpha, guard, force, json_out)
     sp.add_argument("--L", required=True)
-    sp.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    sp.add_argument("--force", action="store_true")
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--json")
-    sp.set_defaults(func=cmd_scan)
 
-    sp = sub.add_parser("trig", help="exponent curve a(n) or dichotomy sweep")
-    sp.add_argument("--n", required=True)
+    sp = command("trig", cmd_trig, "exponent curve a(n) or dichotomy sweep")
     sp.add_argument("--mode", choices=["an", "gn"], default="an")
     sp.add_argument("--grid", type=int, default=DEFAULT_CERTIFY_GRID)
-    sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_trig)
 
-    sp = sub.add_parser("lambda", help="per-level exponent bracket table")
-    sp.add_argument("--n", required=True)
+    sp = command("lambda", cmd_lambda, "per-level exponent bracket table", force, json_out)
     sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     sp.add_argument("--grid", type=int, default=DEFAULT_GRID_LAMBDA)
     sp.add_argument("--compare-grid", type=int, default=None,
                     help="second grid size; report refinement deltas")
-    sp.add_argument("--force", action="store_true", help="build kernels above the cap")
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--json")
-    sp.set_defaults(func=cmd_lambda)
 
-    sp = sub.add_parser("certify", help="dichotomy + sharpness + structural checks")
-    sp.add_argument("--n", required=True)
+    sp = command("certify", cmd_certify, "dichotomy + sharpness + structural checks",
+                 force, json_out)
     sp.add_argument("--grid", type=int, default=DEFAULT_CERTIFY_GRID)
-    sp.add_argument("--blocks", type=int, default=20,
-                    help="L for the sharpness identity")
+    sp.add_argument("--blocks", type=int, default=20, help="L for the sharpness identity")
     sp.add_argument("--struct-grid", type=int, default=DEFAULT_GRID_LAMBDA)
-    sp.add_argument("--force", action="store_true", help="build kernels above the cap")
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--json")
-    sp.set_defaults(func=cmd_certify)
 
-    sp = sub.add_parser("bound", help="generic upper-bound right-hand side terms")
-    sp.add_argument("--n", required=True)
-    sp.add_argument("--alpha", default="theorem")
+    sp = command("bound", cmd_bound, "generic upper-bound right-hand side terms",
+                 alpha, force, json_out)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--H", type=int, required=True)
     sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--force", action="store_true", help="build tables above the row cap")
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--json")
-    sp.set_defaults(func=cmd_bound)
 
-    sp = sub.add_parser("integral", help="integral of the product by both routes")
-    sp.add_argument("--n", required=True)
+    sp = command("integral", cmd_integral, "integral of the product by both routes",
+                 force, json_out)
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--quad", type=int, default=8)
-    sp.add_argument("--force", action="store_true", help="build kernels above the cap")
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--json")
-    sp.set_defaults(func=cmd_integral)
 
     return p
 
@@ -453,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except discrepancy.GuardError as exc:
+    except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (UsageError, ValueError) as exc:

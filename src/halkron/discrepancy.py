@@ -83,10 +83,6 @@ _FOLD_POINTS = 8
 _BOUND_ROWS = 1024
 
 
-class GuardError(ValueError):
-    """Raised when a scan would exceed the configured size guard."""
-
-
 @dataclass(frozen=True)
 class BoxSide:
     """One coordinate of a witness corner; closed means the counting that
@@ -359,16 +355,12 @@ class GrowthRecord:
     reference_exponent: float
 
 
-def growth_scan(
-    spec: PerturbSpec,
-    alpha: UnitFraction,
-    exponents: Sequence[int],
-    guard: int = 1 << 16,
-    force: bool = False,
-) -> GrowthRecord:
+def growth_scan(spec: PerturbSpec, alpha: UnitFraction, exponents: Sequence[int]) -> GrowthRecord:
     """N*D*_N at N = 2^{nL} for each L, with an unweighted least-squares fit
     of log(N*D*) against log N.  The underlying bounds only control the
-    limsup rate, so the fit is reported with its residual, never asserted."""
+    limsup rate, so the fit is reported with its residual, never asserted.
+    No size is capped here: the time is quadratic in the largest N, and the
+    CLI's ``scan`` refuses N above its ``--guard`` unless forced."""
     from .trigprod import a_exponent
 
     if not exponents:
@@ -377,8 +369,6 @@ def growth_scan(
     for ell in exponents:
         if ell < 1:
             raise ValueError("L values must be >= 1")
-        if (1 << (n * ell)) > guard and not force:
-            raise GuardError(f"N = 2^{n * ell} exceeds the guard {guard}")
     samples = []
     for ell in sorted(exponents):
         big_n = 1 << (n * ell)

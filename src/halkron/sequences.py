@@ -11,7 +11,7 @@ plain base-2 radical inverse.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -132,7 +132,6 @@ class PointSet2:
     x_bits: list[int]
     y_bits: list[int]
     width: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.x_bits) != len(self.y_bits):
@@ -156,45 +155,27 @@ class PointSet2:
             w.writerow([k, f"0x{xb:x}", f"0x{yb:x}", repr(xb / q), repr(yb / q)])
 
 
-def generate_point_set(
-    spec: PerturbSpec,
-    alpha: UnitFraction,
-    count: int,
-    chunk_size: int | None = None,
-) -> PointSet2:
+def generate_point_set(spec: PerturbSpec, alpha: UnitFraction, count: int) -> PointSet2:
     """First ``count`` hybrid points z_0..z_{count-1}; O(count) time and
-    memory.  Output is identical for every chunk_size."""
+    memory."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if spec.shift != 0:
         raise ValueError("point generation uses the unshifted pattern")
     width = alpha.width
-    if chunk_size is None or chunk_size < 1:
-        chunk_size = count
     mod_mask = (1 << width) - 1
     m = max(1, (count - 1).bit_length())  # x_k needs m fractional digits
     if m + 1 > width:
         raise ValueError("count too large for the fixed-point width")
-    x_bits: list[int] = []
+    ks = np.arange(count, dtype=np.int64)
+    xnum = _parity_u64(ks & spec.digit_mask(63)) << (m - 1)
+    for i in range(1, m):
+        xnum |= ((ks >> i) & 1) << (m - 1 - i)
+    shift = width - m
+    x_bits = [int(v) << shift for v in xnum]
     y_bits: list[int] = []
-    mask = spec.digit_mask(63)
-    for start in range(0, count, chunk_size):
-        stop = min(start + chunk_size, count)
-        ks = np.arange(start, stop, dtype=np.int64)
-        y0 = _parity_u64(ks & mask)
-        xnum = y0 << (m - 1)
-        for i in range(1, m):
-            xnum |= ((ks >> i) & 1) << (m - 1 - i)
-        shift = width - m
-        x_bits.extend(int(v) << shift for v in xnum)
-        yb = (start * alpha.bits) & mod_mask
-        for _ in range(start, stop):
-            y_bits.append(yb)
-            yb = (yb + alpha.bits) & mod_mask
-    meta = {
-        "n": spec.period,
-        "alpha_bits_hex": f"0x{alpha.bits:x}",
-        "width": width,
-        "count": count,
-    }
-    return PointSet2(x_bits, y_bits, width, meta)
+    yb = 0
+    for _ in range(count):
+        y_bits.append(yb)
+        yb = (yb + alpha.bits) & mod_mask
+    return PointSet2(x_bits, y_bits, width)

@@ -163,6 +163,10 @@ def log_g_at_xi(n: int) -> float:
     return _log_cot_xi_angle(n) - n * math.log(2.0)
 
 
+# largest violation of the dichotomy that the sweep still accepts
+GELFOND_TOLERANCE = 1e-12
+
+
 @dataclass(frozen=True)
 class GelfondCertificate:
     """Sweep record for the dichotomy: for every x, G_n(x) <= G_n(xi_n) or
@@ -173,7 +177,7 @@ class GelfondCertificate:
     grid_size: int
     max_violation: float
     worst_x: float
-    tolerance: float = 1e-12
+    tolerance: float = GELFOND_TOLERANCE
 
     @property
     def passed(self) -> bool:
@@ -188,14 +192,19 @@ def gelfond_violation(n: int, xs: np.ndarray, g_xi: float) -> np.ndarray:
     return np.minimum(g1 - g_xi, g1 * g2 - g_xi * g_xi)
 
 
+def dichotomy_grid(grid_size: int) -> np.ndarray:
+    """The grid_size + 1 equispaced nodes of [0, 1] the dichotomy sweep checks."""
+    if grid_size < 1000:
+        raise ValueError("grid_size must be >= 1000")
+    return np.linspace(0.0, 1.0, grid_size + 1)
+
+
 def gelfond_certify(n: int, grid_size: int) -> GelfondCertificate:
     """Grid sweep of the dichotomy plus three bisection rounds of local
     refinement around the worst node.  The sweep guards the implementation;
     the dichotomy itself is a proven statement."""
-    if grid_size < 1000:
-        raise ValueError("grid_size must be >= 1000")
+    xs = dichotomy_grid(grid_size)
     g_xi = g_at_xi(n)
-    xs = np.linspace(0.0, 1.0, grid_size + 1)
     v = gelfond_violation(n, xs, g_xi)
     i = int(np.argmax(v))
     max_v = float(v[i])

@@ -92,6 +92,24 @@ class TestDiscAndScan:
         assert code == 3
         assert "guard" in err
 
+    @pytest.mark.parametrize("argv", [["disc", "--count", "64"], ["scan", "--L", "4..6"]],
+                             ids=["disc", "scan"])
+    def test_guard_and_force(self, capsys, argv):
+        argv = [*argv, "--n", "1", "--guard", "16"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("guard: ") and "--force" in err
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0
+        assert out
+
+    def test_bad_l_is_checked_before_the_guard(self, capsys):
+        code, out, err = run(capsys, "scan", "--n", "1", "--L", "0..30")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestTrigAndLambda:
     def test_an_curve(self, capsys):
@@ -124,6 +142,7 @@ class TestTrigAndLambda:
         assert code == 0
         doc = json.loads(jpath.read_text())
         assert doc["table"]["1"]["exp_upper"] == pytest.approx(0.5, abs=1e-9)
+        assert "compare_grid" not in doc["config"]
 
     def test_lambda_single_n_header(self, capsys):
         code, out, _ = run(capsys, "lambda", "--n", "2", "--depth", "2", "--grid", "4096")
@@ -140,6 +159,7 @@ class TestTrigAndLambda:
         assert lines[0] == "n,j,m_j,M_j,exp_lower,exp_upper"
         doc = json.loads(jpath.read_text())
         assert "refinement" in doc
+        assert doc["config"]["compare_grid"] == 4096
         assert abs(doc["refinement"]["1"]["exp_upper_delta"]) < 1e-3
 
 

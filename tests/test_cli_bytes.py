@@ -1,0 +1,60 @@
+"""Byte pins of the CLI outputs: the sha256 of stdout, and of the ``--json``
+file where the command writes one, for one small run of each command.
+
+A change to any of these bytes fails here on purpose.  If the change is
+intended, record it (and why) in CHANGES.md and update the hash.
+"""
+
+import hashlib
+
+import pytest
+
+from halkron import cli
+
+# argv, sha256(stdout), sha256(--json file) or None
+PINS = [
+    (["gen", "--n", "1", "--count", "64"],
+     "473ee0e67ca4a9954a9590f63411284c9d417edc46b7e8440d7ac8c7b0eef1bd", None),
+    (["disc", "--n", "1", "--alpha", "rational", "--count", "256"],
+     "a98fc35fc23e17b7108bba123a4d3a3f9f96bfffb8287b8684909f7bec05b87e",
+     "b02b730b1aa6624daf9256a20ed29b4ef5c198ecac289a93cc0719dfe1e15e1b"),
+    (["scan", "--n", "1", "--L", "3..6"],
+     "1e7fd5bff48fa2fe9d5352e1773b2fdad0e335550c2c3a0c27574bf542f74c6f",
+     "1ca24df384905c87afb9fde4d2e5aa7ed6517c876055b831a204487490a716d4"),
+    (["trig", "--n", "1..50"],
+     "da1dbba82d6e9dc4a84b84593c7303475863ed0a8ad24a2e20ca0e338906ccf4", None),
+    (["trig", "--n", "3", "--mode", "gn", "--grid", "2000"],
+     "290d5e271813ff7e360a982d4a7505a6ad626feed266c41ea28d72ce58a7a5d5", None),
+    (["lambda", "--n", "1..2", "--depth", "3", "--grid", "2048"],
+     "d49ad1d382d5054cd75e261f4448768fd240a0fbbdc08ee1ccf77b57a268366f",
+     "14828db5a304c8047df2e7427fd32252166b26b825fd20809de6fe5076f05b1a"),
+    (["lambda", "--n", "2", "--depth", "3", "--grid", "2048"],
+     "daeeab1ff256c20a132347bcc6a31c18f023bf720d3912e961e0dfdbfd1cb6ad", None),
+    (["certify", "--n", "1..2", "--grid", "2000", "--blocks", "5", "--struct-grid", "2048"],
+     "7d8dadaf5ada5f9d830767be308ec619e66b5193b8116b754cca3bc966b18dda",
+     "7d8dadaf5ada5f9d830767be308ec619e66b5193b8116b754cca3bc966b18dda"),
+    (["bound", "--n", "2", "--alpha", "shallit", "--N", "256", "--H", "256", "--K", "256"],
+     "3cae76a860fb3c458b416c3ce2a66b8f39a465fca50521563fe12d18b2c61d1c",
+     "a570c61f499f7a5dee53ea43e9b516f635f59125a768331ee5ee82eff435c8b6"),
+    (["integral", "--n", "1", "--L", "3"],
+     "1216519883c18f6d392d9a40bd42e0a4074cbbd264f6967833f4c93c55129933",
+     "9c10f63501377124fad667f4cf5cfa326d186d8b28b95db4073dbd55a1592a80"),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+IDS = ["gen", "disc", "scan", "trig-an", "trig-gn", "lambda-range", "lambda-single", "certify",
+       "bound", "integral"]
+
+
+@pytest.mark.parametrize("argv,stdout_sha,json_sha", PINS, ids=IDS)
+def test_output_bytes(argv, stdout_sha, json_sha, tmp_path, capsys):
+    jpath = tmp_path / "out.json"
+    extra = ["--json", str(jpath)] if json_sha else []
+    assert cli.main(argv + extra) == 0
+    assert _sha(capsys.readouterr().out.encode()) == stdout_sha
+    if json_sha:
+        assert _sha(jpath.read_bytes()) == json_sha

@@ -6,7 +6,6 @@ import pytest
 from conftest import random_point_set
 from row_sweep_oracle import row_sweep_discrepancy_2d
 from halkron.discrepancy import (
-    GuardError,
     brute_force_discrepancy_2d,
     brute_force_discrepancy_points,
     growth_scan,
@@ -215,10 +214,6 @@ class TestGrowthScan:
         rec = growth_scan(PerturbSpec(1), theorem_alpha(1).fraction, [5])
         assert rec.fitted_exponent is None
         assert len(rec.samples) == 1
-
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            growth_scan(PerturbSpec(1), theorem_alpha(1).fraction, [18])
 
     def test_rational_alpha_degenerates_to_linear(self):
         rec = growth_scan(PerturbSpec(1), uf(1, 2, 128), list(range(4, 10)))

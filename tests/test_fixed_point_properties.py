@@ -1,11 +1,11 @@
-"""Property tests of the fixed-point arithmetic, the shifted perturbation
-pattern and chunked point generation."""
+"""Property tests of the fixed-point arithmetic and the shifted perturbation
+pattern."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halkron.numtheory import UnitFraction
-from halkron.sequences import PerturbSpec, generate_point_set
+from halkron.sequences import PerturbSpec
 
 # derandomized and without an example database, so reruns are identical
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -42,10 +42,3 @@ def test_shift_left_is_mul_by_power_of_two(a, j):
 def test_shifted_gamma_is_tail_of_unshifted(n, shift, r):
     assert PerturbSpec(n, shift=shift).gamma(r) == PerturbSpec(n).gamma(r + shift)[shift:]
 
-
-@PROPERTY
-@given(st.integers(1, 4), unit_fractions(widths=(16, 64, 128, 200)), st.integers(1, 300),
-       st.integers(1, 400))
-def test_point_set_does_not_depend_on_chunk_size(n, alpha, count, chunk):
-    whole = generate_point_set(PerturbSpec(n), alpha, count)
-    assert generate_point_set(PerturbSpec(n), alpha, count, chunk_size=chunk) == whole

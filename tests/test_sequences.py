@@ -172,16 +172,6 @@ class TestGeneratePointSet:
             assert ps.x_bits[k] == x.bits
             assert ps.y_bits[k] == y.bits
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
-    def test_chunking_invariance(self, chunk):
-        from halkron.numtheory import theorem_alpha
-
-        alpha = theorem_alpha(1).fraction
-        ref = generate_point_set(PerturbSpec(1), alpha, 150)
-        other = generate_point_set(PerturbSpec(1), alpha, 150, chunk_size=chunk)
-        assert ref.x_bits == other.x_bits
-        assert ref.y_bits == other.y_bits
-
     def test_csv_export(self):
         ps = generate_point_set(PerturbSpec(1), make_unit_fraction(1, 2, 128), 4)
         buf = io.StringIO()
