@@ -105,7 +105,8 @@ def _emit(args, config: dict, body: str | None = None, payload: dict | None = No
     no body it gets ``payload`` as one JSON document instead.  ``--json``,
     where the command has it, gets ``payload`` with indent 2.  A JSON
     document is one object, keys sorted, that holds the format version and
-    config next to ``payload``.  The path ``-`` is stdout."""
+    config next to ``payload``.  The path ``-`` is stdout, written last: a
+    file that cannot be written is a usage error before any output."""
 
     def document(ind: int | None) -> str:
         doc = {"format_version": FORMAT_VERSION, "config": config, **payload}
@@ -118,12 +119,15 @@ def _emit(args, config: dict, body: str | None = None, payload: dict | None = No
                               f"# config: {json.dumps(config, sort_keys=True)}\n{body}")]
     if getattr(args, "json", None):
         outputs.append((args.json, document(2)))
-    for path, text in outputs:
+    for path, text in sorted(outputs, key=lambda o: o[0] == "-"):  # files first
         if path == "-":
             sys.stdout.write(text)
-        else:
+            continue
+        try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _csv(header: list[str], rows) -> str:

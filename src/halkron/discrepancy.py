@@ -134,19 +134,17 @@ class _RankSweep:
     def __init__(self, ps: PointSet2):
         n = len(ps)
         self.q = q = 1 << ps.width
-        self.xs = xs = sorted(set(ps.x_bits))
-        self.ys = ys = sorted(set(ps.y_bits))
+        # the distinct numerators in increasing order, and each point's rank
+        xs, rank_x = np.unique(np.array(ps.x_bits, dtype=object), return_inverse=True)
+        ys, rank_y = np.unique(np.array(ps.y_bits, dtype=object), return_inverse=True)
+        self.xs, self.ys = xs, ys = xs.tolist(), ys.tolist()
         self.nx, self.ny = nx, ny = len(xs), len(ys)
-        rank_x = {v: i for i, v in enumerate(xs)}
-        rank_y = {v: i for i, v in enumerate(ys)}
-        row_ys: list[list[int]] = [[] for _ in range(nx)]
-        for a, b in zip(ps.x_bits, ps.y_bits):
-            row_ys[rank_x[a]].append(rank_y[b])
-        # y ranks of the points in increasing x rank; rows a-1 and a end at
-        # k[a] and k[a+1] (row nx holds no point)
-        self.pts_y = [b for row in row_ys for b in row]
+        # y ranks of the points in increasing x rank (stable, so in point
+        # order within a row); rows a-1 and a end at k[a] and k[a+1] (row
+        # nx holds no point)
+        self.pts_y = rank_y[np.argsort(rank_x, kind="stable")].tolist()
         self.k = np.zeros(nx + 2, dtype=np.int64)
-        np.cumsum([len(row) for row in row_ys], out=self.k[1:nx + 1])
+        np.cumsum(np.bincount(rank_x, minlength=nx), out=self.k[1:nx + 1])
         self.k[nx + 1] = n
         self.x_n = np.array([v / q for v in xs] + [1.0]) * n
         self.y_f = np.array([v / q for v in ys] + [1.0])

@@ -2,9 +2,10 @@
 bound, and evaluation of the generic upper-bound right-hand side.
 
 Every phase derives from an exact fixed-point reduction of alpha (table
-lookups over split indices), never from a double-precision 2^l*h*alpha:
-at large shifts the float product has no phase accuracy left while the
-shifted bit pattern is still exact modulo 1.
+lookups over split indices for the sums, ``trigprod.doubled_phases`` for
+the products), never from a double-precision 2^l*h*alpha: at large shifts
+the float product has no phase accuracy left while the shifted bit pattern
+is still exact modulo 1.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .numtheory import UnitFraction
-from .sequences import PerturbSpec, mk_array, _parity_u64
-from .trigprod import lacunary_factor, log_pi_product
+from .sequences import PerturbSpec, mk_array
+from .trigprod import doubled_phases, lacunary_factors, log_pi_product
 
 _MAX_MK_COUNT = 1 << 24
 _MAX_V = 1 << 22
@@ -85,8 +86,7 @@ def exp_sum_perturbed(n: int, log2_count: int, alpha: UnitFraction) -> ExpSumRes
     if not 0 <= log2_count <= 24:
         raise ValueError("log2_count must be in [0, 24]")
     ms = np.arange(1 << log2_count, dtype=np.int64)
-    mask = PerturbSpec(n).digit_mask(63)
-    phases = (_phases(ms, alpha) + 0.5 * _parity_u64(ms & mask)) % 1.0
+    phases = (_phases(ms, alpha) + 0.5 * PerturbSpec(n).digit_parity(ms)) % 1.0
     return _sum_of_phases(phases)
 
 
@@ -130,24 +130,21 @@ def two_additive_bound_check(
     theta = alpha.mul_int(h).shift_left(ell)
     shifted = PerturbSpec(n, shift=ell)
     vs = np.arange(count, dtype=np.int64)
-    mask = shifted.digit_mask(63)
-    phases = (_phases(vs, theta) + 0.5 * _parity_u64(vs & mask)) % 1.0
+    phases = (_phases(vs, theta) + 0.5 * shifted.digit_parity(vs)) % 1.0
     lhs = _sum_of_phases(phases).modulus
     rmax = count.bit_length() - 1  # floor(log2 count)
-    table = _doubled_phases([theta.bits], theta.width, rmax)
-    rhs = float(_weighted_prefix_sum(table, shifted.gamma(rmax))[0])
+    table = doubled_phases([theta.bits], theta.modulus, rmax)
+    rhs = float(_weighted_prefix_sum(lacunary_factors(table, shifted.gamma(rmax)))[0])
     return TwoAdditiveCheck(lhs, rhs, count)
 
 
-def _weighted_prefix_sum(phases: np.ndarray, gamma: Sequence[int]) -> np.ndarray:
-    """sum_{r=0}^{R} 2^r prod_{j<r} f_j for each row of an [rows, R] phase
-    table, f_j the ``lacunary_factor`` of column j (sine where gamma_j = 1)
-    and the partial products grown one column at a time."""
-    total = np.ones(len(phases))  # r = 0: empty product
-    running = np.ones(len(phases))
-    f = np.empty(len(phases))
-    for r in range(phases.shape[1]):
-        running *= lacunary_factor(phases[:, r], gamma[r], out=f)
+def _weighted_prefix_sum(factors: np.ndarray) -> np.ndarray:
+    """sum_{r=0}^{R} 2^r prod_{j<r} f_j for each row of an [rows, R] factor
+    table, the partial products grown one column at a time."""
+    total = np.ones(len(factors))  # r = 0: empty product
+    running = np.ones(len(factors))
+    for r in range(factors.shape[1]):
+        running *= factors[:, r]
         total += 2.0 ** (r + 1) * running
     return total
 
@@ -204,52 +201,15 @@ class UpperBoundTerms:
         return not self.degenerate
 
 
-def _doubled_phases(bs: list[int], width: int, r: int) -> np.ndarray:
-    """The [rows, r] table of phases ((b << j) mod 2^W) / 2^W, j < r, each
-    rounded to double exactly as the int division ``num / 2^W`` rounds.
-
-    Column j < 64 reads the 64 bits of b that start j bits below its top
-    bit, out of b's top 128, and folds every lower bit of b into the
-    window's last bit (round to odd).  A
-    window of at least 2^54 keeps 55 or more bits, so the one rounding of
-    the uint64 -> float64 cast is then the correct one; so is the cast of a
-    window with no lower bits.  The remaining entries, and every column
-    from j = 64 on, take the int division.
-    """
-    rows = len(bs)
-    mod = 1 << width
-    cols = min(r, 64)
-    if width >= 128:
-        low = (1 << (width - 128)) - 1
-        tops = [b >> (width - 128) for b in bs]
-        rest = np.array([b & low != 0 for b in bs], dtype=bool).reshape(rows, 1)
-    else:
-        tops = [b << (128 - width) for b in bs]
-        rest = False
-    limbs = np.frombuffer(b"".join(t.to_bytes(16, "little") for t in tops), dtype="<u8")
-    lo, hi = limbs.reshape(rows, 2).T.astype(np.uint64)[:, :, None]
-    js = np.arange(cols, dtype=np.uint64)
-    window = (hi << js) | ((lo >> np.uint64(1)) >> (np.uint64(63) - js))
-    sticky = ((lo << js) != 0) | rest
-    phases = np.empty((rows, r))
-    np.multiply((window | sticky).astype(np.float64), 2.0**-64, out=phases[:, :cols])
-    for i, j in zip(*np.nonzero(sticky & (window < np.uint64(1 << 54)))):
-        phases[i, j] = ((bs[i] << int(j)) & (mod - 1)) / mod
-    for j in range(cols, r):
-        phases[:, j] = [((b << j) & (mod - 1)) / mod for b in bs]
-    return phases
-
-
 def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBoundTerms:
     """N/K + (N/H) log N + log^2 N + the double sum over (l, h); natural
     logarithms.  A vanishing ||2^l h alpha|| (alpha effectively rational at
     that shift) makes the term +inf and is reported in ``degenerate``.
 
     Each l is one [rows, r] table over h of the doubled phases of
-    2^l h alpha.  Its factors are taken column by column, one
-    ``trigprod.lacunary_factor`` call per column, and multiplied into the
-    weighted prefix sums; the rows are bit-identical to doubling each row's
-    phase on its own with ``trigprod.doubling_factors``."""
+    2^l h alpha (``trigprod.doubled_phases``).  Its factors come from
+    ``trigprod.lacunary_factors``, as those of ``log_pi_product`` do, and
+    are multiplied into the weighted prefix sums one column at a time."""
     big_n, h_lim, k_lim = params.n_points, params.h_limit, params.k_limit
     log_n = math.log(big_n)
     term_nk = big_n / k_lim
@@ -271,7 +231,8 @@ def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBo
             bs = [(step * h) & (mod - 1) for h in hs]
             # 1 / (min(b, 2^W - b) / 2^W), rounded as the exact distance's float
             norms = [1.0 / ((b if b <= half else mod - b) / mod) if b else math.inf for b in bs]
-            prods = _weighted_prefix_sum(_doubled_phases(bs, alpha.width, rmax), gamma).tolist()
+            factors = lacunary_factors(doubled_phases(bs, mod, rmax), gamma)
+            prods = _weighted_prefix_sum(factors).tolist()
             for h, norm, prod in zip(hs, norms, prods):
                 total += (norm + prod) / h
             rows += map(UpperBoundRow._make, zip(repeat(ell), hs, norms, prods))

@@ -53,6 +53,14 @@ class PerturbSpec:
             mask |= 1 << p
         return mask
 
+    def digit_parity(self, ks: np.ndarray) -> np.ndarray:
+        """``weighted_digit_sum`` of each element of a non-negative int64
+        array, as an int64 array of 0 and 1 (bitwise parity by folding)."""
+        a = ks & self.digit_mask(63)
+        for s in (32, 16, 8, 4, 2, 1):
+            a ^= a >> s
+        return a & 1
+
 
 def weighted_digit_sum(k: int, spec: PerturbSpec) -> int:
     """Parity of the dyadic digits of k at the positions selected by the
@@ -87,14 +95,6 @@ def hybrid_point(k: int, spec: PerturbSpec, alpha: UnitFraction) -> tuple[UnitFr
     return digital_point(k, spec, alpha.width), alpha.mul_int(k)
 
 
-def _parity_u64(a: np.ndarray) -> np.ndarray:
-    """Bitwise parity of each element of an unsigned/positive int64 array."""
-    a = a.copy()
-    for s in (32, 16, 8, 4, 2, 1):
-        a ^= a >> s
-    return a & 1
-
-
 def mk_array(n: int, count: int) -> np.ndarray:
     """First ``count`` non-negative integers whose digits at positions
     divisible by n have even sum, as an int64 array.  These are exactly the
@@ -103,14 +103,14 @@ def mk_array(n: int, count: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    mask = PerturbSpec(n).digit_mask(63)
+    spec = PerturbSpec(n)
     out: list[np.ndarray] = []
     have = 0
     start = 0
     block = 1 << 16
     while have < count:
         cand = np.arange(start, start + block, dtype=np.int64)
-        keep = cand[_parity_u64(cand & mask) == 0]
+        keep = cand[spec.digit_parity(cand) == 0]
         out.append(keep)
         have += len(keep)
         start += block
@@ -168,7 +168,7 @@ def generate_point_set(spec: PerturbSpec, alpha: UnitFraction, count: int) -> Po
     if m + 1 > width:
         raise ValueError("count too large for the fixed-point width")
     ks = np.arange(count, dtype=np.int64)
-    xnum = _parity_u64(ks & spec.digit_mask(63)) << (m - 1)
+    xnum = spec.digit_parity(ks) << (m - 1)
     for i in range(1, m):
         xnum |= ((ks >> i) & 1) << (m - 1 - i)
     shift = width - m

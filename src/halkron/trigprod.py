@@ -1,11 +1,11 @@
 """Lacunary trigonometric products, the sharp exponent a(n), and the
 angle-doubling fixed-point apparatus with its numerical certification.
 
-Phase arguments are never formed as ``2**j * alpha`` in floating point: the
-doubling happens on the exact bit representation (or exactly modulo q for a
-rational alpha) and only the reduced phase in [0,1) is converted to double.
-That keeps hundreds of factors meaningful where naive doubles would have no
-phase accuracy left.
+Phase arguments are never formed as ``2**j * alpha`` in floating point:
+``doubled_phases`` doubles the exact bits (or exactly modulo q for a
+rational alpha) and only the reduced phase in [0,1) becomes a double.  That
+keeps hundreds of factors meaningful where naive doubles would have no phase
+accuracy left.  Every product takes its factors from that table.
 """
 
 from __future__ import annotations
@@ -39,40 +39,70 @@ def lacunary_factor(phase, sine, out=None):
     return np.sin(np.multiply(arg, np.pi, out=out), out=out)
 
 
-def doubling_factors(num: int, den: int, gamma: Sequence[int], r: int) -> list[float]:
-    """The r factors |cos(2^j pi num/den + gamma_j pi/2)|, j < r: the
-    ``lacunary_factor`` of each doubled phase, sine where gamma_j = 1.
+def doubled_phases(nums: Sequence[int], den: int, r: int) -> np.ndarray:
+    """The [rows, r] table of phases ((num << j) mod den) / den, j < r, one
+    row per num in [0, den), each entry rounded to double exactly as the
+    int division ``num / den`` rounds.
 
-    The phase num/den is doubled exactly as ``num = 2 num mod den``: a
-    left shift of the fixed-point bits for den = 2^W, exact modular
-    reduction for a rational p/q.  Only the reduced phase becomes a double.
-    Both factors are taken of the r phases at once and gamma picks one of
-    each pair: a numpy call per factor would cost more than the doubling.
-
-    This is the single-product route, for any modulus.  It serves
-    ``log_pi_product`` and through it ``sharpness_identity`` and
-    ``expsum.product_lower_bound``.  The bound table doubles many 2^W phases
-    at once (``expsum.upper_bound_rhs``) and gives the same factors.
+    For den = 2^W, column j < 64 reads the 64 bits of num that start j bits
+    below its top bit, out of num's top 128, and folds every lower bit of
+    num into the window's last bit (round to odd).  A window of at least
+    2^54 keeps 55 or more bits, so the one rounding of the uint64 -> float64
+    cast is then the correct one; so is the cast of a window with no lower
+    bits.  The remaining entries, every column from j = 64 on and every
+    entry of any other den take the int division, one row-list at a time.
+    The table is column-major, so each column is contiguous.
     """
-    if not 0 <= r <= len(gamma):
-        raise ValueError("need 0 <= r <= len(gamma)")
-    phases = []
-    for _ in range(r):
-        phases.append(num / den)
-        num = (num << 1) % den
-    phases = np.array(phases)
-    sine = np.array(gamma[:r], dtype=bool)
-    return np.where(sine, lacunary_factor(phases, True), lacunary_factor(phases, False)).tolist()
+    rows = len(nums)
+    phases = np.empty((r, rows)).T
+    width = den.bit_length() - 1
+    cols = min(r, 64) if den == 1 << width else 0
+    if cols:
+        if width >= 128:
+            low = (1 << (width - 128)) - 1
+            tops = [b >> (width - 128) for b in nums]
+            rest = np.array([b & low != 0 for b in nums], dtype=bool)
+        else:
+            tops = [b << (128 - width) for b in nums]
+            rest = False
+        limbs = np.frombuffer(b"".join([t.to_bytes(16, "little") for t in tops]), dtype="<u8")
+        lo, hi = limbs.reshape(rows, 2).T.astype(np.uint64)
+        js = np.arange(cols, dtype=np.uint64)[:, None]
+        window = (hi << js) | ((lo >> np.uint64(1)) >> (np.uint64(63) - js))  # [cols, rows]
+        sticky = ((lo << js) != 0) | rest
+        np.multiply((window | sticky).astype(np.float64), 2.0**-64, out=phases.T[:cols])
+        for j, i in zip(*np.nonzero(sticky & (window < np.uint64(1 << 54)))):
+            phases[i, j] = ((nums[i] << int(j)) % den) / den
+    if cols < r:
+        phases[:, cols:] = [[((num << j) % den) / den for j in range(cols, r)] for num in nums]
+    return phases
+
+
+def lacunary_factors(phases: np.ndarray, gamma: Sequence[int]) -> np.ndarray:
+    """The [rows, r] factor table of a [rows, r] phase table: column j holds
+    the ``lacunary_factor`` of column j, the sine where gamma_j = 1.  A
+    gamma of one kind is one call; otherwise the cosine of every column is
+    overwritten by the sine of the gathered sine columns."""
+    out = np.empty_like(phases)
+    if len(set(gamma)) < 2:
+        return lacunary_factor(phases, 1 in gamma, out=out)
+    sine = np.array(gamma, dtype=bool)
+    lacunary_factor(phases, False, out=out)
+    out[:, sine] = lacunary_factor(phases[:, sine], True)
+    return out
 
 
 def log_pi_product(r: int, gamma: Sequence[int], p: int, q: int) -> float:
     """log Pi_{r,gamma}(p/q) = sum_{j<r} log |cos(2^j pi p/q + gamma_j pi/2)|,
-    -inf on a hard zero.  The phases 2^j p mod q are reduced exactly; a
-    W-bit alpha is p = its bits and q = 2^W."""
+    -inf on a hard zero.  The factors are one row of ``doubled_phases``,
+    so the phases 2^j p mod q are reduced exactly; a W-bit alpha is p = its
+    bits and q = 2^W."""
     if not 0 <= p < q:
         raise ValueError("need 0 <= p < q")
+    if not 0 <= r <= len(gamma):
+        raise ValueError("need 0 <= r <= len(gamma)")
     acc = 0.0
-    for f in doubling_factors(p, q, gamma, r):
+    for f in lacunary_factors(doubled_phases([p], q, r), gamma[:r])[0].tolist():
         if f < _HARD_ZERO:
             return -math.inf
         acc += math.log(f)

@@ -278,6 +278,25 @@ class TestReproducibility:
         assert out1 == out2
 
 
+class TestUnwritablePath:
+    """A path that cannot be written is one ``error:`` line and exit 2,
+    before anything reaches stdout."""
+
+    def test_out(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "trig", "--n", "1..3", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_json(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "disc", "--n", "1", "--count", "16", "--json", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_single_n_commands_reject_a_range(capsys):
     for argv in (["gen", "--count", "4"], ["disc", "--count", "4"],
                  ["scan", "--L", "4"], ["bound", "--N", "4", "--H", "4", "--K", "4"],

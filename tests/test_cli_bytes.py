@@ -39,6 +39,15 @@ PINS = [
     (["integral", "--n", "1", "--L", "3"],
      "1216519883c18f6d392d9a40bd42e0a4074cbbd264f6967833f4c93c55129933",
      "9c10f63501377124fad667f4cf5cfa326d186d8b28b95db4073dbd55a1592a80"),
+    # width above 128 and N = 2^70: sticky rows and doubled columns j >= 64
+    (["--width", "200", "bound", "--n", "3", "--N", "1180591620717411303424", "--H", "8",
+      "--K", "8"],
+     "53aca6f7b29f70a44ad2485b0a07c4613fc84e228479faa1a71b95a1767564db",
+     "3b0652053cfec21314bac7f0c120844336c5fe760558997c688e268719570e6c"),
+    # the sharpness product at the rational 4/9, r = 900
+    (["certify", "--n", "3", "--grid", "2000", "--blocks", "300", "--struct-grid", "2048"],
+     "c557f7f979bf6ab71cc6a8da3aca7ccbd3326cd0036d14ffdb53a71713c94e2b",
+     "c557f7f979bf6ab71cc6a8da3aca7ccbd3326cd0036d14ffdb53a71713c94e2b"),
 ]
 
 
@@ -47,7 +56,7 @@ def _sha(data: bytes) -> str:
 
 
 IDS = ["gen", "disc", "scan", "trig-an", "trig-gn", "lambda-range", "lambda-single", "certify",
-       "bound", "integral"]
+       "bound", "integral", "bound-wide", "certify-rational"]
 
 
 @pytest.mark.parametrize("argv,stdout_sha,json_sha", PINS, ids=IDS)

@@ -8,7 +8,6 @@ from bound_table_oracle import upper_bound_rhs as oracle_upper_bound_rhs
 from exact_helpers import geometric_sum
 from halkron.expsum import (
     BoundParams,
-    _doubled_phases,
     exp_sum_mk,
     exp_sum_perturbed,
     frac_sin_abs,
@@ -18,7 +17,7 @@ from halkron.expsum import (
 )
 from halkron.numtheory import UnitFraction, make_unit_fraction, theorem_alpha
 from halkron.sequences import PerturbSpec, mk_sequence
-from halkron.trigprod import log_pi_product
+from halkron.trigprod import doubled_phases, log_pi_product
 
 
 def direct_exp_sum(values, alpha_frac: float) -> complex:
@@ -208,7 +207,7 @@ class TestBoundTableOracle:
         assert got.term_sum == want.term_sum
         assert got == want
 
-    @pytest.mark.parametrize("width", [8, 53, 64, 100, 128, 200])
+    @pytest.mark.parametrize("width", [1, 2, 8, 53, 64, 100, 128, 200])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_widths_h_and_k_below_n(self, width, n):
         rng = random.Random(1000 * width + n)
@@ -245,14 +244,29 @@ class TestBoundTableOracle:
 
 
 class TestDoubledPhases:
-    @pytest.mark.parametrize("width", [8, 53, 64, 100, 128, 200])
+    @pytest.mark.parametrize("width", [1, 2, 8, 53, 64, 100, 128, 200])
     def test_every_entry_is_the_int_division(self, width):
         rng = random.Random(width)
         mod = 1 << width
         r = 70
         bs = [rng.getrandbits(width) for _ in range(200)] + [run_bits(rng, width) for _ in range(800)]
         want = [[((b << j) & (mod - 1)) / mod for j in range(r)] for b in bs]
-        assert _doubled_phases(bs, width, r).tolist() == want
+        assert doubled_phases(bs, mod, r).tolist() == want
+
+    @pytest.mark.parametrize("den", [3, 5, 9, 257, 768, (1 << 64) + 1])
+    def test_other_moduli_take_the_int_division(self, den):
+        rng = random.Random(den)
+        r = 200
+        nums = [0, 1, den - 1] + [rng.randrange(den) for _ in range(50)]
+        want = []
+        for num in nums:
+            row = []
+            for _ in range(r):
+                row.append(num / den)
+                num = 2 * num % den
+            want.append(row)
+        assert doubled_phases(nums, den, r).tolist() == want
+        assert doubled_phases(nums, den, 7).tolist() == [row[:7] for row in want]
 
     def test_small_phases_with_low_bits_occur(self):
         # the entries the 64-bit window cannot round: phase below 2^-10
