@@ -7,7 +7,8 @@ parser.  Every output goes through ``_emit``, which embeds the run
 configuration and a format version so a file can be re-produced
 byte-for-byte from its own header.  Every size cap goes through
 ``_guard``: the caps are CLI policy, and the library functions cap no
-size.  Exit codes: 0 success, 2 usage, 3 guard, 4 certification failure.
+size.  Exit codes: 0 success, 2 usage, 3 guard (a size above its cap, or
+an allocation that fails), 4 certification failure.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def _emit(args, config: dict, body: str | None = None, payload: dict | None = No
 
 def _csv(header: list[str], rows) -> str:
     """CSV lines of ``header`` and ``rows``, each value written by ``str``."""
-    return "".join([",".join(map(str, row)) + "\n" for row in [header, *rows]])
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return "".join([line % tuple(row) for row in [header, *rows]])
 
 
 def _config(args, keys: list[str]) -> dict:
@@ -224,18 +226,18 @@ def cmd_trig(args) -> int:
     # mode gn: dichotomy sweep values for one n
     n = _single_n(ns, "trig --mode gn")
     xs = trigprod.dichotomy_grid(args.grid)
-    g_xi = trigprod.g_at_xi(n)
-    g1 = trigprod.g_value(n, xs)
-    ok = trigprod.gelfond_violation(n, xs, g_xi) <= trigprod.GELFOND_TOLERANCE
-    rows = [[repr(float(x)), repr(float(v)), int(o)] for x, v, o in zip(xs, g1, ok)]
+    g1, v = trigprod.gelfond_sweep(n, xs, trigprod.g_at_xi(n))
+    ok = (v <= trigprod.GELFOND_TOLERANCE).astype(int)
+    rows = zip(xs.tolist(), g1.tolist(), ok.tolist())
     _emit(args, cfg, _csv(["x", "Gn", "bound_ok"], rows))
     return EXIT_OK
 
 
 def cmd_lambda(args) -> int:
     ns = parse_range(args.n)
-    keys = ["n", "depth", "grid"] + (["compare_grid"] if args.compare_grid else [])
-    _check_kernels(ns, [g for g in (args.grid, args.compare_grid) if g], args.force)
+    compare = args.compare_grid is not None
+    keys = ["n", "depth", "grid"] + ["compare_grid"] * compare
+    _check_kernels(ns, [args.grid] + [args.compare_grid] * compare, args.force)
     brackets = {n: metric.lambda_bracket(n, args.depth, args.grid) for n in ns}
     lead = len(ns) > 1  # a range of n puts n in the first column
     rows = [
@@ -255,7 +257,7 @@ def cmd_lambda(args) -> int:
             for n, br in brackets.items()
         }
     }
-    if args.compare_grid:
+    if compare:
         deltas = {}
         for n in ns:
             other = metric.lambda_bracket(n, args.depth, args.compare_grid)
@@ -306,8 +308,7 @@ def cmd_bound(args) -> int:
     _guard(params.table_rows, DEFAULT_BOUND_ROW_CAP, args.force,
            f"the bound table has {params.table_rows} rows")
     res = expsum.upper_bound_rhs(params, n, alpha.fraction)
-    body = "ell,h,term_norm,term_prod\n" + "".join(
-        [f"{r.ell},{r.h},{r.term_norm!r},{r.term_prod!r}\n" for r in res.rows])
+    body = _csv(list(expsum.UpperBoundRow._fields), res.rows)
     payload = {
         "term_nk": res.term_nk,
         "term_nh_log": res.term_nh_log,
@@ -411,6 +412,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError:
+        print("guard: the sizes asked for do not fit in memory", file=sys.stderr)
         return EXIT_GUARD
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,13 +12,20 @@ column b the b-th distinct y (column ny is y = 1).  With X_a = N*x_a and
 C(a, b) the number of points with x rank <= a and y rank <= b, row a holds
 the closed terms C(a, b) - X_a*y_b (b < ny, a < nx; closed corners at x = 1
 or y = 1 are dominated) and the open terms X_a*y_b - C(a-1, b-1), all in
-units of 1/N.  Rows are filled in blocks of at most ``_BLOCK_CELLS``
-corners from a running row of exact closed counts, to which each point
-adds 1 on a suffix (or, past more than ``_FOLD_POINTS`` points, one
-cumulative histogram).  Counts are exact integers; only the volume is a
-float, so a term errs by a few ulp of N.
+units of 1/N.  Counts are exact integers; only the volume is a float, so a
+term errs by a few ulp of N.
 
-Two passes share the same block buffers.
+One generator, ``_RankSweep.terms``, gives both kinds of term for any
+increasing list of rows, in blocks of at most ``_BLOCK_CELLS`` corners.  It
+keeps a running row of exact closed counts, to which each point adds 1 on
+a suffix (or, past more than ``_FOLD_POINTS`` points, one cumulative
+histogram).  Per block it forms X_a*y_b once, writes the closed terms over
+the counts C(a, b) and the open terms over X_a*y_b, and keeps the counts
+C(a-1, b-1).  An open corner's exact count is one of those; a closed
+corner's adds to C(a-1, b) the row's own points with y rank <= b, found by
+one binary search over the sorted (x rank, y rank) keys of the points.
+
+Two passes read the generator and do no term arithmetic of their own.
 
 Pass 1 takes the float maxima of both kinds of term on the sample rows:
 every ``_SAMPLE_STRIDE``-th row and row nx.  Let best0 be the largest
@@ -36,10 +43,11 @@ column b, with all y <= 1:
 So a row a between the sample rows s < a < t has no term above the bound
 max(min(closed max(s) + points in (s, a], closed max(t) + X_t - X_a),
 min(open max(s) + X_a - X_s, open max(t) + points in [a, t))), and a
-sample row none above its own maxima.  Pass 1 keeps the rows whose bound
-is at least best0 - 2*N*_CONFIRM_MARGIN.
+sample row none above its own maxima.  Pass 1 bounds every row at once,
+in O(N) temporaries, and keeps the rows whose bound is at least
+best0 - 2*N*_CONFIRM_MARGIN.
 
-Pass 2 sweeps only those rows and keeps every corner within
+Pass 2 reads only those rows and keeps every corner within
 N*_CONFIRM_MARGIN of the running float maximum, with its exact count; the
 list is pruned each time the maximum rises.  Every row with a corner in
 that band is swept: its bound is at least the corner's term, which is at
@@ -79,8 +87,6 @@ _BLOCK_CELLS = 1 << 16
 _SAMPLE_STRIDE = 8
 # more points than this between two swept rows are added as one histogram
 _FOLD_POINTS = 8
-# rows bounded at once after the first pass
-_BOUND_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,8 @@ def star_discrepancy_1d(xs: Sequence[UnitFraction]) -> DiscrepancyResult:
 
 
 class _RankSweep:
-    """Exact coordinate ranks of a point set, and the one set of block
-    buffers that both passes of the 2D sweep fill row by row.
+    """Exact coordinate ranks of a point set, and the one term sweep that
+    both passes of the 2D discrepancy read.
 
     Rows are the distinct x in increasing order plus row nx (x = 1),
     columns the distinct y plus column ny (y = 1).  Row a holds the closed
@@ -139,33 +145,38 @@ class _RankSweep:
         ys, rank_y = np.unique(np.array(ps.y_bits, dtype=object), return_inverse=True)
         self.xs, self.ys = xs, ys = xs.tolist(), ys.tolist()
         self.nx, self.ny = nx, ny = len(xs), len(ys)
-        # y ranks of the points in increasing x rank (stable, so in point
-        # order within a row); rows a-1 and a end at k[a] and k[a+1] (row
-        # nx holds no point)
-        self.pts_y = rank_y[np.argsort(rank_x, kind="stable")].tolist()
+        # each point as x rank * ny + y rank, in increasing order, and its y
+        # rank + 1, the first count column it adds to; rows a-1 and a end at
+        # k[a] and k[a+1] (row nx holds no point)
+        self.keys = np.sort(rank_x * ny + rank_y)
+        self.pts_y1 = (self.keys % ny + 1).tolist()
         self.k = np.zeros(nx + 2, dtype=np.int64)
         np.cumsum(np.bincount(rank_x, minlength=nx), out=self.k[1:nx + 1])
         self.k[nx + 1] = n
         self.x_n = np.array([v / q for v in xs] + [1.0]) * n
         self.y_f = np.array([v / q for v in ys] + [1.0])
         self.step = step = max(1, _BLOCK_CELLS // (ny + 1))
-        self.le = np.empty((step, ny))  # C(a, b), exact in float64
-        self.lt = np.empty((step, ny))  # C(a-1, b)
-        self.xy = np.empty((step, ny + 1))  # X_a*y_b, then the terms
+        self.le = np.empty((step, ny))  # C(a, b), exact in float64, then the closed terms
+        self.lt = np.zeros((step, ny + 1))  # C(a-1, b-1), 0 in column 0
+        self.xy = np.empty((step, ny + 1))  # X_a*y_b, then the open terms
 
-    def blocks(self, rows: np.ndarray):
-        """Yield (rows, le, lt, xy) for chunks of at most ``step`` of the
-        increasing ``rows``: the closed counts of each row and of the row
-        before it, and X*y.  Skipped rows cost one cumulative histogram."""
-        cnt = np.zeros(self.ny)  # closed counts of the points folded so far
+    def terms(self, rows: np.ndarray):
+        """Yield (chunk, closed, opened, lt) for chunks of at most ``step``
+        of the increasing ``rows``; for a = chunk[i], closed[i, b] =
+        C(a, b) - X_a*y_b (b < ny), opened[i, b] = X_a*y_b - C(a-1, b-1) and
+        lt[i, b] = C(a-1, b-1) (b <= ny, C(a-1, -1) = 0).  The next chunk
+        reuses the buffers.  Skipped rows cost one cumulative histogram."""
+        ny = self.ny
+        cnt = np.zeros(ny + 1)  # cnt[b]: points folded so far with y rank < b
+        closed_cnt = cnt[1:]
         done = 0  # points folded, in increasing x rank
         k = self.k.tolist()
 
         def fold(upto: int) -> None:
             nonlocal done
-            ys = self.pts_y[done:upto]
+            ys = self.pts_y1[done:upto]
             if len(ys) > _FOLD_POINTS:
-                cnt[:] += np.bincount(ys, minlength=self.ny).cumsum()
+                cnt[:] += np.bincount(ys, minlength=ny + 1).cumsum()
             else:
                 for b in ys:
                     cnt[b:] += 1
@@ -179,51 +190,38 @@ class _RankSweep:
                 fold(k[a])
                 lt[i] = cnt
                 fold(k[a + 1])
-                le[i] = cnt
+                le[i] = closed_cnt
             np.multiply.outer(self.x_n[chunk], self.y_f, out=xy)
-            yield chunk, le, lt, xy
+            yield chunk, np.subtract(le, xy[:, :ny], out=le), np.subtract(xy, lt, out=xy), lt
 
     def rows_to_visit(self, margin: float) -> np.ndarray:
         """Pass 1: the float row maxima of the sample rows (every
         ``_SAMPLE_STRIDE``-th and row nx), then the rows whose bound is at
         least best0 - 2*margin, best0 the largest sample maximum."""
-        nx, ny, k, x_n = self.nx, self.ny, self.k, self.x_n
+        nx, k, x_n = self.nx, self.k, self.x_n
         samples = np.append(np.arange(0, nx, _SAMPLE_STRIDE), nx)
-        top_c = np.empty(len(samples))  # closed maxima; row nx's only bounds
-        top_o = np.empty(len(samples))
-        i0 = 0
-        for chunk, le, lt, xy in self.blocks(samples):
-            i1 = i0 + len(chunk)
-            top_c[i0:i1] = np.subtract(le, xy[:, :ny], out=le).max(axis=1)
-            xy[:, 1:] -= lt
-            top_o[i0:i1] = xy.max(axis=1)
-            i0 = i1
+        # closed and open maxima; row nx's closed maximum only bounds
+        maxima = [(c.max(axis=1), o.max(axis=1)) for _, c, o, _ in self.terms(samples)]
+        top_c, top_o = (np.concatenate(m) for m in zip(*maxima))
         best0 = max(float(top_c[:-1].max()), float(top_o.max()))
         thr = best0 - 2.0 * margin
-        # rows a < nx lie between the samples s = samples[lo] <= a < t =
-        # samples[lo + 1]; bounded in chunks, so the temporaries stay small
-        visit = []
-        for a0 in range(0, nx, _BOUND_ROWS):
-            a = np.arange(a0, min(a0 + _BOUND_ROWS, nx))
-            lo = a // _SAMPLE_STRIDE
-            s, t = samples[lo], samples[lo + 1]
-            closed = np.minimum(top_c[lo] + (k[a + 1] - k[s + 1]),
-                                top_c[lo + 1] + (x_n[t] - x_n[a]))
-            opened = np.minimum(top_o[lo] + (x_n[a] - x_n[s]),
-                                top_o[lo + 1] + (k[t] - k[a]))
-            visit.append(a[np.maximum(closed, opened) >= thr])
-        if top_o[-1] >= thr:
-            visit.append(np.array([nx]))
-        return np.concatenate(visit)
+        # rows a < nx lie between the samples s = samples[lo] <= a < t = samples[lo + 1]
+        a = np.arange(nx)
+        lo = a // _SAMPLE_STRIDE
+        s, t = samples[lo], samples[lo + 1]
+        closed = np.minimum(top_c[lo] + (k[a + 1] - k[s + 1]), top_c[lo + 1] + (x_n[t] - x_n[a]))
+        opened = np.minimum(top_o[lo] + (x_n[a] - x_n[s]), top_o[lo + 1] + (k[t] - k[a]))
+        visit = a[np.maximum(closed, opened) >= thr]
+        return np.append(visit, nx) if top_o[-1] >= thr else visit
 
     def near_max_corners(self, rows: np.ndarray, margin: float):
         """Pass 2: every corner of ``rows`` whose float term lies within
         ``margin`` of the float maximum, as (term, closed, row, col, count)."""
-        nx, ny = self.nx, self.ny
+        nx = self.nx
         best = -math.inf
         cands: list[tuple[float, bool, int, int, int]] = []
 
-        def keep(terms: np.ndarray, closed: bool, chunk: np.ndarray, counts: np.ndarray):
+        def keep(terms: np.ndarray, closed: bool, chunk: np.ndarray, lt: np.ndarray):
             nonlocal best, cands
             m = float(terms.max())
             if m > best:
@@ -231,21 +229,21 @@ class _RankSweep:
                 cands = [c for c in cands if c[0] >= best - margin]
             if m < best - margin:
                 return
-            for i, j in zip(*np.nonzero(terms >= best - margin)):
-                if closed:
-                    c = counts[i, j]
-                else:  # points strictly below and left: one column left
-                    c = 0 if j == 0 else counts[i, j - 1]
-                cands.append((float(terms[i, j]), closed, int(chunk[i]), int(j), int(c)))
+            i, b = np.nonzero(terms >= best - margin)
+            a = chunk[i]
+            if closed:  # C(a-1, b) plus the row's own points with y rank <= b
+                own = np.searchsorted(self.keys, a * self.ny + b, side="right") - self.k[a]
+                counts = lt[i, b + 1] + own
+            else:
+                counts = lt[i, b]
+            cands.extend(zip(terms[i, b].tolist(), [closed] * len(i), a.tolist(), b.tolist(),
+                             counts.astype(np.int64).tolist()))
 
-        for chunk, le, lt, xy in self.blocks(rows):
+        for chunk, closed, opened, lt in self.terms(rows):
             r = int(np.searchsorted(chunk, nx))  # closed corners at x = 1 or y = 1 are dominated
             if r:
-                t = np.subtract(le[:r], xy[:r, :ny], out=xy[:r, :ny])
-                keep(t, True, chunk, le)
-                np.multiply.outer(self.x_n[chunk], self.y_f, out=xy)
-            xy[:, 1:] -= lt
-            keep(xy, False, chunk, lt)
+                keep(closed[:r], True, chunk, lt)
+            keep(opened, False, chunk, lt)
         return cands
 
 

@@ -98,23 +98,15 @@ def hybrid_point(k: int, spec: PerturbSpec, alpha: UnitFraction) -> tuple[UnitFr
 def mk_array(n: int, count: int) -> np.ndarray:
     """First ``count`` non-negative integers whose digits at positions
     divisible by n have even sum, as an int64 array.  These are exactly the
-    indices k with x_k(n) < 1/2; for n = 1 they are the evil numbers."""
+    indices k with x_k(n) < 1/2; for n = 1 they are the evil numbers.
+    Digit 0 is always counted, so of 2k and 2k + 1 exactly one has even
+    sum: m_k = 2k + parity(2k)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    spec = PerturbSpec(n)
-    out: list[np.ndarray] = []
-    have = 0
-    start = 0
-    block = 1 << 16
-    while have < count:
-        cand = np.arange(start, start + block, dtype=np.int64)
-        keep = cand[spec.digit_parity(cand) == 0]
-        out.append(keep)
-        have += len(keep)
-        start += block
-    return np.concatenate(out)[:count]
+    evens = 2 * np.arange(count, dtype=np.int64)
+    return evens + PerturbSpec(n).digit_parity(evens)
 
 
 def mk_sequence(n: int, count: int) -> list[int]:

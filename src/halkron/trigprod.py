@@ -157,15 +157,17 @@ def g_value(n: int, x):
     arr = np.asarray(x, dtype=float)
     scalar = np.isscalar(x) or arr.ndim == 0
     arr = np.atleast_1d(arr)
-    denom = (1 << n) * np.sqrt((1.0 - arr) * (1.0 + arr))
-    num = f_iterate(n, arr)
-    out = np.empty_like(arr)
-    at_one = arr == 1.0
-    ok = ~at_one
-    out[ok] = num[ok] / denom[ok]
-    out[at_one] = 1.0
-    out = np.clip(out, 0.0, None)
+    out = _g_from_f(n, arr, f_iterate(n, arr))
     return float(out[0]) if scalar else out
+
+
+def _g_from_f(n: int, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """G_n at the nodes ``x`` from fx = f_n(x)."""
+    denom = (1 << n) * np.sqrt((1.0 - x) * (1.0 + x))
+    out = np.ones_like(x)  # the limit at x = 1
+    ok = x != 1.0
+    out[ok] = fx[ok] / denom[ok]
+    return np.clip(out, 0.0, None)
 
 
 def g_value_product(n: int, x):
@@ -214,12 +216,14 @@ class GelfondCertificate:
         return self.max_violation <= self.tolerance
 
 
-def gelfond_violation(n: int, xs: np.ndarray, g_xi: float) -> np.ndarray:
-    """min(G_n(x) - G_n(xi_n), G_n(x) G_n(f_n(x)) - G_n(xi_n)^2); the
-    dichotomy holds at x iff this is <= 0."""
-    g1 = g_value(n, xs)
-    g2 = g_value(n, f_iterate(n, xs))
-    return np.minimum(g1 - g_xi, g1 * g2 - g_xi * g_xi)
+def gelfond_sweep(n: int, xs: np.ndarray, g_xi: float) -> tuple[np.ndarray, np.ndarray]:
+    """G_n(x) and the violation min(G_n(x) - G_n(xi_n), G_n(x) G_n(f_n(x))
+    - G_n(xi_n)^2) at the nodes ``xs``, from f_n(x) and f_n(f_n(x)); the
+    dichotomy holds at x iff the violation is <= 0."""
+    f1 = f_iterate(n, xs)
+    g1 = _g_from_f(n, xs, f1)
+    g2 = _g_from_f(n, f1, f_iterate(n, f1))
+    return g1, np.minimum(g1 - g_xi, g1 * g2 - g_xi * g_xi)
 
 
 def dichotomy_grid(grid_size: int) -> np.ndarray:
@@ -235,7 +239,7 @@ def gelfond_certify(n: int, grid_size: int) -> GelfondCertificate:
     the dichotomy itself is a proven statement."""
     xs = dichotomy_grid(grid_size)
     g_xi = g_at_xi(n)
-    v = gelfond_violation(n, xs, g_xi)
+    _, v = gelfond_sweep(n, xs, g_xi)
     i = int(np.argmax(v))
     max_v = float(v[i])
     worst = float(xs[i])
@@ -243,7 +247,7 @@ def gelfond_certify(n: int, grid_size: int) -> GelfondCertificate:
     hi = xs[min(i + 1, grid_size)]
     for _ in range(3):
         fine = np.linspace(lo, hi, 201)
-        fv = gelfond_violation(n, fine, g_xi)
+        _, fv = gelfond_sweep(n, fine, g_xi)
         j = int(np.argmax(fv))
         if fv[j] > max_v:
             max_v = float(fv[j])

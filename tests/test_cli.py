@@ -162,6 +162,13 @@ class TestTrigAndLambda:
         assert doc["config"]["compare_grid"] == 4096
         assert abs(doc["refinement"]["1"]["exp_upper_delta"]) < 1e-3
 
+    def test_lambda_compare_grid_zero_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "lambda", "--n", "1", "--depth", "1", "--grid", "256",
+                             "--compare-grid", "0")
+        assert code == 2
+        assert out == ""
+        assert "multiple of 2^n" in err
+
 
 class TestKernelGuard:
     def test_large_n_is_guarded(self, capsys):
@@ -269,6 +276,23 @@ class TestBoundGuard:
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0
         assert len([l for l in out.splitlines() if not l.startswith("#")]) == 1 + 255
+
+
+class TestAllocationFailure:
+    """10^15 elements are above the 128 TiB address space, so the first
+    allocation fails at once: a ``guard:`` line and exit 3, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "1", "--count", str(10**15)],
+        ["trig", "--n", "3", "--mode", "gn", "--grid", str(10**15)],
+        ["certify", "--n", "1", "--grid", str(10**15)],
+        ["integral", "--n", "1", "--L", "2", "--quad", str(10**15)],
+    ], ids=["gen", "trig", "certify", "integral"])
+    def test_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "guard: the sizes asked for do not fit in memory\n"
 
 
 class TestReproducibility:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 from fractions import Fraction
 
@@ -113,6 +114,14 @@ class TestMkSequence:
     def test_strictly_increasing(self):
         m = mk_array(3, 1000)
         assert (np.diff(m) > 0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_filter_of_the_integers(self, n):
+        # past 65536 members, the edge of the former 2^16-integer blocks
+        count = 65536 + 3
+        spec = PerturbSpec(n)
+        evens = (k for k in itertools.count() if weighted_digit_sum(k, spec) == 0)
+        assert mk_array(n, count).tolist() == list(itertools.islice(evens, count))
 
 
 class TestFairness:
