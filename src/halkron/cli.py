@@ -111,7 +111,7 @@ def _emit(args, config: dict, body: str | None = None, payload: dict | None = No
 
     def document(ind: int | None) -> str:
         doc = {"format_version": FORMAT_VERSION, "config": config, **payload}
-        return json.dumps(doc, indent=ind, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=ind, sort_keys=True, allow_nan=False) + "\n"
 
     if body is None:
         outputs = [(args.out, document(indent))]
@@ -275,15 +275,14 @@ def cmd_certify(args) -> int:
     if args.grid < 1000:
         raise UsageError("certification grid must be >= 1000")
     _check_kernels(ns, [args.struct_grid], args.force)
+    # every n's sharpness identity first: its size rule fails before any other work
+    sharps = [trigprod.sharpness_identity(n, args.blocks) for n in ns]
     reports = []
     failed = False
-    for n in ns:
+    for n, sharp in zip(ns, sharps):
         cert = trigprod.gelfond_certify(n, args.grid)
-        sharp = trigprod.sharpness_identity(n, args.blocks) if n * args.blocks <= 1000 else None
         struct = metric.structural_checks(n, args.struct_grid)
-        ok = cert.passed and struct.all_pass
-        if sharp is not None:
-            ok = ok and sharp.log_diff < 1e-9
+        ok = cert.passed and struct.all_pass and sharp.log_diff < 1e-9
         failed = failed or not ok
         reports.append(
             {
@@ -291,7 +290,7 @@ def cmd_certify(args) -> int:
                 "gelfond_max_violation": cert.max_violation,
                 "gelfond_worst_x": cert.worst_x,
                 "gelfond_passed": cert.passed,
-                "sharpness_log_diff": None if sharp is None else sharp.log_diff,
+                "sharpness_log_diff": sharp.log_diff,
                 "structural_failures": list(struct.failures),
                 "passed": ok,
             }
@@ -313,8 +312,9 @@ def cmd_bound(args) -> int:
         "term_nk": res.term_nk,
         "term_nh_log": res.term_nh_log,
         "term_log2": res.term_log2,
-        "term_sum": res.term_sum,
-        "total": res.total,
+        # a degenerate (ell, h) makes both infinite, which JSON cannot hold
+        "term_sum": res.term_sum if res.finite else None,
+        "total": res.total if res.finite else None,
         "degenerate": [list(d) for d in res.degenerate],
     }
     _emit(args, _config(args, ["n", "alpha", "N", "H", "K"]), body, payload)

@@ -41,19 +41,9 @@ def _phases(values: np.ndarray, alpha: UnitFraction) -> np.ndarray:
     vmax = int(values.max())
     low_bits = min(13, max(1, vmax.bit_length()))
     mod = alpha.modulus
-    mask = mod - 1
-    lo_tab = np.empty(1 << low_bits)
-    b = 0
-    for j in range(1 << low_bits):
-        lo_tab[j] = b / mod
-        b = (b + alpha.bits) & mask
-    hi_count = (vmax >> low_bits) + 1
-    hi_tab = np.empty(hi_count)
-    step = (alpha.bits << low_bits) & mask
-    b = 0
-    for j in range(hi_count):
-        hi_tab[j] = b / mod
-        b = (b + step) & mask
+    lo_tab = np.array([b / mod for b in alpha.multiples(1 << low_bits)])
+    hi_step = alpha.shift_left(low_bits)  # {2^low_bits alpha}
+    hi_tab = np.array([b / mod for b in hi_step.multiples((vmax >> low_bits) + 1)])
     return (lo_tab[values & ((1 << low_bits) - 1)] + hi_tab[values >> low_bits]) % 1.0
 
 

@@ -11,7 +11,9 @@ branch-weight kernel (built once per ``phi_levels`` call) in one batched
 matmul, and contracts the result with the offset powers (r/2^n)^(3-p).
 Every level is rescaled by its maximum with the scale tracked in log space;
 the ratio extrema that produce the exponent brackets are invariant under
-that rescaling.
+that rescaling.  The extrema of a whole level stack come from one set of
+golden-section searches run in lockstep as arrays; off the grid they and
+``PhiGrid.interpolate`` evaluate the cell cubics by the one ``_horner``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .trigprod import lacunary_factor
 _MIN_GRID = 256
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _QUAD_CHUNK = 1 << 14  # quadrature points whose factors are taken together, in cache
+# depths of the structural checks: symmetric levels, monotone ratio levels, integral bounds
+_J_SYMMETRY, _J_MONOTONE, _L_MAX = 6, 12, 10
 
 
 def _edge_slope(d0: float, d1: float) -> float:
@@ -68,6 +72,12 @@ def _pchip_cells(grid: np.ndarray) -> np.ndarray:
     c[3] = grid
     c.flags.writeable = False
     return c
+
+
+def _horner(c: np.ndarray, t):
+    """The cell cubic ((c0 t + c1) t + c2) t + c3 at offset t, with the
+    coefficients on the last axis of c: the one off-grid evaluator."""
+    return ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
 
 
 def _simpson(y: np.ndarray) -> float:
@@ -116,8 +126,7 @@ class PhiGrid:
         idx = x * self.grid_size
         i = int(idx)
         t = idx - i
-        c0, c1, c2, c3 = self.cells[:, i]
-        return float(((c0 * t + c1) * t + c2) * t + c3)
+        return float(_horner(self.cells[:, i], t))
 
     def values(self) -> np.ndarray:
         return self.grid * math.exp(self.log_scale)
@@ -223,50 +232,6 @@ def mu(n: int) -> float:
     return float(terms.sum()) / (4.0**n)
 
 
-def _golden_extremum(f, lo: float, hi: float, maximize: bool, iters: int = 60) -> float:
-    """Deterministic golden-section search; returns the extremal value."""
-    a, d = lo, hi
-    b = d - _GOLDEN * (d - a)
-    c = a + _GOLDEN * (d - a)
-    fb, fc = f(b), f(c)
-    sign = 1.0 if maximize else -1.0
-    for _ in range(iters):
-        if sign * fb >= sign * fc:
-            d, c, fc = c, b, fb
-            b = d - _GOLDEN * (d - a)
-            fb = f(b)
-        else:
-            a, b, fb = b, c, fc
-            c = a + _GOLDEN * (d - a)
-            fc = f(c)
-    best = max(fb, fc) if maximize else min(fb, fc)
-    return best
-
-
-def _ratio_extrema(prev: PhiGrid, nxt: PhiGrid) -> tuple[float, float]:
-    """Extrema of q(x) = Phi_{j+1}(x)/Phi_j(x) over [0,1]: grid extrema plus
-    golden-section refinement in the two adjacent cells."""
-    scale = math.exp(nxt.log_scale - prev.log_scale)
-    ratio = nxt.grid / prev.grid * scale
-    g = prev.grid_size
-    xs = prev.nodes
-
-    def q(x: float) -> float:
-        return scale * nxt.interpolate(x) / prev.interpolate(x)
-
-    imax = int(np.argmax(ratio))
-    imin = int(np.argmin(ratio))
-    hi = max(
-        float(ratio[imax]),
-        _golden_extremum(q, xs[max(imax - 1, 0)], xs[min(imax + 1, g)], maximize=True),
-    )
-    lo = min(
-        float(ratio[imin]),
-        _golden_extremum(q, xs[max(imin - 1, 0)], xs[min(imin + 1, g)], maximize=False),
-    )
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class LevelRecord:
     j: int
@@ -295,12 +260,57 @@ def _exponent(n: int, value: float) -> float:
 
 
 def _level_records(n: int, levels: list[PhiGrid], j_max: int) -> list[LevelRecord]:
-    """Ratio extrema of levels j+1 over j, with their exponents, for j <= j_max."""
-    records = []
-    for j in range(j_max + 1):
-        lo, hi = _ratio_extrema(levels[j], levels[j + 1])
-        records.append(LevelRecord(j, lo, hi, _exponent(n, lo), _exponent(n, hi)))
-    return records
+    """Ratio extrema of levels j+1 over j, with their exponents, for j <= j_max.
+
+    An extremum of q = Phi_{j+1}/Phi_j is its grid extremum at a node c or,
+    where more extreme, the best of 60 golden-section steps over
+    [x_{c-1}, x_{c+1}].  All 2(j_max+1) searches, max and min alternating,
+    step in lockstep as arrays.  Rounding is monotone, so each new point
+    lies in its search's current interval and hence in the start interval;
+    a node x_k = k fl(1/g) times g rounds to within k 2^-51 of k, so
+    int(x g) lies in c-2..c+1.  Each search reads both levels' cubics from
+    that window of the cell tables, clipped to 0..g like int(x g) itself."""
+    g = levels[0].grid_size
+    xs = levels[0].nodes
+    scale, ext, grid_best, window = [], [], [], []
+    for prev, nxt in zip(levels[: j_max + 1], levels[1 : j_max + 2]):
+        s = math.exp(nxt.log_scale - prev.log_scale)
+        ratio = nxt.grid / prev.grid * s
+        c = [int(np.argmax(ratio)), int(np.argmin(ratio))]
+        cells = np.clip(np.add.outer(c, np.arange(-2, 2)), 0, g)
+        window.append(np.stack([prev.cells.T[cells], nxt.cells.T[cells]], axis=2))
+        scale += [s, s]
+        ext += c
+        grid_best += ratio[c].tolist()
+    window = np.concatenate(window)  # [search, cell, level, coefficient]
+    scale, ext = np.array(scale), np.array(ext)
+    sign = np.tile([1.0, -1.0], j_max + 1)
+    searches = np.arange(len(ext))
+
+    def q(x: np.ndarray) -> np.ndarray:
+        idx = x * g
+        i = idx.astype(np.int64)
+        v = _horner(window[searches, i - ext + 2], (idx - i)[:, None])
+        return scale * v[:, 1] / v[:, 0]
+
+    a, d = xs[np.maximum(ext - 1, 0)], xs[np.minimum(ext + 1, g)]
+    b, c = d - _GOLDEN * (d - a), a + _GOLDEN * (d - a)
+    fb, fc = q(b), q(c)
+    for _ in range(60):
+        left = sign * fb >= sign * fc  # keep [a, c] and probe a new b, else [b, d] and a new c
+        d = np.where(left, c, d)
+        a = np.where(left, a, b)
+        x = np.where(left, d - _GOLDEN * (d - a), a + _GOLDEN * (d - a))
+        fx = q(x)
+        b, c = np.where(left, x, c), np.where(left, b, x)
+        fb, fc = np.where(left, fx, fc), np.where(left, fb, fx)
+    # the first of two equals wins, as in Python's max and min
+    best = np.where(sign * fc > sign * fb, fc, fb)
+    best = np.where(sign * best > sign * np.array(grid_best), best, grid_best).tolist()
+    return [
+        LevelRecord(j, lo, hi, _exponent(n, lo), _exponent(n, hi))
+        for j, (hi, lo) in enumerate(zip(best[::2], best[1::2]))
+    ]
 
 
 def lambda_bracket(n: int, j_max: int, grid_size: int = 1 << 14) -> LambdaBracket:
@@ -399,14 +409,9 @@ def integral_pi(n: int, blocks: int, quadrature_points: int = 8, grid_size: int 
 @dataclass(frozen=True)
 class StructuralReport:
     n: int
-    symmetry_ok: bool
     symmetry_max_dev: float
-    concavity_ok: bool
     concavity_max_d2: float
-    monotonic_ok: bool
-    integral_ok: bool
     failures: tuple[str, ...]
-    level_records: tuple[LevelRecord, ...]
     integral_rows: tuple[tuple[int, float, float], ...]  # (L, integral, mu^L)
 
     @property
@@ -414,66 +419,42 @@ class StructuralReport:
         return not self.failures
 
 
-def structural_checks(
-    n: int,
-    grid_size: int = 1 << 14,
-    j_symmetry: int = 6,
-    j_monotone: int = 12,
-    l_max: int = 10,
-) -> StructuralReport:
-    """Verifies, on the grid: mirror symmetry about 1/2 for the early levels,
-    concavity of the first level, monotonicity of the ratio extrema, and the
-    integral bound int Pi_{nL,c} <= mu(n)^L."""
+def structural_checks(n: int, grid_size: int = 1 << 14) -> StructuralReport:
+    """Verifies, on the grid: mirror symmetry about 1/2 for levels up to
+    _J_SYMMETRY, concavity of the first level, monotonicity of the ratio
+    extrema up to level _J_MONOTONE, and the integral bound
+    int Pi_{nL,c} <= mu(n)^L for L up to _L_MAX."""
     failures: list[str] = []
-    depth = max(j_symmetry, j_monotone + 1, l_max)
-    levels = phi_levels(n, depth, grid_size)
+    levels = phi_levels(n, max(_J_SYMMETRY, _J_MONOTONE + 1, _L_MAX), grid_size)
 
     sym_dev = 0.0
-    for j in range(j_symmetry + 1):
+    for j in range(_J_SYMMETRY + 1):
         dev = float(np.max(np.abs(levels[j].grid - levels[j].grid[::-1])))
         sym_dev = max(sym_dev, dev)
-    symmetry_ok = sym_dev <= 1e-10
-    if not symmetry_ok:
+    if not sym_dev <= 1e-10:
         failures.append(f"symmetry deviation {sym_dev:.3e} above 1e-10")
 
     v = levels[1].grid
     d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
     max_d2 = float(d2.max())
-    concavity_ok = max_d2 <= 1e-8
-    if not concavity_ok:
+    if not max_d2 <= 1e-8:  # a NaN fails too
         i = int(np.argmax(d2)) + 1
         failures.append(f"second difference {max_d2:.3e} > 1e-8 at node {i}")
 
-    records = _level_records(n, levels, j_monotone)
-    monotonic_ok = True
+    records = _level_records(n, levels, _J_MONOTONE)
     for a, b in zip(records, records[1:]):
         if b.ratio_max > a.ratio_max + 1e-9:
-            monotonic_ok = False
             failures.append(f"ratio max increased at level {b.j}")
         if b.ratio_min < a.ratio_min - 1e-9:
-            monotonic_ok = False
             failures.append(f"ratio min decreased at level {b.j}")
 
     mu_n = mu(n)
     rows = []
-    integral_ok = True
-    for ell in range(1, l_max + 1):
+    for ell in range(1, _L_MAX + 1):
         val = levels[ell].integral()
         bound = mu_n**ell
         rows.append((ell, val, bound))
         if val > bound + 1e-12:
-            integral_ok = False
             failures.append(f"integral at L={ell} exceeds mu^L: {val:.6e} > {bound:.6e}")
 
-    return StructuralReport(
-        n,
-        symmetry_ok,
-        sym_dev,
-        concavity_ok,
-        max_d2,
-        monotonic_ok,
-        integral_ok,
-        tuple(failures),
-        tuple(records),
-        tuple(rows),
-    )
+    return StructuralReport(n, sym_dev, max_d2, tuple(failures), tuple(rows))

@@ -50,6 +50,17 @@ class UnitFraction:
             raise ValueError("k must be non-negative")
         return UnitFraction((self.bits * k) & (self.modulus - 1), self.width)
 
+    def multiples(self, count: int) -> list[int]:
+        """Numerators of the Kronecker orbit {k * value} for k < count, by
+        exact repeated addition."""
+        mask = self.modulus - 1
+        out = []
+        b = 0
+        for _ in range(count):
+            out.append(b)
+            b = (b + self.bits) & mask
+        return out
+
     def shift_left(self, j: int) -> UnitFraction:
         """{2**j * value}; the low j bits of the true value are already gone
         from the representation, so this is a plain masked shift."""

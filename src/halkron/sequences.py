@@ -155,7 +155,6 @@ def generate_point_set(spec: PerturbSpec, alpha: UnitFraction, count: int) -> Po
     if spec.shift != 0:
         raise ValueError("point generation uses the unshifted pattern")
     width = alpha.width
-    mod_mask = (1 << width) - 1
     m = max(1, (count - 1).bit_length())  # x_k needs m fractional digits
     if m + 1 > width:
         raise ValueError("count too large for the fixed-point width")
@@ -165,9 +164,4 @@ def generate_point_set(spec: PerturbSpec, alpha: UnitFraction, count: int) -> Po
         xnum |= ((ks >> i) & 1) << (m - 1 - i)
     shift = width - m
     x_bits = [int(v) << shift for v in xnum]
-    y_bits: list[int] = []
-    yb = 0
-    for _ in range(count):
-        y_bits.append(yb)
-        yb = (yb + alpha.bits) & mod_mask
-    return PointSet2(x_bits, y_bits, width)
+    return PointSet2(x_bits, alpha.multiples(count), width)

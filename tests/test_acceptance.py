@@ -124,7 +124,7 @@ def test_criterion_05_gelfond_certification():
 def test_criterion_06_transfer_operator_structure():
     fails = []
     for n in range(1, 6):
-        rep = hk.structural_checks(n, LAMBDA_GRID, j_monotone=12, l_max=10)
+        rep = hk.structural_checks(n, LAMBDA_GRID)
         if not rep.all_pass:
             fails.append((n, rep.failures))
     report(6, not fails, f"symmetry/concavity/monotonicity/integral bound n=1..5: {fails or 'all pass'}")

@@ -228,6 +228,16 @@ class TestCertify:
                          "--blocks", "2", "--struct-grid", "2048")
         assert code == 4
 
+    def test_sharpness_beyond_its_size_rule_is_usage_error(self, capsys, monkeypatch):
+        def work(*args):
+            raise AssertionError("work started before the size rule")
+
+        monkeypatch.setattr(cli.trigprod, "gelfond_certify", work)
+        for argv in (["--n", "1", "--blocks", "1001"], ["--n", "1..2", "--blocks", "501"]):
+            code, out, err = run(capsys, "certify", "--grid", "2000", *argv)
+            assert code == 2 and out == ""
+            assert "n * blocks must stay <= 1000" in err
+
 
 class TestBoundAndIntegral:
     def test_bound_outputs(self, tmp_path, capsys):
@@ -240,6 +250,15 @@ class TestBoundAndIntegral:
         assert lines[0] == "ell,h,term_norm,term_prod"
         doc = json.loads(jpath.read_text())
         assert doc["total"] > 0 and not doc["degenerate"]
+
+    def test_degenerate_bound_writes_null(self, tmp_path, capsys):
+        jpath = tmp_path / "b.json"
+        code, _, _ = run(capsys, "bound", "--n", "1", "--alpha", "frac:1/2",
+                         "--N", "16", "--H", "16", "--K", "16", "--json", str(jpath))
+        assert code == 0
+        doc = json.loads(jpath.read_text())
+        assert doc["term_sum"] is None and doc["total"] is None
+        assert doc["degenerate"] and doc["term_nk"] == 1.0
 
     def test_integral(self, capsys):
         code, out, _ = run(capsys, "integral", "--n", "1", "--L", "1")

@@ -6,6 +6,7 @@ intended, record it (and why) in CHANGES.md and update the hash.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -67,3 +68,20 @@ def test_output_bytes(argv, stdout_sha, json_sha, tmp_path, capsys):
     assert _sha(capsys.readouterr().out.encode()) == stdout_sha
     if json_sha:
         assert _sha(jpath.read_bytes()) == json_sha
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+# every pin with a --json file, and a bound whose sum is infinite
+STRICT = [(i, argv) for i, (argv, _, json_sha) in zip(IDS, PINS) if json_sha]
+STRICT.append(("bound-degenerate",
+               ["bound", "--n", "1", "--alpha", "frac:1/2", "--N", "16", "--H", "16", "--K", "16"]))
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in STRICT], ids=[i for i, _ in STRICT])
+def test_json_file_is_strict_json(argv, tmp_path, capsys):
+    jpath = tmp_path / "out.json"
+    assert cli.main(argv + ["--json", str(jpath)]) == 0
+    json.loads(jpath.read_text(), parse_constant=_no_constant)

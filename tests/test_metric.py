@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from level_step_oracle import oracle_phi_levels
+from ratio_search_oracle import oracle_ratio_extrema
 from quadrature_oracle import pi_direct_quadrature
 from halkron.metric import (
     PhiGrid,
@@ -285,3 +286,16 @@ class TestStructuralChecks:
         assert len(rep.integral_rows) == 10
         for ell, val, bound in rep.integral_rows:
             assert val <= bound + 1e-12
+
+
+class TestRatioSearchOracle:
+    """The lockstep array search of every ratio extremum against the former
+    scalar golden-section search in ``ratio_search_oracle``, bit for bit, on
+    power-of-two and other grids; 2^8 divides each grid."""
+
+    CASES = [(n, g) for g in (1 << 11, 1 << 14, 3 << 10, 5 << 9) for n in range(1, 9)]
+
+    @pytest.mark.parametrize("n,grid", CASES)
+    def test_extrema_match(self, n, grid):
+        got = [(r.ratio_min, r.ratio_max) for r in lambda_bracket(n, 12, grid).levels]
+        assert got == oracle_ratio_extrema(phi_levels(n, 13, grid), 12)

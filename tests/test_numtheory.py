@@ -83,6 +83,19 @@ class TestFracMulInt:
             assert lhs == rhs
 
 
+class TestMultiples:
+    """The Kronecker orbit {k*a}, k < count (``UnitFraction.multiples``)."""
+
+    def test_orbit_is_mul_int(self):
+        rng = random.Random(11)
+        for width in (8, 64, 128, 200):
+            a = UnitFraction(rng.getrandbits(width), width)
+            assert a.multiples(300) == [a.mul_int(k).bits for k in range(300)]
+
+    def test_empty_orbit(self):
+        assert UnitFraction(85, 8).multiples(0) == []
+
+
 class TestShallitBeta:
     def test_width_8(self):
         # ones at positions 2, 4, 8: 0.01010001
