@@ -409,6 +409,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.width < 1:
+            raise UsageError(f"width must be >= 1, got {args.width}")
         return args.func(args)
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)

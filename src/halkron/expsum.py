@@ -3,9 +3,9 @@ bound, and evaluation of the generic upper-bound right-hand side.
 
 Every phase derives from an exact fixed-point reduction of alpha (table
 lookups over split indices for the sums, ``trigprod.doubled_phases`` for
-the products), never from a double-precision 2^l*h*alpha: at large shifts
-the float product has no phase accuracy left while the shifted bit pattern
-is still exact modulo 1.
+the products, of one orbit {k 2 alpha} for all levels of the bound
+table), never from a double-precision 2^l*h*alpha: at large shifts the
+float product has no phase accuracy left while the shifted bits stay exact.
 """
 
 from __future__ import annotations
@@ -196,10 +196,10 @@ def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBo
     logarithms.  A vanishing ||2^l h alpha|| (alpha effectively rational at
     that shift) makes the term +inf and is reported in ``degenerate``.
 
-    Each l is one [rows, r] table over h of the doubled phases of
-    2^l h alpha (``trigprod.doubled_phases``).  Its factors come from
-    ``trigprod.lacunary_factors``, as those of ``log_pi_product`` do, and
-    are multiplied into the weighted prefix sums one column at a time."""
+    One orbit {k 2 alpha}, k <= H/2, serves every level: 2^l h alpha is its
+    point h 2^(l-1), whose j-th doubling is column l - 1 + j of orbit row h
+    in one ``doubled_phases`` / ``lacunary_factors`` table, built per block
+    of ``_TABLE_ROWS`` rows; level l reads its first H/2^l rows."""
     big_n, h_lim, k_lim = params.n_points, params.h_limit, params.k_limit
     log_n = math.log(big_n)
     term_nk = big_n / k_lim
@@ -208,25 +208,26 @@ def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBo
     rows: list[UpperBoundRow] = []
     degenerate: list[tuple[int, int]] = []
     total = 0.0
-    log2n = big_n.bit_length() - 1  # floor(log2 N)
+    levels = range(1, k_lim.bit_length())  # ell <= floor(log2 K)
+    cols = big_n.bit_length() - 2  # columns ell - 1 + j, j < floor(log2 N) - ell
+    gamma = PerturbSpec(n, shift=1).gamma(cols)  # weight c^(l)_j = c_{l+j} of column l - 1 + j
     mod = alpha.modulus
-    half = mod >> 1
-    for ell in range(1, k_lim.bit_length()):  # ell <= floor(log2 K)
-        rmax = log2n - ell
-        gamma = PerturbSpec(n, shift=ell).gamma(rmax)
-        step = (alpha.bits << ell) & (mod - 1)
-        h_max = h_lim >> ell
-        for h0 in range(1, h_max + 1, _TABLE_ROWS):
-            hs = range(h0, min(h0 + _TABLE_ROWS, h_max + 1))
-            bs = [(step * h) & (mod - 1) for h in hs]
-            # 1 / (min(b, 2^W - b) / 2^W), rounded as the exact distance's float
-            norms = [1.0 / ((b if b <= half else mod - b) / mod) if b else math.inf for b in bs]
-            factors = lacunary_factors(doubled_phases(bs, mod, rmax), gamma)
-            prods = _weighted_prefix_sum(factors).tolist()
-            for h, norm, prod in zip(hs, norms, prods):
-                total += (norm + prod) / h
-            rows += map(UpperBoundRow._make, zip(repeat(ell), hs, norms, prods))
-            degenerate += [(ell, h) for h, b in zip(hs, bs) if b == 0]
+    orbit = alpha.shift_left(1).multiples((h_lim >> 1) + 1 if levels else 1)
+    prods: list[list[float]] = [[] for _ in levels]
+    for h0 in range(1, len(orbit), _TABLE_ROWS):
+        factors = lacunary_factors(doubled_phases(orbit[h0 : h0 + _TABLE_ROWS], mod, cols), gamma)
+        for ell, prod in zip(levels, prods):
+            # the block's rows of ell: H/2^l - len(prod) >= 0, so never a negative end
+            prod += _weighted_prefix_sum(factors[: (h_lim >> ell) - len(prod), ell - 1 :]).tolist()
+    # 1 / ||b||, with the exact distance min(b, 2^W - b) / 2^W rounded to double once
+    norms = [1.0 / (min(b, mod - b) / mod) if b else math.inf for b in orbit]
+    for ell, prod in zip(levels, prods):
+        step = 1 << (ell - 1)  # row h of level ell is orbit point h step
+        hs = range(1, len(prod) + 1)
+        for h, norm, p in zip(hs, norms[step::step], prod):
+            total += (norm + p) / h
+        rows += map(UpperBoundRow._make, zip(repeat(ell), hs, norms[step::step], prod))
+        degenerate += [(ell, h) for h, b in zip(hs, orbit[step::step]) if b == 0]
     return UpperBoundTerms(
         params, term_nk, term_nh, term_log2, total, tuple(rows), tuple(degenerate)
     )

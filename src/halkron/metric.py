@@ -88,14 +88,14 @@ def _simpson(y: np.ndarray) -> float:
     return float(s) / (3.0 * cells)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhiGrid:
     """One level of the recurrence, tabulated on grid_size+1 uniform nodes.
 
     ``grid`` is normalized to max 1; the true level values are
     ``grid * exp(log_scale)``.  Levels decay geometrically, so deep runs
-    would underflow without the split.  ``grid`` is read-only because the
-    interpolation coefficients ``cells`` derive from it.
+    would underflow without the split.  The fields are frozen and ``grid``
+    is read-only: the interpolation coefficients ``cells`` derive from it.
     """
 
     n: int

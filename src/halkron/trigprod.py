@@ -203,17 +203,16 @@ GELFOND_TOLERANCE = 1e-12
 class GelfondCertificate:
     """Sweep record for the dichotomy: for every x, G_n(x) <= G_n(xi_n) or
     G_n(x) G_n(f_n(x)) <= G_n(xi_n)^2.  Passes iff max_violation stays below
-    the tolerance."""
+    ``GELFOND_TOLERANCE``."""
 
     n: int
     grid_size: int
     max_violation: float
     worst_x: float
-    tolerance: float = GELFOND_TOLERANCE
 
     @property
     def passed(self) -> bool:
-        return self.max_violation <= self.tolerance
+        return self.max_violation <= GELFOND_TOLERANCE
 
 
 def gelfond_sweep(n: int, xs: np.ndarray, g_xi: float) -> tuple[np.ndarray, np.ndarray]:

@@ -340,6 +340,20 @@ class TestUnwritablePath:
         assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["trig", "--n", "1"],
+    ["lambda", "--n", "1", "--depth", "3", "--grid", "2048"],
+    ["certify", "--n", "1", "--grid", "2000", "--blocks", "2", "--struct-grid", "2048"],
+    ["integral", "--n", "1", "--L", "3"],
+], ids=["trig", "lambda", "certify", "integral"])
+def test_width_below_one_is_usage_error(capsys, argv):
+    # also for the commands that build no alpha
+    for width in ("0", "-5"):
+        code, out, err = run(capsys, "--width", width, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: width must be >= 1, got {width}\n"
+
+
 def test_single_n_commands_reject_a_range(capsys):
     for argv in (["gen", "--count", "4"], ["disc", "--count", "4"],
                  ["scan", "--L", "4"], ["bound", "--N", "4", "--H", "4", "--K", "4"],

@@ -49,6 +49,10 @@ PINS = [
     (["certify", "--n", "3", "--grid", "2000", "--blocks", "300", "--struct-grid", "2048"],
      "c557f7f979bf6ab71cc6a8da3aca7ccbd3326cd0036d14ffdb53a71713c94e2b",
      "c557f7f979bf6ab71cc6a8da3aca7ccbd3326cd0036d14ffdb53a71713c94e2b"),
+    # N = H = K = 2^16: two orbit blocks; l = 1 spans both, l = 2 ends where the second begins
+    (["bound", "--n", "1", "--N", "65536", "--H", "65536", "--K", "65536"],
+     "3aedf17d826e4a48ad176d707cd6245a70ac3187568b95a7e59a3751aea654d8",
+     "15bef308baff76ed5521c480617213a48a055a8c4344503b91c60ac2691bb2b4"),
 ]
 
 
@@ -57,7 +61,7 @@ def _sha(data: bytes) -> str:
 
 
 IDS = ["gen", "disc", "scan", "trig-an", "trig-gn", "lambda-range", "lambda-single", "certify",
-       "bound", "integral", "bound-wide", "certify-rational"]
+       "bound", "integral", "bound-wide", "certify-rational", "bound-blocks"]
 
 
 @pytest.mark.parametrize("argv,stdout_sha,json_sha", PINS, ids=IDS)

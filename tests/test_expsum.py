@@ -6,6 +6,7 @@ import pytest
 
 from bound_table_oracle import upper_bound_rhs as oracle_upper_bound_rhs
 from exact_helpers import geometric_sum
+from halkron import expsum
 from halkron.expsum import (
     BoundParams,
     exp_sum_mk,
@@ -233,10 +234,13 @@ class TestBoundTableOracle:
             self.assert_same(BoundParams(1 << 12, 1 << 12, 1 << 12), n, alpha)
 
     def test_rows_in_several_blocks(self):
-        # l = 1 has 2^14 + 3 rows, more than one block of the table
+        # l = 1 has 2^14 + 3 rows, more than one block of the table; in the
+        # second, l = 2 has 2^14 + 1 rows and crosses into the second orbit block
         rng = random.Random(3)
         for alpha in (theorem_alpha(2).fraction, UnitFraction(rng.getrandbits(128), 128)):
-            self.assert_same(BoundParams(1 << 16, (1 << 15) + 6, 4), 2, alpha)
+            for params in (BoundParams(1 << 16, (1 << 15) + 6, 4),
+                           BoundParams(1 << 17, (1 << 16) + 6, 8)):
+                self.assert_same(params, 2, alpha)
 
     def test_benchmark_table(self):
         # the bound table of perfbench's brackets workload: N = H = K = 2^16
@@ -298,6 +302,24 @@ class TestBoundCounts:
         res = upper_bound_rhs(BoundParams(size, size, size), 1, theorem_alpha(1).fraction)
         assert len(res.rows) == 65535
         assert sum(16 - r.ell for r in res.rows) == 917506
+
+    def test_one_orbit_table_serves_every_level(self, monkeypatch):
+        # the H/2 orbit rows in blocks of 2^14, each doubled log2 N - 1 times,
+        # not one table per level (65535 rows in 17 calls)
+        calls = []
+
+        def counted(nums, den, r):
+            calls.append((len(nums), r))
+            return doubled_phases(nums, den, r)
+
+        monkeypatch.setattr(expsum, "doubled_phases", counted)
+        size = 1 << 16
+        upper_bound_rhs(BoundParams(size, size, size), 1, theorem_alpha(1).fraction)
+        assert calls == [(1 << 14, 15), (1 << 14, 15)]
+        calls.clear()
+        # K = 1 has no level, so no table
+        assert not upper_bound_rhs(BoundParams(size, size, 1), 1, theorem_alpha(1).fraction).rows
+        assert calls == []
 
 
 class TestSinPiAlphaNearEnds:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -76,6 +77,14 @@ class TestPhiLevel:
         with pytest.raises(ValueError):
             lv.cells[3, 0] = 0.0
         assert lambda_bracket(2, 4, GRID) == before
+
+    def test_fields_cannot_be_rebound(self):
+        lv = phi_level(1, 2, 256)
+        cubic = lv.interpolate(0.3001)
+        for name, value in (("grid", np.zeros(257)), ("log_scale", 0.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(lv, name, value)
+        assert lv.interpolate(0.3001) == cubic
 
     def test_levels_are_not_retained(self):
         gc.collect()
