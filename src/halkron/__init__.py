@@ -15,21 +15,13 @@ from .numtheory import (
 from .sequences import (
     PerturbSpec,
     PointSet2,
-    digital_point,
     generate_point_set,
-    hybrid_point,
-    mk_array,
-    mk_sequence,
-    weighted_digit_sum,
 )
 from .discrepancy import (
     BoxSide,
     DiscrepancyResult,
     GrowthRecord,
-    brute_force_discrepancy_2d,
-    brute_force_discrepancy_points,
     growth_scan,
-    star_discrepancy_1d,
     star_discrepancy_2d,
 )
 from .trigprod import (
@@ -38,13 +30,9 @@ from .trigprod import (
     a_exponent,
     f_iterate,
     g_at_xi,
-    g_value,
-    g_value_product,
     gelfond_certify,
     log_pi_product,
-    product_upper_bound_log,
     sharpness_identity,
-    xi_fixed_point,
 )
 from .metric import (
     IntegralPi,
@@ -63,7 +51,6 @@ from .expsum import (
     ExpSumResult,
     UpperBoundTerms,
     TwoAdditiveCheck,
-    exp_sum_mk,
     exp_sum_perturbed,
     upper_bound_rhs,
     product_lower_bound,

@@ -95,7 +95,7 @@ def parse_alpha(text: str, n: int, width: int) -> SpecialAlpha:
             p, q = (int(part) for part in text[len("frac:"):].split("/"))
         except ValueError:
             raise UsageError("frac spec must look like frac:P/Q") from None
-        return SpecialAlpha("user_bits", make_unit_fraction(p, q, width))
+        return user_alpha(make_unit_fraction(p, q, width).bits, width)
     raise UsageError(f"unknown alpha spec {text!r}")
 
 

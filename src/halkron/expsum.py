@@ -1,5 +1,5 @@
-"""Exponential sums over the m_k subsequence, the 2-additive telescoping
-bound, and evaluation of the generic upper-bound right-hand side.
+"""The perturbed exponential sum, the 2-additive telescoping bound, and
+evaluation of the generic upper-bound right-hand side.
 
 Every phase derives from an exact fixed-point reduction of alpha (table
 lookups over split indices for the sums, ``trigprod.doubled_phases`` for
@@ -18,10 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .numtheory import UnitFraction
-from .sequences import PerturbSpec, mk_array
+from .sequences import PerturbSpec
 from .trigprod import doubled_phases, lacunary_factors, log_pi_product
 
-_MAX_MK_COUNT = 1 << 24
 _MAX_V = 1 << 22
 _TABLE_ROWS = 1 << 14  # rows per bound-table block: bounds the [rows, r] temporaries
 
@@ -61,15 +60,6 @@ def _sum_of_phases(phases: np.ndarray) -> ExpSumResult:
     return ExpSumResult(complex(re, im), math.hypot(re, im), len(phases))
 
 
-def exp_sum_mk(n: int, count: int, alpha: UnitFraction) -> ExpSumResult:
-    """sum_{k<count} e(m_k * alpha) with m_k the even-weighted-digit-sum
-    indices; compensated accumulation."""
-    if count < 1 or count > _MAX_MK_COUNT:
-        raise ValueError(f"count must be in [1, {_MAX_MK_COUNT}]")
-    mks = mk_array(n, count)
-    return _sum_of_phases(_phases(mks, alpha))
-
-
 def exp_sum_perturbed(n: int, log2_count: int, alpha: UnitFraction) -> ExpSumResult:
     """sum_{m < 2^R} e(m*alpha + s_c(m)/2), the telescoping side of the
     product identity |sum| = 2^R * Pi_{R,c}(alpha)."""
@@ -89,10 +79,13 @@ def frac_sin_abs(k: int, alpha: UnitFraction) -> float:
 def product_lower_bound(n: int, blocks: int, alpha: UnitFraction) -> float:
     """Right-hand side of the discrepancy lower bound at N = 2^{nL}:
     2^{nL-3} Pi_{nL,c}(alpha) - |sin(2^{nL} pi alpha)| / (8 sin(pi alpha))."""
+    sin_alpha = frac_sin_abs(1, alpha)
+    if sin_alpha == 0.0:
+        raise ValueError("||alpha|| must be nonzero: |sin(pi alpha)| is 0 as a double")
     r = n * blocks
     log_prod = log_pi_product(r, PerturbSpec(n).gamma(r), alpha.bits, alpha.modulus)
     lead = 2.0 ** (r - 3) * math.exp(log_prod)
-    corr = frac_sin_abs(1 << r, alpha) / (8.0 * frac_sin_abs(1, alpha))
+    corr = frac_sin_abs(1 << r, alpha) / (8.0 * sin_alpha)
     return lead - corr
 
 

@@ -1,5 +1,5 @@
-"""Generation of the perturbed Halton component, the Kronecker component,
-their two-dimensional hybrid, and the index sequence m_k.
+"""Generation of the perturbed Halton component, the Kronecker component
+and their two-dimensional hybrid.
 
 The generating matrix is the identity with a perturbed first row whose
 pattern has a single 1 per period; it is never materialized.  The first
@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .numtheory import DEFAULT_WIDTH, UnitFraction
+from .numtheory import UnitFraction
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,8 @@ class PerturbSpec:
     """Periodic perturbing pattern c (c_j = 1 iff j % period == 0) together
     with a shift selecting c^(l), c^(l)_j = c_{j+l}.
 
-    Generation always uses shift 0; nonzero shifts exist for the analysis
-    operations (weighted digit sums, shifted trigonometric products).
+    Generation always uses shift 0; nonzero shifts exist for the shifted
+    digit parities and trigonometric products in ``expsum``.
     """
 
     period: int
@@ -54,63 +54,12 @@ class PerturbSpec:
         return mask
 
     def digit_parity(self, ks: np.ndarray) -> np.ndarray:
-        """``weighted_digit_sum`` of each element of a non-negative int64
-        array, as an int64 array of 0 and 1 (bitwise parity by folding)."""
+        """Parity of the ``digit_mask`` digits of each non-negative int64 in
+        ``ks``, as an int64 array of 0 and 1 (bitwise parity by folding)."""
         a = ks & self.digit_mask(63)
         for s in (32, 16, 8, 4, 2, 1):
             a ^= a >> s
         return a & 1
-
-
-def weighted_digit_sum(k: int, spec: PerturbSpec) -> int:
-    """Parity of the dyadic digits of k at the positions selected by the
-    shifted pattern (positions congruent to -shift mod period)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return (k & spec.digit_mask(k.bit_length())).bit_count() & 1
-
-
-def digital_point(k: int, spec: PerturbSpec, width: int = DEFAULT_WIDTH) -> UnitFraction:
-    """x_k: first output digit is the weighted digit-sum parity, the rest
-    mirror the digits of k across the radix point.  Exact in fixed point."""
-    if spec.shift != 0:
-        raise ValueError("point generation uses the unshifted pattern")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k.bit_length() > width - 1:
-        raise ValueError("k has more digits than the fixed-point width holds")
-    bits = weighted_digit_sum(k, spec) << (width - 1)
-    kk = k >> 1
-    i = 1
-    while kk:
-        if kk & 1:
-            bits |= 1 << (width - 1 - i)
-        kk >>= 1
-        i += 1
-    return UnitFraction(bits, width)
-
-
-def hybrid_point(k: int, spec: PerturbSpec, alpha: UnitFraction) -> tuple[UnitFraction, UnitFraction]:
-    """z_k = (x_k, {k*alpha})."""
-    return digital_point(k, spec, alpha.width), alpha.mul_int(k)
-
-
-def mk_array(n: int, count: int) -> np.ndarray:
-    """First ``count`` non-negative integers whose digits at positions
-    divisible by n have even sum, as an int64 array.  These are exactly the
-    indices k with x_k(n) < 1/2; for n = 1 they are the evil numbers.
-    Digit 0 is always counted, so of 2k and 2k + 1 exactly one has even
-    sum: m_k = 2k + parity(2k)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    evens = 2 * np.arange(count, dtype=np.int64)
-    return evens + PerturbSpec(n).digit_parity(evens)
-
-
-def mk_sequence(n: int, count: int) -> list[int]:
-    return [int(m) for m in mk_array(n, count)]
 
 
 @dataclass

@@ -126,12 +126,6 @@ def a_exponent(n: int) -> float:
     return _log_cot_xi_angle(n) / (n * math.log(2.0))
 
 
-def xi_fixed_point(n: int) -> float:
-    """xi_n = sin(2^n pi / (2 (2^n + 1))) = cos(pi / (2 (2^n + 1))), the
-    fixed point of the n-fold angle-doubling iterate."""
-    return math.cos(_xi_angle(n))
-
-
 def f_iterate(nu: int, x):
     """f_nu with f_0 = id and f_1(x) = 2 x sqrt(1-x^2); accepts scalars or
     arrays in [0,1], clamped against rounding excursions."""
@@ -149,18 +143,6 @@ def f_iterate(nu: int, x):
     return arr
 
 
-def g_value(n: int, x):
-    """G_n(x) = f_n(x) / (2^n sqrt(1-x^2)), with G_n(1) set to the limit 1
-    of the product form (every g(f_nu(1)) = g(0) = 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    arr = np.asarray(x, dtype=float)
-    scalar = np.isscalar(x) or arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = _g_from_f(n, arr, f_iterate(n, arr))
-    return float(out[0]) if scalar else out
-
-
 def _g_from_f(n: int, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
     """G_n at the nodes ``x`` from fx = f_n(x)."""
     denom = (1 << n) * np.sqrt((1.0 - x) * (1.0 + x))
@@ -168,22 +150,6 @@ def _g_from_f(n: int, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
     ok = x != 1.0
     out[ok] = fx[ok] / denom[ok]
     return np.clip(out, 0.0, None)
-
-
-def g_value_product(n: int, x):
-    """Product form f_0 * prod_{nu=1}^{n-1} sqrt(1 - f_nu^2); used as the
-    cross-check route for g_value."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = arr.copy()
-    f = arr.copy()
-    for _ in range(1, n):
-        f = np.clip(2.0 * f * np.sqrt((1.0 - f) * (1.0 + f)), 0.0, 1.0)
-        out = out * np.sqrt((1.0 - f) * (1.0 + f))
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
-    return out
 
 
 def g_at_xi(n: int) -> float:
@@ -289,12 +255,3 @@ def sharpness_identity(n: int, blocks: int) -> SharpnessResult:
     log_lhs = log_pi_product(r, gamma, 1 << (n - 1), (1 << n) + 1)
     log_rhs = blocks * log_g_at_xi(n)
     return SharpnessResult(n, blocks, log_lhs, log_rhs)
-
-
-def product_upper_bound_log(n: int, ell: int, r: int) -> tuple[float, int]:
-    """log of the proof-chain bound (G_n(xi_n))^(d-1) with
-    d = floor((r - j0)/n), j0 the first index where the shifted pattern hits
-    a 1.  Returns (log bound, d); callers should skip d < 1 (no content)."""
-    j0 = (-ell) % n
-    d = (r - j0) // n
-    return (d - 1) * log_g_at_xi(n), d

@@ -14,6 +14,7 @@ import pytest
 
 import halkron as hk
 from conftest import random_point_set
+from corner_oracle import brute_force_discrepancy_points
 from halkron.expsum import product_lower_bound, two_additive_bound_check
 from halkron.sequences import PerturbSpec
 
@@ -138,7 +139,7 @@ def test_criterion_07_oracle_equivalence():
         n_pts = rng.randint(1, 64)
         ps = random_point_set(rng, n_pts, coarse=(i % 3 == 0))
         exact = hk.star_discrepancy_2d(ps).d_star
-        oracle = hk.brute_force_discrepancy_points(ps)
+        oracle = brute_force_discrepancy_points(ps)
         assert exact == oracle, f"set {i}: {exact} != {oracle}"
         checked += 1
     report(7, True, f"exact == corner-enumeration oracle on {checked} random sets (N<=64)")

@@ -4,14 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_point_set
+from corner_oracle import brute_force_discrepancy_2d, brute_force_discrepancy_points
+from exact_helpers import star_discrepancy_1d
 from row_sweep_oracle import row_sweep_discrepancy_2d
-from halkron.discrepancy import (
-    brute_force_discrepancy_2d,
-    brute_force_discrepancy_points,
-    growth_scan,
-    star_discrepancy_1d,
-    star_discrepancy_2d,
-)
+from halkron.discrepancy import growth_scan, star_discrepancy_2d
 from halkron.numtheory import UnitFraction, make_unit_fraction, rational_bad, theorem_alpha
 from halkron.sequences import PerturbSpec, PointSet2, generate_point_set
 

@@ -5,11 +5,10 @@ import random
 import pytest
 
 from bound_table_oracle import upper_bound_rhs as oracle_upper_bound_rhs
-from exact_helpers import geometric_sum
+from exact_helpers import exp_sum_mk, geometric_sum, mk_array
 from halkron import expsum
 from halkron.expsum import (
     BoundParams,
-    exp_sum_mk,
     exp_sum_perturbed,
     frac_sin_abs,
     upper_bound_rhs,
@@ -17,7 +16,7 @@ from halkron.expsum import (
     two_additive_bound_check,
 )
 from halkron.numtheory import UnitFraction, make_unit_fraction, theorem_alpha
-from halkron.sequences import PerturbSpec, mk_sequence
+from halkron.sequences import PerturbSpec
 from halkron.trigprod import doubled_phases, log_pi_product
 
 
@@ -51,7 +50,7 @@ class TestExpSumMk:
     def test_matches_naive_small(self):
         alpha = theorem_alpha(2).fraction
         res = exp_sum_mk(2, 50, alpha)
-        naive = direct_exp_sum(mk_sequence(2, 50), alpha.to_float())
+        naive = direct_exp_sum(mk_array(2, 50).tolist(), alpha.to_float())
         assert res.value == pytest.approx(naive, abs=1e-9)
 
     def test_count_guard(self):
@@ -192,6 +191,12 @@ class TestProductLowerBound:
     def test_evaluates_finite(self):
         val = product_lower_bound(2, 2, theorem_alpha(2).fraction)
         assert math.isfinite(val)
+
+    @pytest.mark.parametrize("alpha", [UnitFraction(0, 128), UnitFraction(1, 1100)])
+    def test_zero_sin_alpha_is_a_value_error(self, alpha):
+        # 2^-1100 is nonzero but its sine underflows to 0 as a double
+        with pytest.raises(ValueError, match="nonzero"):
+            product_lower_bound(1, 4, alpha)
 
 
 class TestBoundTableOracle:

@@ -1,0 +1,54 @@
+"""Layout of the library: ``src/halkron`` holds the program, and the tests
+hold their oracles and helpers.
+
+Every name that ``halkron/__init__.py`` imports must be used by another
+module of the package, outside the ``def`` or ``class`` that defines it.
+The only exceptions are the paper's identities that acceptance criteria 8
+(the 2-additive telescoping bound and the product identity of the perturbed
+exponential sum) and 9 (the discrepancy lower bound) check: no command
+needs them, and they are the library's statement of the paper, not test
+helpers.
+"""
+
+import ast
+from pathlib import Path
+
+import halkron
+
+PACKAGE = Path(halkron.__file__).parent
+PAPER_IDENTITIES = {"exp_sum_perturbed", "two_additive_bound_check", "product_lower_bound"}
+
+
+def exported_names() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def used_names(node: ast.AST, enclosing: tuple[str, ...] = ()) -> set[str]:
+    """Every ``ast.Name`` id and ``ast.Attribute`` attr under ``node``,
+    except a use inside the def or class of the same name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing += (node.name,)
+    found = set()
+    if isinstance(node, ast.Name):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        found.add(node.attr)
+    found -= set(enclosing)
+    for child in ast.iter_child_nodes(node):
+        found |= used_names(child, enclosing)
+    return found
+
+
+def test_every_export_runs_in_the_program():
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= used_names(ast.parse(path.read_text()))
+    unused = exported_names() - used
+    assert unused == PAPER_IDENTITIES, f"exported with no user in src/: {sorted(unused - PAPER_IDENTITIES)}"

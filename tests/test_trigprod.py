@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from exact_helpers import g_value, g_value_product, product_upper_bound_log, xi_fixed_point
 from halkron.numtheory import UnitFraction
 from halkron.sequences import PerturbSpec
 from halkron.trigprod import (
@@ -11,16 +12,12 @@ from halkron.trigprod import (
     doubled_phases,
     f_iterate,
     g_at_xi,
-    g_value,
-    g_value_product,
     gelfond_certify,
     lacunary_factor,
     lacunary_factors,
     log_g_at_xi,
     log_pi_product,
-    product_upper_bound_log,
     sharpness_identity,
-    xi_fixed_point,
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
