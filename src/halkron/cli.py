@@ -43,7 +43,7 @@ DEFAULT_GRID_LAMBDA = 1 << 14
 DEFAULT_DEPTH = 12
 DEFAULT_GUARD = 1 << 16
 DEFAULT_CERTIFY_GRID = 100_000
-DEFAULT_KERNEL_CAP = 1 << 30  # bytes of one transfer-operator kernel
+DEFAULT_BYTE_CAP = 1 << 30  # bytes of one transfer-operator kernel or one direct quadrature
 DEFAULT_BOUND_ROW_CAP = 1 << 22  # rows of one bound table
 
 
@@ -152,11 +152,11 @@ def _guard(need: int, cap: int, force: bool, what: str) -> None:
 
 def _check_kernels(ns: list[int], grids: list[int], force: bool) -> None:
     """Usage error for a grid that breaks the grid rule; guard on each level
-    kernel's bytes against ``DEFAULT_KERNEL_CAP``."""
+    kernel's bytes against ``DEFAULT_BYTE_CAP``."""
     for n in ns:
         for grid in grids:
             size = metric.kernel_bytes(n, grid)
-            _guard(size, DEFAULT_KERNEL_CAP, force,
+            _guard(size, DEFAULT_BYTE_CAP, force,
                    f"n={n}, grid {grid}: the level kernel needs {size} bytes")
 
 
@@ -324,6 +324,9 @@ def cmd_bound(args) -> int:
 def cmd_integral(args) -> int:
     n = _single_n(parse_range(args.n), "integral")
     _check_kernels([n], [DEFAULT_GRID_LAMBDA], args.force)
+    size = metric.quadrature_bytes(n, args.L, args.quad)
+    _guard(size, DEFAULT_BYTE_CAP, args.force,
+           f"n={n}, L={args.L}, quad {args.quad}: the direct quadrature needs {size} bytes")
     res = metric.integral_pi(n, args.L, args.quad, DEFAULT_GRID_LAMBDA)
     payload = {
         "by_recurrence": res.by_recurrence,

@@ -5,8 +5,8 @@ taken from the point coordinates and 1: closed counting captures the
 overshoot limits (boxes shrinking onto a corner from above), open counting
 captures the undershoot side.
 
-The 2D routine ranks the distinct coordinates exactly (by sorting the
-integer numerators).  Row a is the a-th distinct x (row nx is x = 1),
+The 2D routine ranks the distinct coordinates exactly (``np.unique`` over
+their big-endian word rows).  Row a is the a-th distinct x (row nx is x = 1),
 column b the b-th distinct y (column ny is y = 1).  With X_a = N*x_a and
 C(a, b) the number of points with x rank <= a and y rank <= b, row a holds
 the closed terms C(a, b) - X_a*y_b (b < ny, a < nx; closed corners at x = 1
@@ -74,8 +74,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .numtheory import UnitFraction
+from .numtheory import UnitFraction, from_words
 from .sequences import PerturbSpec, PointSet2, generate_point_set
+from .trigprod import a_exponent, doubled_phases
 
 # float terms are accurate to a few ulp; anything this close to the float
 # maximum gets re-checked exactly
@@ -120,11 +121,11 @@ class _RankSweep:
 
     def __init__(self, ps: PointSet2):
         n = len(ps)
-        self.q = q = 1 << ps.width
-        # the distinct numerators in increasing order, and each point's rank
-        xs, rank_x = np.unique(np.array(ps.x_bits, dtype=object), return_inverse=True)
-        ys, rank_y = np.unique(np.array(ps.y_bits, dtype=object), return_inverse=True)
-        self.xs, self.ys = xs, ys = xs.tolist(), ys.tolist()
+        # the distinct word rows in increasing order (as big-endian bytes), each point's rank
+        row = np.dtype((np.void, 8 * ps.x.shape[1]))
+        xs, rank_x = np.unique(ps.x.astype(">u8", order="C").view(row)[:, 0], return_inverse=True)
+        ys, rank_y = np.unique(ps.y.astype(">u8", order="C").view(row)[:, 0], return_inverse=True)
+        self.xs, self.ys = xs, ys = [v.view(">u8").reshape(len(v), -1) for v in (xs, ys)]
         self.nx, self.ny = nx, ny = len(xs), len(ys)
         # each point as x rank * ny + y rank, in increasing order, and its y
         # rank + 1, the first count column it adds to; rows a-1 and a end at
@@ -134,8 +135,8 @@ class _RankSweep:
         self.k = np.zeros(nx + 2, dtype=np.int64)
         np.cumsum(np.bincount(rank_x, minlength=nx), out=self.k[1:nx + 1])
         self.k[nx + 1] = n
-        self.x_n = np.array([v / q for v in xs] + [1.0]) * n
-        self.y_f = np.array([v / q for v in ys] + [1.0])
+        self.x_n = np.append(doubled_phases(xs, 1), 1.0) * n
+        self.y_f = np.append(doubled_phases(ys, 1), 1.0)
         self.step = step = max(1, _BLOCK_CELLS // (ny + 1))
         self.le = np.empty((step, ny))  # C(a, b), exact in float64, then the closed terms
         self.lt = np.zeros((step, ny + 1))  # C(a-1, b-1), 0 in column 0
@@ -241,16 +242,19 @@ def star_discrepancy_2d(ps: PointSet2) -> DiscrepancyResult:
     margin = n * _CONFIRM_MARGIN
     cands = sweep.near_max_corners(sweep.rows_to_visit(margin), margin)
 
+    q = 1 << ps.width
     # the lexicographically smallest (closed, x, y) among the exact maximizers
-    q, xs, ys = sweep.q, sweep.xs + [sweep.q], sweep.ys + [sweep.q]
     d_star: Fraction | None = None
     witness: tuple[BoxSide, ...] = ()
     for _, closed, a, b, c in sorted(cands, key=lambda t: t[1:4]):
-        vol = Fraction(xs[a] * ys[b], q * q)
+        # the exact numerators; row nx and column ny are x = 1 and y = 1
+        x, y = (from_words(v[i : i + 1], ps.width)[0] if i < len(v) else q
+                for v, i in ((sweep.xs, a), (sweep.ys, b)))
+        vol = Fraction(x * y, q * q)
         term = Fraction(c, n) - vol if closed else vol - Fraction(c, n)
         if d_star is None or term > d_star:
             d_star = term
-            witness = (BoxSide(Fraction(xs[a], q), closed), BoxSide(Fraction(ys[b], q), closed))
+            witness = (BoxSide(Fraction(x, q), closed), BoxSide(Fraction(y, q), closed))
     return DiscrepancyResult(n, d_star, witness)
 
 
@@ -271,8 +275,6 @@ def growth_scan(spec: PerturbSpec, alpha: UnitFraction, exponents: Sequence[int]
     limsup rate, so the fit is reported with its residual, never asserted.
     No size is capped here: the time is quadratic in the largest N, and the
     CLI's ``scan`` refuses N above its ``--guard`` unless forced."""
-    from .trigprod import a_exponent
-
     if not exponents:
         raise ValueError("need at least one L value")
     n = spec.period

@@ -1,11 +1,11 @@
 """The perturbed exponential sum, the 2-additive telescoping bound, and
 evaluation of the generic upper-bound right-hand side.
 
-Every phase derives from an exact fixed-point reduction of alpha (table
-lookups over split indices for the sums, ``trigprod.doubled_phases`` for
-the products, of one orbit {k 2 alpha} for all levels of the bound
-table), never from a double-precision 2^l*h*alpha: at large shifts the
-float product has no phase accuracy left while the shifted bits stay exact.
+Every phase derives from an exact fixed-point reduction of alpha (two orbit
+tables over split indices for the sums, one orbit {k 2 alpha} doubled for
+all levels of the bound table, each rounded once by ``doubled_phases``),
+never from a double-precision 2^l*h*alpha: at large shifts the float
+product has no phase accuracy left while the shifted bits stay exact.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numtheory import UnitFraction
+from .numtheory import UnitFraction, to_words
 from .sequences import PerturbSpec
 from .trigprod import doubled_phases, lacunary_factors, log_pi_product
 
@@ -39,10 +39,9 @@ def _phases(values: np.ndarray, alpha: UnitFraction) -> np.ndarray:
         return np.empty(0)
     vmax = int(values.max())
     low_bits = min(13, max(1, vmax.bit_length()))
-    mod = alpha.modulus
-    lo_tab = np.array([b / mod for b in alpha.multiples(1 << low_bits)])
+    lo_tab = doubled_phases(alpha.multiples(1 << low_bits), 1)[:, 0]
     hi_step = alpha.shift_left(low_bits)  # {2^low_bits alpha}
-    hi_tab = np.array([b / mod for b in hi_step.multiples((vmax >> low_bits) + 1)])
+    hi_tab = doubled_phases(hi_step.multiples((vmax >> low_bits) + 1), 1)[:, 0]
     return (lo_tab[values & ((1 << low_bits) - 1)] + hi_tab[values >> low_bits]) % 1.0
 
 
@@ -116,7 +115,7 @@ def two_additive_bound_check(
     phases = (_phases(vs, theta) + 0.5 * shifted.digit_parity(vs)) % 1.0
     lhs = _sum_of_phases(phases).modulus
     rmax = count.bit_length() - 1  # floor(log2 count)
-    table = doubled_phases([theta.bits], theta.modulus, rmax)
+    table = doubled_phases(to_words([theta.bits], theta.width), rmax)
     rhs = float(_weighted_prefix_sum(lacunary_factors(table, shifted.gamma(rmax)))[0])
     return TwoAdditiveCheck(lhs, rhs, count)
 
@@ -204,23 +203,25 @@ def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBo
     levels = range(1, k_lim.bit_length())  # ell <= floor(log2 K)
     cols = big_n.bit_length() - 2  # columns ell - 1 + j, j < floor(log2 N) - ell
     gamma = PerturbSpec(n, shift=1).gamma(cols)  # weight c^(l)_j = c_{l+j} of column l - 1 + j
-    mod = alpha.modulus
     orbit = alpha.shift_left(1).multiples((h_lim >> 1) + 1 if levels else 1)
     prods: list[list[float]] = [[] for _ in levels]
     for h0 in range(1, len(orbit), _TABLE_ROWS):
-        factors = lacunary_factors(doubled_phases(orbit[h0 : h0 + _TABLE_ROWS], mod, cols), gamma)
+        factors = lacunary_factors(doubled_phases(orbit[h0 : h0 + _TABLE_ROWS], cols), gamma)
         for ell, prod in zip(levels, prods):
             # the block's rows of ell: H/2^l - len(prod) >= 0, so never a negative end
             prod += _weighted_prefix_sum(factors[: (h_lim >> ell) - len(prod), ell - 1 :]).tolist()
-    # 1 / ||b||, with the exact distance min(b, 2^W - b) / 2^W rounded to double once
-    norms = [1.0 / (min(b, mod - b) / mod) if b else math.inf for b in orbit]
+    # 1 / ||b||: the exact distance min(b, 2^W - b) / 2^W rounds to the smaller
+    # of the rounded b / 2^W and (2^W - b) / 2^W, an orbit point of -2 alpha
+    minus = UnitFraction(-(alpha.bits << 1) % alpha.modulus, alpha.width).multiples(len(orbit))
+    dist = np.minimum(doubled_phases(orbit, 1), doubled_phases(minus, 1))[:, 0]
+    norms = np.divide(1.0, dist, out=np.full(len(dist), math.inf), where=dist > 0).tolist()
     for ell, prod in zip(levels, prods):
         step = 1 << (ell - 1)  # row h of level ell is orbit point h step
         hs = range(1, len(prod) + 1)
         for h, norm, p in zip(hs, norms[step::step], prod):
             total += (norm + p) / h
         rows += map(UpperBoundRow._make, zip(repeat(ell), hs, norms[step::step], prod))
-        degenerate += [(ell, h) for h, b in zip(hs, orbit[step::step]) if b == 0]
+        degenerate += [(ell, h) for h, norm in zip(hs, norms[step::step]) if norm == math.inf]
     return UpperBoundTerms(
         params, term_nk, term_nh, term_log2, total, tuple(rows), tuple(degenerate)
     )

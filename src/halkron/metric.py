@@ -358,6 +358,13 @@ class IntegralPi:
         return None if d is None else d <= 1e-5
 
 
+def quadrature_bytes(n: int, blocks: int, qpts: int) -> int:
+    """Bytes of the direct quadrature, r = n blocks in 1..24 (else 0): three float64
+    arrays of 2^min(r, 18) x qpts points and a qpts x qpts companion matrix."""
+    r = n * blocks
+    return 8 * (3 * (1 << min(r, 18)) * qpts + qpts * qpts) if 1 <= r <= 24 else 0
+
+
 def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     """Composite Gauss-Legendre over 2^min(r, 18) dyadic panels, r = n blocks.
 

@@ -12,7 +12,24 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 DEFAULT_WIDTH = 128
+
+
+def to_words(nums: list[int], width: int) -> np.ndarray:
+    """The word array of W-bit numerators: ceil(W/64) uint64 words a row, most
+    significant first, holding the numerator shifted left to fill them."""
+    nw = -(-width // 64)
+    raw = b"".join([(v << (64 * nw - width)).to_bytes(8 * nw, "big") for v in nums])
+    return np.frombuffer(raw, dtype=">u8").reshape(len(nums), nw).astype(np.uint64)
+
+
+def from_words(words: np.ndarray, width: int) -> list[int]:
+    """The W-bit numerators of a word array, as Python ints."""
+    raw, step = words.astype(">u8").tobytes(), 8 * words.shape[1]
+    shift = 8 * step - width
+    return [int.from_bytes(raw[i : i + step], "big") >> shift for i in range(0, len(raw), step)]
 
 
 @dataclass(frozen=True)
@@ -50,16 +67,17 @@ class UnitFraction:
             raise ValueError("k must be non-negative")
         return UnitFraction((self.bits * k) & (self.modulus - 1), self.width)
 
-    def multiples(self, count: int) -> list[int]:
-        """Numerators of the Kronecker orbit {k * value} for k < count, by
-        exact repeated addition."""
-        mask = self.modulus - 1
-        out = []
-        b = 0
-        for _ in range(count):
-            out.append(b)
-            b = (b + self.bits) & mask
-        return out
+    def multiples(self, count: int) -> np.ndarray:
+        """The Kronecker orbit {k * value}, k < count <= 2^32, as a word array:
+        the products of k with the 32-bit limbs of the words, then one carry
+        pass from the lowest limb up, dropping the integer part."""
+        if not 0 <= count <= 1 << 32:
+            raise ValueError("count must lie in [0, 2^32]")
+        limbs = to_words([self.bits], self.width).astype(">u8").view(">u4")[0].astype(np.uint64)
+        t = np.multiply.outer(np.arange(count, dtype=np.uint64), limbs)  # each below 2^64 - 2^32
+        for i in range(len(limbs) - 1, 0, -1):
+            t[:, i - 1] += t[:, i] >> np.uint64(32)
+        return t.astype(">u4").view(">u8").astype(np.uint64)  # each limb mod 2^32, in pairs
 
     def shift_left(self, j: int) -> UnitFraction:
         """{2**j * value}; the low j bits of the true value are already gone

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .numtheory import UnitFraction
+from .numtheory import UnitFraction, from_words
 
 
 @dataclass(frozen=True)
@@ -62,37 +61,31 @@ class PerturbSpec:
         return a & 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointSet2:
-    """Finite list of exact 2D points in [0,1)^2.
+    """Finite list of exact 2D points in [0,1)^2: ``x`` and ``y`` hold the
+    numerators over 2**width as word arrays (``numtheory.to_words``), one row
+    per point.  The fields are frozen and the arrays read-only."""
 
-    Coordinates are stored as integer numerators over 2**width; ``point``
-    wraps them back into UnitFraction pairs.
-    """
-
-    x_bits: list[int]
-    y_bits: list[int]
+    x: np.ndarray
+    y: np.ndarray
     width: int
 
     def __post_init__(self) -> None:
-        if len(self.x_bits) != len(self.y_bits):
-            raise ValueError("coordinate lists must have equal length")
+        shape = (len(self.x), -(-self.width // 64))
+        if any(a.shape != shape or a.dtype != np.uint64 for a in (self.x, self.y)):
+            raise ValueError(f"coordinates must be two uint64 word arrays of shape {shape}")
+        self.x.flags.writeable = self.y.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.x_bits)
-
-    def point(self, i: int) -> tuple[UnitFraction, UnitFraction]:
-        return UnitFraction(self.x_bits[i], self.width), UnitFraction(self.y_bits[i], self.width)
-
-    @property
-    def points(self) -> Iterator[tuple[UnitFraction, UnitFraction]]:
-        return (self.point(i) for i in range(len(self)))
+        return len(self.x)
 
     def write_csv(self, fh) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["k", "x_bits_hex", "y_bits_hex", "x_float", "y_float"])
         q = 1 << self.width
-        for k, (xb, yb) in enumerate(zip(self.x_bits, self.y_bits)):
+        xs, ys = from_words(self.x, self.width), from_words(self.y, self.width)
+        for k, (xb, yb) in enumerate(zip(xs, ys)):
             w.writerow([k, f"0x{xb:x}", f"0x{yb:x}", repr(xb / q), repr(yb / q)])
 
 
@@ -111,6 +104,6 @@ def generate_point_set(spec: PerturbSpec, alpha: UnitFraction, count: int) -> Po
     xnum = spec.digit_parity(ks) << (m - 1)
     for i in range(1, m):
         xnum |= ((ks >> i) & 1) << (m - 1 - i)
-    shift = width - m
-    x_bits = [int(v) << shift for v in xnum]
-    return PointSet2(x_bits, alpha.multiples(count), width)
+    x = np.zeros((count, -(-width // 64)), dtype=np.uint64)
+    x[:, 0] = xnum.astype(np.uint64) << np.uint64(64 - m)
+    return PointSet2(x, alpha.multiples(count), width)

@@ -2,10 +2,10 @@
 angle-doubling fixed-point apparatus with its numerical certification.
 
 Phase arguments are never formed as ``2**j * alpha`` in floating point:
-``doubled_phases`` doubles the exact bits (or exactly modulo q for a
-rational alpha) and only the reduced phase in [0,1) becomes a double.  That
-keeps hundreds of factors meaningful where naive doubles would have no phase
-accuracy left.  Every product takes its factors from that table.
+``doubled_phases`` reads {2^j b} from the words of b (a rational alpha is
+reduced exactly modulo q) and only the reduced phase in [0,1) becomes a
+double.  That keeps hundreds of factors meaningful where
+naive doubles would have no phase accuracy left.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .numtheory import to_words
 from .sequences import PerturbSpec
 
 _HARD_ZERO = 1e-300
@@ -39,42 +40,37 @@ def lacunary_factor(phase, sine, out=None):
     return np.sin(np.multiply(arg, np.pi, out=out), out=out)
 
 
-def doubled_phases(nums: Sequence[int], den: int, r: int) -> np.ndarray:
-    """The [rows, r] table of phases ((num << j) mod den) / den, j < r, one
-    row per num in [0, den), each entry rounded to double exactly as the
-    int division ``num / den`` rounds.
+def doubled_phases(words: np.ndarray, r: int) -> np.ndarray:
+    """The [rows, r] table of the phases {2^j b}, j < r, of the rows b of a
+    word array (``numtheory.to_words``), each rounded to double exactly as
+    the int division ((b << j) mod 2^W) / 2^W rounds, for every phase down
+    to 2^-1022.
 
-    For den = 2^W, column j < 64 reads the 64 bits of num that start j bits
-    below its top bit, out of num's top 128, and folds every lower bit of
-    num into the window's last bit (round to odd).  A window of at least
-    2^54 keeps 55 or more bits, so the one rounding of the uint64 -> float64
-    cast is then the correct one; so is the cast of a window with no lower
-    bits.  The remaining entries, every column from j = 64 on and every
-    entry of any other den take the int division, one row-list at a time.
-    The table is column-major, so each column is contiguous.
+    Entry j is the 64-bit window of b that starts j bits below the point,
+    with every lower bit folded into its last bit (round to odd).  A window
+    of at least 2^54 keeps 55 or more bits, so the one rounding of the
+    uint64 -> float64 cast is then the correct one; so is the cast of a
+    window with no lower bits.  An odd window below 2^54 is moved down past
+    its leading zeros until it is not, and scaled back exactly.  Columns
+    j >= W are 0.  The table is column-major, so each column is contiguous.
     """
-    rows = len(nums)
-    phases = np.empty((r, rows)).T
-    width = den.bit_length() - 1
-    cols = min(r, 64) if den == 1 << width else 0
-    if cols:
-        if width >= 128:
-            low = (1 << (width - 128)) - 1
-            tops = [b >> (width - 128) for b in nums]
-            rest = np.array([b & low != 0 for b in nums], dtype=bool)
-        else:
-            tops = [b << (128 - width) for b in nums]
-            rest = False
-        limbs = np.frombuffer(b"".join([t.to_bytes(16, "little") for t in tops]), dtype="<u8")
-        lo, hi = limbs.reshape(rows, 2).T.astype(np.uint64)
-        js = np.arange(cols, dtype=np.uint64)[:, None]
-        window = (hi << js) | ((lo >> np.uint64(1)) >> (np.uint64(63) - js))  # [cols, rows]
-        sticky = ((lo << js) != 0) | rest
-        np.multiply((window | sticky).astype(np.float64), 2.0**-64, out=phases.T[:cols])
-        for j, i in zip(*np.nonzero(sticky & (window < np.uint64(1 << 54)))):
-            phases[i, j] = ((nums[i] << int(j)) % den) / den
-    if cols < r:
-        phases[:, cols:] = [[((num << j) % den) / den for j in range(cols, r)] for num in nums]
+    padded = np.pad(words.T, ((0, 3), (0, 0)))  # [word, row]
+    nonzero_from = np.logical_or.accumulate(padded[::-1] != 0)[::-1]  # [k, row]: words k on
+
+    def windows(rows, offsets):
+        q, t = offsets >> 6, (offsets & 63).astype(np.uint64)
+        hi, lo = padded[q, rows], padded[q + 1, rows]
+        window = (hi << t) | ((lo >> np.uint64(1)) >> (np.uint64(63) - t))
+        return window | ((lo << t) != 0) | nonzero_from[q + 2, rows]
+
+    table = windows(np.arange(len(words)), np.minimum(np.arange(r), 64 * words.shape[1])[:, None])
+    phases = np.multiply(table, 2.0**-64).T
+    j, i = np.nonzero((table < np.uint64(1 << 54)) & (table & np.uint64(1) != 0))
+    off, window = j.copy(), table[j, i]
+    while (low := window < np.uint64(1 << 54)).any():  # skip the window's leading zeros
+        off[low] += 64 - np.frexp(window[low].astype(np.float64))[1]
+        window[low] = windows(i[low], off[low])
+    phases[i, j] = np.ldexp(window.astype(np.float64), j - off - 64)
     return phases
 
 
@@ -94,15 +90,19 @@ def lacunary_factors(phases: np.ndarray, gamma: Sequence[int]) -> np.ndarray:
 
 def log_pi_product(r: int, gamma: Sequence[int], p: int, q: int) -> float:
     """log Pi_{r,gamma}(p/q) = sum_{j<r} log |cos(2^j pi p/q + gamma_j pi/2)|,
-    -inf on a hard zero.  The factors are one row of ``doubled_phases``,
-    so the phases 2^j p mod q are reduced exactly; a W-bit alpha is p = its
-    bits and q = 2^W."""
+    -inf on a hard zero.  The phases 2^j p mod q are reduced exactly: by
+    ``doubled_phases`` for q = 2^W (a W-bit alpha is p = its bits), by the
+    int division for any other q."""
     if not 0 <= p < q:
         raise ValueError("need 0 <= p < q")
     if not 0 <= r <= len(gamma):
         raise ValueError("need 0 <= r <= len(gamma)")
     acc = 0.0
-    for f in lacunary_factors(doubled_phases([p], q, r), gamma[:r])[0].tolist():
+    if q > 1 and q & (q - 1) == 0:
+        phases = doubled_phases(to_words([p], q.bit_length() - 1), r)
+    else:
+        phases = np.array([[((p << j) % q) / q for j in range(r)]])
+    for f in lacunary_factors(phases, gamma[:r])[0].tolist():
         if f < _HARD_ZERO:
             return -math.inf
         acc += math.log(f)

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from halkron.discrepancy import _BLOCK_CELLS, _CONFIRM_MARGIN, BoxSide, DiscrepancyResult
+from halkron.numtheory import from_words
 from halkron.sequences import PointSet2
 
 
@@ -28,14 +29,15 @@ def block_sweep_discrepancy_2d(ps: PointSet2) -> DiscrepancyResult:
     if n == 0:
         raise ValueError("empty point set")
     q = 1 << ps.width
-    xs = sorted(set(ps.x_bits))
-    ys = sorted(set(ps.y_bits))
+    xb, yb = from_words(ps.x, ps.width), from_words(ps.y, ps.width)
+    xs = sorted(set(xb))
+    ys = sorted(set(yb))
     nx, ny = len(xs), len(ys)
     rank_x = {v: i for i, v in enumerate(xs)}
     rank_y = {v: i for i, v in enumerate(ys)}
     # y ranks of the points on each row; row nx (x = 1) holds none
     row_ys: list[list[int]] = [[] for _ in range(nx + 1)]
-    for a, b in zip(ps.x_bits, ps.y_bits):
+    for a, b in zip(xb, yb):
         row_ys[rank_x[a]].append(rank_y[b])
     # row nx and column ny are the corners at x = 1 and y = 1
     xs.append(q)

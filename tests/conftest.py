@@ -1,6 +1,17 @@
 import random
 
+from halkron.numtheory import from_words, to_words
 from halkron.sequences import PointSet2
+
+
+def point_set(xs: list[int], ys: list[int], width: int = 128) -> PointSet2:
+    """The point set of the numerator lists ``xs`` and ``ys``."""
+    return PointSet2(to_words(xs, width), to_words(ys, width), width)
+
+
+def coordinates(ps: PointSet2) -> tuple[list[int], list[int]]:
+    """The exact numerators of a point set's x and y."""
+    return from_words(ps.x, ps.width), from_words(ps.y, ps.width)
 
 
 def random_point_set(rng: random.Random, n_points: int, width: int = 128,
@@ -18,4 +29,4 @@ def random_point_set(rng: random.Random, n_points: int, width: int = 128,
     if allow_dups and n_points >= 2 and rng.random() < 0.3:
         j = rng.randrange(n_points - 1)
         xs[j + 1], ys[j + 1] = xs[j], ys[j]
-    return PointSet2(xs, ys, width)
+    return point_set(xs, ys, width)

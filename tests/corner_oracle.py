@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from halkron.numtheory import from_words
 from halkron.sequences import PointSet2
 
 
@@ -23,13 +24,14 @@ def brute_force_discrepancy_points(ps: PointSet2) -> Fraction:
     if n == 0:
         raise ValueError("empty point set")
     q = 1 << ps.width
-    xs_u = sorted(set(ps.x_bits))
-    ys_u = sorted(set(ps.y_bits))
+    xb, yb = from_words(ps.x, ps.width), from_words(ps.y, ps.width)
+    xs_u = sorted(set(xb))
+    ys_u = sorted(set(yb))
     rx = {v: i for i, v in enumerate(xs_u)}
     ry = {v: i for i, v in enumerate(ys_u)}
     p_, q_ = len(xs_u), len(ys_u)
     cnt = np.zeros((p_, q_), dtype=np.int64)
-    for a, b in zip(ps.x_bits, ps.y_bits):
+    for a, b in zip(xb, yb):
         cnt[rx[a], ry[b]] += 1
     cum = np.zeros((p_ + 1, q_ + 1), dtype=np.int64)
     cum[1:, 1:] = cnt.cumsum(axis=0).cumsum(axis=1)
@@ -67,7 +69,7 @@ def brute_force_discrepancy_2d(ps: PointSet2, grid: int) -> float:
     # smallest corner index strictly above / at-or-above each coordinate
     hist_lt = np.zeros((g + 1, g + 1), dtype=np.int64)
     hist_le = np.zeros((g + 1, g + 1), dtype=np.int64)
-    for a, b in zip(ps.x_bits, ps.y_bits):
+    for a, b in zip(from_words(ps.x, ps.width), from_words(ps.y, ps.width)):
         ax, ay = a * g // q + 1, b * g // q + 1
         bxi, byi = -(-a * g // q), -(-b * g // q)  # ceil
         if ax <= g and ay <= g:

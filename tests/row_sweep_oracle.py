@@ -17,15 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from halkron.discrepancy import _CONFIRM_MARGIN, BoxSide, DiscrepancyResult
+from halkron.numtheory import from_words
 from halkron.sequences import PointSet2
-
-
-def _floats(ps: PointSet2) -> tuple[np.ndarray, np.ndarray]:
-    """Round-to-nearest double coordinates."""
-    q = 1 << ps.width
-    xs = np.array([b / q for b in ps.x_bits], dtype=float)
-    ys = np.array([b / q for b in ps.y_bits], dtype=float)
-    return xs, ys
 
 
 def _scan_rows(
@@ -86,7 +79,10 @@ def row_sweep_discrepancy_2d(ps: PointSet2) -> DiscrepancyResult:
     if n == 0:
         raise ValueError("empty point set")
     q = 1 << ps.width
-    xf, yf = _floats(ps)
+    xb, yb = from_words(ps.x, ps.width), from_words(ps.y, ps.width)
+    # round-to-nearest double coordinates
+    xf = np.array([b / q for b in xb], dtype=float)
+    yf = np.array([b / q for b in yb], dtype=float)
     xs_f = np.unique(xf)
     ys_f = np.unique(yf)
     order = np.argsort(xf, kind="stable")
@@ -103,9 +99,9 @@ def row_sweep_discrepancy_2d(ps: PointSet2) -> DiscrepancyResult:
     # coordinate that rounds to 1.0)
     bx: dict[float, set[int]] = defaultdict(set)
     by: dict[float, set[int]] = defaultdict(set)
-    for v in set(ps.x_bits):
+    for v in set(xb):
         bx[v / q].add(v)
-    for v in set(ps.y_bits):
+    for v in set(yb):
         by[v / q].add(v)
     bx[1.0].add(q)
     by[1.0].add(q)
@@ -116,8 +112,6 @@ def row_sweep_discrepancy_2d(ps: PointSet2) -> DiscrepancyResult:
             for ynum in by[yfv]:
                 exact_cands.add((closed, xnum, ynum))
 
-    xb = ps.x_bits
-    yb = ps.y_bits
     best: Fraction | None = None
     witness: tuple[BoxSide, ...] = ()
     for closed, xnum, ynum in sorted(exact_cands):

@@ -182,7 +182,7 @@ class TestKernelGuard:
         assert f"needs {8 * 2**13 * (2**14 + 2**13)} bytes" in err
 
     def test_force_overrides_the_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "DEFAULT_KERNEL_CAP", 1000)
+        monkeypatch.setattr(cli, "DEFAULT_BYTE_CAP", 1000)
         argv = ["lambda", "--n", "1", "--depth", "1", "--grid", "256"]
         code, _, err = run(capsys, *argv)
         assert code == 3
@@ -196,6 +196,33 @@ class TestKernelGuard:
                      ["integral", "--n", "1", "--L", "1"]):
             code, _, _ = run(capsys, *argv)
             assert code == 3
+
+    def test_quadrature_is_guarded(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("the quadrature was built")
+
+        monkeypatch.setattr(cli.metric, "integral_pi", build)
+        # 2^18 panels x 2000 points: about 12.6 GB
+        code, out, err = run(capsys, "integral", "--n", "1", "--L", "18", "--quad", "2000")
+        assert code == 3
+        assert out == ""
+        assert f"needs {8 * (3 * 2**18 * 2000 + 2000**2)} bytes" in err and "--force" in err
+
+    def test_force_overrides_the_quadrature_cap(self, capsys, monkeypatch):
+        # the n = 1 kernel (262176 bytes) passes this cap, the quadrature does not
+        monkeypatch.setattr(cli, "DEFAULT_BYTE_CAP", 300_000)
+        argv = ["integral", "--n", "1", "--L", "3", "--quad", "200"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"needs {8 * (3 * 2**3 * 200 + 200**2)} bytes" in err
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0
+        assert json.loads(out)["by_direct"] is not None
+        # past r = 24 the direct route does not run, so it is not guarded
+        code, out, _ = run(capsys, "integral", "--n", "1", "--L", "25", "--quad", "200")
+        assert code == 0
+        assert json.loads(out)["by_direct"] is None
 
     def test_grid_rule_is_checked_first(self, capsys):
         code, _, err = run(capsys, "integral", "--n", "30", "--L", "1")
@@ -305,7 +332,7 @@ class TestAllocationFailure:
         ["gen", "--n", "1", "--count", str(10**15)],
         ["trig", "--n", "3", "--mode", "gn", "--grid", str(10**15)],
         ["certify", "--n", "1", "--grid", str(10**15)],
-        ["integral", "--n", "1", "--L", "2", "--quad", str(10**15)],
+        ["integral", "--n", "1", "--L", "2", "--quad", str(10**15), "--force"],
     ], ids=["gen", "trig", "certify", "integral"])
     def test_exit_3(self, capsys, argv):
         code, out, err = run(capsys, *argv)

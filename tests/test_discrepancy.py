@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_point_set
+from conftest import coordinates, point_set, random_point_set
 from corner_oracle import brute_force_discrepancy_2d, brute_force_discrepancy_points
 from exact_helpers import star_discrepancy_1d
 from row_sweep_oracle import row_sweep_discrepancy_2d
@@ -70,21 +70,21 @@ class TestStar1D:
 
 class TestStar2D:
     def test_single_center_point(self):
-        ps = PointSet2([1 << 127], [1 << 127], 128)
+        ps = point_set([1 << 127], [1 << 127])
         assert star_discrepancy_2d(ps).d_star == Fraction(3, 4)
 
     def test_single_origin_point(self):
-        ps = PointSet2([0], [0], 128)
+        ps = point_set([0], [0])
         assert star_discrepancy_2d(ps).d_star == 1
 
     def test_two_diagonal_points(self):
         # box closing on (1/2,1/2) from above: count 2, area 1/4
-        ps = PointSet2([0, 1 << 127], [0, 1 << 127], 128)
+        ps = point_set([0, 1 << 127], [0, 1 << 127])
         assert star_discrepancy_2d(ps).d_star == Fraction(3, 4)
 
     def test_empty_is_error(self):
         with pytest.raises(ValueError):
-            star_discrepancy_2d(PointSet2([], [], 128))
+            star_discrepancy_2d(point_set([], []))
 
     def test_permutation_invariance(self):
         rng = random.Random(17)
@@ -92,7 +92,7 @@ class TestStar2D:
         ref = star_discrepancy_2d(ps).d_star
         order = list(range(12))
         rng.shuffle(order)
-        shuffled = PointSet2([ps.x_bits[i] for i in order], [ps.y_bits[i] for i in order], ps.width)
+        shuffled = PointSet2(ps.x[order], ps.y[order], ps.width)
         assert star_discrepancy_2d(shuffled).d_star == ref
 
     def test_bounds(self):
@@ -107,7 +107,8 @@ class TestStar2D:
         for _ in range(10):
             n = rng.randint(2, 12)
             ps = random_point_set(rng, n, allow_dups=False)
-            ps.x_bits[1], ps.y_bits[1] = ps.x_bits[0], ps.y_bits[0]
+            dup = [0, 0, *range(2, n)]  # point 1 replaced by point 0
+            ps = PointSet2(ps.x[dup], ps.y[dup], ps.width)
             assert star_discrepancy_2d(ps).d_star >= Fraction(1, n)
 
     def test_witness_reevaluates(self):
@@ -117,12 +118,13 @@ class TestStar2D:
             res = star_discrepancy_2d(ps)
             sx, sy = res.witness_box
             q = 1 << ps.width
+            xb, yb = coordinates(ps)
             if sx.closed:
-                c = sum(1 for a, b in zip(ps.x_bits, ps.y_bits)
+                c = sum(1 for a, b in zip(xb, yb)
                         if Fraction(a, q) <= sx.coord and Fraction(b, q) <= sy.coord)
                 term = Fraction(c, len(ps)) - sx.coord * sy.coord
             else:
-                c = sum(1 for a, b in zip(ps.x_bits, ps.y_bits)
+                c = sum(1 for a, b in zip(xb, yb)
                         if Fraction(a, q) < sx.coord and Fraction(b, q) < sy.coord)
                 term = sx.coord * sy.coord - Fraction(c, len(ps))
             assert term == res.d_star
@@ -146,7 +148,7 @@ class TestStar2D:
                 by = rng.getrandbits(100) | (1 << 99)
                 xs += [bx, bx + 1]
                 ys += [by + 1, by]
-            ps = PointSet2(xs, ys, 128)
+            ps = point_set(xs, ys)
             assert float(xs[0] / (1 << 128)) == float(xs[1] / (1 << 128))
             assert star_discrepancy_2d(ps).d_star == brute_force_discrepancy_points(ps)
 
@@ -170,7 +172,7 @@ class TestRowSweepOracle:
 class TestBruteForceGrid:
     def test_empty_region_coarse_grid(self):
         b = int(0.999 * (1 << 60)) << 68  # ~0.999 in 128 bits
-        ps = PointSet2([b], [b], 128)
+        ps = point_set([b], [b])
         assert brute_force_discrepancy_2d(ps, 2) >= 0.25
 
     def test_grid_containing_coordinates_matches_exact(self):
@@ -199,7 +201,7 @@ class TestBruteForceGrid:
         coords = [i << (w - m) for i in range(1 << m)]
         xs = [cx for cx in coords for _ in coords]
         ys = [cy for _ in coords for cy in coords]
-        ps = PointSet2(xs, ys, w)
+        ps = point_set(xs, ys, w)
         exact = float(star_discrepancy_2d(ps).d_star)
         assert brute_force_discrepancy_2d(ps, 1 << m) == pytest.approx(exact, abs=1e-12)
         assert exact <= 2.0 ** (1 - m)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import coordinates, point_set
 from corner_oracle import brute_force_discrepancy_points
 from halkron import discrepancy
 from halkron.discrepancy import BoxSide, star_discrepancy_2d
@@ -26,7 +27,7 @@ def tied_point_sets(draw) -> PointSet2:
     coord = st.one_of(st.sampled_from(anchors), near, st.integers(0, top))
     pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
     pts += draw(st.lists(st.sampled_from(pts), max_size=3))
-    return PointSet2([x for x, _ in pts], [y for _, y in pts], width)
+    return point_set([x for x, _ in pts], [y for _, y in pts], width)
 
 
 @PROPERTY
@@ -40,7 +41,7 @@ def test_equals_corner_enumeration(ps):
 def test_point_order_does_not_matter(data):
     ps = data.draw(tied_point_sets())
     order = data.draw(st.permutations(range(len(ps))))
-    shuffled = PointSet2([ps.x_bits[i] for i in order], [ps.y_bits[i] for i in order], ps.width)
+    shuffled = PointSet2(ps.x[order], ps.y[order], ps.width)
     assert star_discrepancy_2d(shuffled) == star_discrepancy_2d(ps)
 
 
@@ -51,15 +52,16 @@ def test_witness_reevaluates_to_smallest_maximizer(ps):
     # re-evaluates to d_star and is the smallest (closed, x, y) among the
     # exact maximizers
     q, n = 1 << ps.width, len(ps)
-    xs, ys = sorted(set(ps.x_bits)), sorted(set(ps.y_bits))
+    xb, yb = coordinates(ps)
+    xs, ys = sorted(set(xb)), sorted(set(yb))
     corners = [(True, x, y) for x in xs for y in ys]
     corners += [(False, x, y) for x in xs + [q] for y in ys + [q]]
 
     def term(closed, x, y):
         vol = Fraction(x * y, q * q)
         if closed:
-            return Fraction(sum(1 for a, b in zip(ps.x_bits, ps.y_bits) if a <= x and b <= y), n) - vol
-        return vol - Fraction(sum(1 for a, b in zip(ps.x_bits, ps.y_bits) if a < x and b < y), n)
+            return Fraction(sum(1 for a, b in zip(xb, yb) if a <= x and b <= y), n) - vol
+        return vol - Fraction(sum(1 for a, b in zip(xb, yb) if a < x and b < y), n)
 
     res = star_discrepancy_2d(ps)
     sx, sy = res.witness_box

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from block_sweep_oracle import block_sweep_discrepancy_2d
+from conftest import coordinates, point_set
 from test_discrepancy_properties import PROPERTY, tied_point_sets
 from halkron import cli, discrepancy
 from halkron.discrepancy import star_discrepancy_2d
@@ -32,11 +33,12 @@ def exact_row_maxima(ps: PointSet2) -> list[Fraction]:
     at the distinct x and at 1; closed corners at the distinct y of rows
     below 1, open corners also at y = 1."""
     q, n = 1 << ps.width, len(ps)
-    xs, ys = sorted(set(ps.x_bits)), sorted(set(ps.y_bits))
+    xb, yb = coordinates(ps)
+    xs, ys = sorted(set(xb)), sorted(set(yb))
     rx = {v: i for i, v in enumerate(xs)}
     ry = {v: i for i, v in enumerate(ys)}
     hist = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int64)
-    for a, b in zip(ps.x_bits, ps.y_bits):
+    for a, b in zip(xb, yb):
         hist[rx[a] + 1, ry[b] + 1] += 1
     cum = hist.cumsum(axis=0).cumsum(axis=1)  # cum[a + 1, b + 1] = C(a, b)
     out = []
@@ -120,7 +122,7 @@ def flat_set() -> PointSet2:
     xs = [(a + 47) << (width - 7) for a in range(64)] + [111 << (width - 7)] * 64
     ys = [((3 << 10) + (a << 6)) * scale for a in range(64)]
     ys += [(47 * 64 + 81 * j) * scale for j in range(64)]
-    return PointSet2(xs, ys, width)
+    return point_set(xs, ys, width)
 
 
 def test_no_row_can_be_pruned():

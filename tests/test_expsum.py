@@ -6,7 +6,7 @@ import pytest
 
 from bound_table_oracle import upper_bound_rhs as oracle_upper_bound_rhs
 from exact_helpers import exp_sum_mk, geometric_sum, mk_array
-from halkron import expsum
+from halkron import expsum, trigprod
 from halkron.expsum import (
     BoundParams,
     exp_sum_perturbed,
@@ -15,9 +15,9 @@ from halkron.expsum import (
     product_lower_bound,
     two_additive_bound_check,
 )
-from halkron.numtheory import UnitFraction, make_unit_fraction, theorem_alpha
+from halkron.numtheory import UnitFraction, make_unit_fraction, theorem_alpha, to_words
 from halkron.sequences import PerturbSpec
-from halkron.trigprod import doubled_phases, log_pi_product
+from halkron.trigprod import doubled_phases, lacunary_factors, log_pi_product
 
 
 def direct_exp_sum(values, alpha_frac: float) -> complex:
@@ -253,17 +253,34 @@ class TestBoundTableOracle:
 
 
 class TestDoubledPhases:
-    @pytest.mark.parametrize("width", [1, 2, 8, 53, 64, 100, 128, 200])
+    @pytest.mark.parametrize("width", [1, 2, 8, 53, 63, 64, 65, 100, 127, 128, 129, 200])
     def test_every_entry_is_the_int_division(self, width):
+        # columns up to width + 9: those from j = width on are 0
         rng = random.Random(width)
         mod = 1 << width
-        r = 70
+        r = max(70, width + 10)
         bs = [rng.getrandbits(width) for _ in range(200)] + [run_bits(rng, width) for _ in range(800)]
         want = [[((b << j) & (mod - 1)) / mod for j in range(r)] for b in bs]
-        assert doubled_phases(bs, mod, r).tolist() == want
+        assert doubled_phases(to_words(bs, width), r).tolist() == want
+
+    def test_phases_far_below_the_window(self):
+        # a lone low bit: the window moves down by whole words to reach it
+        width = 700
+        bs = [1, 3, (1 << 699) | 1, (1 << 400) | (1 << 10) | 1]
+        mod = 1 << width
+        want = [[((b << j) & (mod - 1)) / mod for j in range(width + 2)] for b in bs]
+        assert doubled_phases(to_words(bs, width), width + 2).tolist() == want
 
     @pytest.mark.parametrize("den", [3, 5, 9, 257, 768, (1 << 64) + 1])
-    def test_other_moduli_take_the_int_division(self, den):
+    def test_other_moduli_take_the_int_division(self, den, monkeypatch):
+        # the phase rows log_pi_product hands to the factor table
+        seen = []
+
+        def factors(phases, gamma):
+            seen.append(phases.tolist()[0])
+            return lacunary_factors(phases, gamma)
+
+        monkeypatch.setattr(trigprod, "lacunary_factors", factors)
         rng = random.Random(den)
         r = 200
         nums = [0, 1, den - 1] + [rng.randrange(den) for _ in range(50)]
@@ -274,8 +291,10 @@ class TestDoubledPhases:
                 row.append(num / den)
                 num = 2 * num % den
             want.append(row)
-        assert doubled_phases(nums, den, r).tolist() == want
-        assert doubled_phases(nums, den, 7).tolist() == [row[:7] for row in want]
+        for num in nums:
+            log_pi_product(r, (0,) * r, num, den)
+            log_pi_product(7, (0,) * 7, num, den)
+        assert seen == [part for row in want for part in (row, row[:7])]
 
     def test_small_phases_with_low_bits_occur(self):
         # the entries the 64-bit window cannot round: phase below 2^-10
@@ -313,11 +332,11 @@ class TestBoundCounts:
         # not one table per level (65535 rows in 17 calls)
         calls = []
 
-        def counted(nums, den, r):
-            calls.append((len(nums), r))
-            return doubled_phases(nums, den, r)
+        def counted(phases, gamma):
+            calls.append(phases.shape)
+            return lacunary_factors(phases, gamma)
 
-        monkeypatch.setattr(expsum, "doubled_phases", counted)
+        monkeypatch.setattr(expsum, "lacunary_factors", counted)
         size = 1 << 16
         upper_bound_rhs(BoundParams(size, size, size), 1, theorem_alpha(1).fraction)
         assert calls == [(1 << 14, 15), (1 << 14, 15)]

@@ -1,5 +1,8 @@
 """Layout of the library: ``src/halkron`` holds the program, and the tests
-hold their oracles and helpers.
+hold their oracles and helpers.  No module holds an object-dtype array,
+and only ``numtheory`` converts between Python ints and words (its
+``to_words`` and ``from_words`` are the only ``to_bytes`` and
+``from_bytes`` calls).
 
 Every name that ``halkron/__init__.py`` imports must be used by another
 module of the package, outside the ``def`` or ``class`` that defines it.
@@ -52,3 +55,32 @@ def test_every_export_runs_in_the_program():
             used |= used_names(ast.parse(path.read_text()))
     unused = exported_names() - used
     assert unused == PAPER_IDENTITIES, f"exported with no user in src/: {sorted(unused - PAPER_IDENTITIES)}"
+
+
+def calls(path: Path):
+    return [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
+
+
+def test_no_object_arrays():
+    # the coordinates and orbits are uint64 word arrays, not arrays of Python ints
+    found = [
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for call in calls(path)
+        for kw in call.keywords
+        if kw.arg == "dtype" and (
+            (isinstance(kw.value, ast.Name) and kw.value.id == "object")
+            or (isinstance(kw.value, ast.Constant) and kw.value.value in ("O", "object"))
+        )
+    ]
+    assert found == []
+
+
+def test_int_word_conversion_lives_in_numtheory():
+    users = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for call in calls(path)
+        if isinstance(call.func, ast.Attribute) and call.func.attr in ("to_bytes", "from_bytes")
+    }
+    assert users == {"numtheory.py"}

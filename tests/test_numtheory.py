@@ -2,16 +2,19 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from exact_helpers import continued_fraction, nearest_int_distance
 from halkron.numtheory import (
     SpecialAlpha,
     UnitFraction,
+    from_words,
     make_unit_fraction,
     rational_bad,
     shallit_beta,
     theorem_alpha,
+    to_words,
 )
 
 
@@ -88,12 +91,47 @@ class TestMultiples:
 
     def test_orbit_is_mul_int(self):
         rng = random.Random(11)
-        for width in (8, 64, 128, 200):
-            a = UnitFraction(rng.getrandbits(width), width)
-            assert a.multiples(300) == [a.mul_int(k).bits for k in range(300)]
+        for width in (1, 8, 63, 64, 65, 127, 128, 129, 200):
+            for bits in (rng.getrandbits(width), (1 << width) - 1, 1 << (width - 1)):
+                a = UnitFraction(bits, width)
+                for count in (0, 1, 300):
+                    words = a.multiples(count)
+                    assert words.dtype == np.uint64 and words.shape == (count, -(-width // 64))
+                    want = [a.mul_int(k).bits for k in range(count)]
+                    assert from_words(words, width) == want
+                    assert (words == to_words(want, width)).all()
 
     def test_empty_orbit(self):
-        assert UnitFraction(85, 8).multiples(0) == []
+        assert UnitFraction(85, 8).multiples(0).shape == (0, 1)
+
+    def test_carries_through_every_limb(self):
+        # all ones: every limb product carries into the next limb
+        a = UnitFraction((1 << 200) - 1, 200)
+        ks = [1000, (1 << 16) - 2, (1 << 16) - 1]
+        assert from_words(a.multiples(1 << 16)[ks], 200) == [a.mul_int(k).bits for k in ks]
+
+    def test_count_above_2_to_32_is_an_error(self):
+        with pytest.raises(ValueError):
+            UnitFraction(85, 8).multiples((1 << 32) + 1)
+
+
+class TestWords:
+    """``to_words`` and ``from_words``: left-aligned words, most significant
+    first, and back."""
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 200])
+    def test_round_trip(self, width):
+        rng = random.Random(width)
+        nums = [0, 1, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(50)]
+        words = to_words(nums, width)
+        assert words.shape == (len(nums), -(-width // 64))
+        assert from_words(words, width) == nums
+
+    def test_layout(self):
+        # 1/2 + 2^-128 at W = 128; 1/2 at W = 1 fills the top bit of its word
+        assert to_words([(1 << 127) | 1], 128).tolist() == [[1 << 63, 1]]
+        assert to_words([1], 1).tolist() == [[1 << 63]]
+        assert to_words([], 65).shape == (0, 2)
 
 
 class TestShallitBeta:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import random
@@ -6,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from halkron.numtheory import UnitFraction, make_unit_fraction
+from conftest import coordinates
+from halkron.numtheory import UnitFraction, make_unit_fraction, theorem_alpha
 from exact_helpers import DigitVector, mk_array
-from halkron.sequences import PerturbSpec, generate_point_set
+from halkron.sequences import PerturbSpec, PointSet2, generate_point_set
 from scalar_point_oracle import digital_point, hybrid_point, weighted_digit_sum
 
 
@@ -142,11 +144,12 @@ class TestGeneratePointSet:
     def test_single_point(self):
         ps = generate_point_set(PerturbSpec(1), make_unit_fraction(1, 2, 128), 1)
         assert len(ps) == 1
-        assert ps.x_bits == [0] and ps.y_bits == [0]
+        assert coordinates(ps) == ([0], [0])
 
     def test_spec_example_n1(self):
         ps = generate_point_set(PerturbSpec(1), make_unit_fraction(1, 2, 128), 4)
-        pts = [(x.as_fraction(), y.as_fraction()) for x, y in ps.points]
+        q = 1 << ps.width
+        pts = [(Fraction(x, q), Fraction(y, q)) for x, y in zip(*coordinates(ps))]
         assert pts == [
             (Fraction(0), Fraction(0)),
             (Fraction(1, 2), Fraction(1, 2)),
@@ -156,7 +159,7 @@ class TestGeneratePointSet:
 
     def test_spec_example_n2(self):
         ps = generate_point_set(PerturbSpec(2), UnitFraction(85, 8), 2)
-        pts = [(x.as_fraction(), y.as_fraction()) for x, y in ps.points]
+        pts = [(Fraction(x, 256), Fraction(y, 256)) for x, y in zip(*coordinates(ps))]
         assert pts == [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(85, 256))]
 
     def test_rejects_empty(self):
@@ -168,11 +171,26 @@ class TestGeneratePointSet:
 
         alpha = theorem_alpha(2).fraction
         spec = PerturbSpec(2)
-        ps = generate_point_set(spec, alpha, 200)
+        xs, ys = coordinates(generate_point_set(spec, alpha, 200))
         for k in (0, 1, 17, 100, 199):
             x, y = hybrid_point(k, spec, alpha)
-            assert ps.x_bits[k] == x.bits
-            assert ps.y_bits[k] == y.bits
+            assert xs[k] == x.bits
+            assert ys[k] == y.bits
+
+    def test_word_arrays_are_frozen(self):
+        # two uint64 words per coordinate at W = 128
+        count = 1 << 16
+        ps = generate_point_set(PerturbSpec(1), theorem_alpha(1).fraction, count)
+        assert ps.x.dtype == ps.y.dtype == np.uint64
+        assert ps.x.nbytes == ps.y.nbytes == 16 * count
+        with pytest.raises(ValueError):
+            ps.x[0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ps.y = ps.x
+        with pytest.raises(ValueError):
+            PointSet2(ps.x, ps.y[:-1], ps.width)
+        with pytest.raises(ValueError):
+            PointSet2(ps.x, ps.y.astype(np.int64), ps.width)
 
     def test_csv_export(self):
         ps = generate_point_set(PerturbSpec(1), make_unit_fraction(1, 2, 128), 4)
@@ -183,5 +201,5 @@ class TestGeneratePointSet:
         assert len(lines) == 5
         k, xh, yh, xf, yf = lines[2].split(",")
         assert k == "1"
-        assert int(xh, 16) == ps.x_bits[1]
+        assert int(xh, 16) == coordinates(ps)[0][1]
         assert float(xf) == 0.5

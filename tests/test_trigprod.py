@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from exact_helpers import g_value, g_value_product, product_upper_bound_log, xi_fixed_point
-from halkron.numtheory import UnitFraction
+from halkron.numtheory import UnitFraction, to_words
 from halkron.sequences import PerturbSpec
 from halkron.trigprod import (
     a_exponent,
@@ -112,7 +112,7 @@ class TestDoublingFactors:
             r = rng.randint(0, 80)
             gamma = PerturbSpec(rng.randint(1, 5), shift=rng.randint(0, 7)).gamma(r)
             bits = rng.getrandbits(width)
-            got = lacunary_factors(doubled_phases([bits], 1 << width, r), gamma)[0].tolist()
+            got = lacunary_factors(doubled_phases(to_words([bits], width), r), gamma)[0].tolist()
             assert got == inline_loop_factors(bits, width, gamma, r)
 
 
