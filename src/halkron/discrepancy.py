@@ -5,8 +5,8 @@ taken from the point coordinates and 1: closed counting captures the
 overshoot limits (boxes shrinking onto a corner from above), open counting
 captures the undershoot side.
 
-The 2D routine ranks the distinct coordinates exactly (``np.unique`` over
-their big-endian word rows).  Row a is the a-th distinct x (row nx is x = 1),
+The 2D routine ranks the distinct coordinates exactly (one ``np.lexsort``
+over their word columns).  Row a is the a-th distinct x (row nx is x = 1),
 column b the b-th distinct y (column ny is y = 1).  With X_a = N*x_a and
 C(a, b) the number of points with x rank <= a and y rank <= b, row a holds
 the closed terms C(a, b) - X_a*y_b (b < ny, a < nx; closed corners at x = 1
@@ -104,9 +104,17 @@ class DiscrepancyResult:
     d_star: Fraction
     witness_box: tuple[BoxSide, ...]
 
-    @property
-    def value(self) -> float:
-        return float(self.d_star)
+
+def _ranks(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a word array in increasing order, the rank of
+    each row among them, and the number of rows of lower rank than each
+    distinct row: one lexsort, the most significant word the primary key."""
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    new = np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1))
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(new) - 1
+    return ordered[new], rank, np.flatnonzero(new)
 
 
 class _RankSweep:
@@ -121,22 +129,16 @@ class _RankSweep:
 
     def __init__(self, ps: PointSet2):
         n = len(ps)
-        # the distinct word rows in increasing order (as big-endian bytes), each point's rank
-        row = np.dtype((np.void, 8 * ps.x.shape[1]))
-        xs, rank_x = np.unique(ps.x.astype(">u8", order="C").view(row)[:, 0], return_inverse=True)
-        ys, rank_y = np.unique(ps.y.astype(">u8", order="C").view(row)[:, 0], return_inverse=True)
-        self.xs, self.ys = xs, ys = [v.view(">u8").reshape(len(v), -1) for v in (xs, ys)]
-        self.nx, self.ny = nx, ny = len(xs), len(ys)
+        (self.xs, rank_x, below), (self.ys, rank_y, _) = _ranks(ps.x), _ranks(ps.y)
+        self.nx, self.ny = nx, ny = len(self.xs), len(self.ys)
         # each point as x rank * ny + y rank, in increasing order, and its y
         # rank + 1, the first count column it adds to; rows a-1 and a end at
         # k[a] and k[a+1] (row nx holds no point)
         self.keys = np.sort(rank_x * ny + rank_y)
         self.pts_y1 = (self.keys % ny + 1).tolist()
-        self.k = np.zeros(nx + 2, dtype=np.int64)
-        np.cumsum(np.bincount(rank_x, minlength=nx), out=self.k[1:nx + 1])
-        self.k[nx + 1] = n
-        self.x_n = np.append(doubled_phases(xs, 1), 1.0) * n
-        self.y_f = np.append(doubled_phases(ys, 1), 1.0)
+        self.k = np.append(below, [n, n])
+        self.x_n = np.append(doubled_phases(self.xs, 1), 1.0) * n
+        self.y_f = np.append(doubled_phases(self.ys, 1), 1.0)
         self.step = step = max(1, _BLOCK_CELLS // (ny + 1))
         self.le = np.empty((step, ny))  # C(a, b), exact in float64, then the closed terms
         self.lt = np.zeros((step, ny + 1))  # C(a-1, b-1), 0 in column 0

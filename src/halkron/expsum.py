@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -34,9 +33,7 @@ def _compensated_sum(arr: np.ndarray) -> float:
 
 
 def _phases(values: np.ndarray, alpha: UnitFraction) -> np.ndarray:
-    """{v * alpha} for an int64 array, via two exact fixed-point tables."""
-    if values.size == 0:
-        return np.empty(0)
+    """{v * alpha} for a nonempty int64 array, via two exact fixed-point tables."""
     vmax = int(values.max())
     low_bits = min(13, max(1, vmax.bit_length()))
     lo_tab = doubled_phases(alpha.multiples(1 << low_bits), 1)[:, 0]
@@ -193,35 +190,34 @@ def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBo
     in one ``doubled_phases`` / ``lacunary_factors`` table, built per block
     of ``_TABLE_ROWS`` rows; level l reads its first H/2^l rows."""
     big_n, h_lim, k_lim = params.n_points, params.h_limit, params.k_limit
-    log_n = math.log(big_n)
-    term_nk = big_n / k_lim
-    term_nh = big_n / h_lim * log_n
-    term_log2 = log_n * log_n
-    rows: list[UpperBoundRow] = []
-    degenerate: list[tuple[int, int]] = []
-    total = 0.0
     levels = range(1, k_lim.bit_length())  # ell <= floor(log2 K)
     cols = big_n.bit_length() - 2  # columns ell - 1 + j, j < floor(log2 N) - ell
     gamma = PerturbSpec(n, shift=1).gamma(cols)  # weight c^(l)_j = c_{l+j} of column l - 1 + j
     orbit = alpha.shift_left(1).multiples((h_lim >> 1) + 1 if levels else 1)
-    prods: list[list[float]] = [[] for _ in levels]
+    prods: list[list[np.ndarray]] = [[] for _ in levels]  # per level, its rows of each block
     for h0 in range(1, len(orbit), _TABLE_ROWS):
         factors = lacunary_factors(doubled_phases(orbit[h0 : h0 + _TABLE_ROWS], cols), gamma)
-        for ell, prod in zip(levels, prods):
-            # the block's rows of ell: H/2^l - len(prod) >= 0, so never a negative end
-            prod += _weighted_prefix_sum(factors[: (h_lim >> ell) - len(prod), ell - 1 :]).tolist()
+        for level, prod in zip(levels, prods):
+            block = factors[: max((h_lim >> level) + 1 - h0, 0), level - 1 :]
+            prod.append(_weighted_prefix_sum(block))
     # 1 / ||b||: the exact distance min(b, 2^W - b) / 2^W rounds to the smaller
     # of the rounded b / 2^W and (2^W - b) / 2^W, an orbit point of -2 alpha
     minus = UnitFraction(-(alpha.bits << 1) % alpha.modulus, alpha.width).multiples(len(orbit))
     dist = np.minimum(doubled_phases(orbit, 1), doubled_phases(minus, 1))[:, 0]
-    norms = np.divide(1.0, dist, out=np.full(len(dist), math.inf), where=dist > 0).tolist()
-    for ell, prod in zip(levels, prods):
-        step = 1 << (ell - 1)  # row h of level ell is orbit point h step
-        hs = range(1, len(prod) + 1)
-        for h, norm, p in zip(hs, norms[step::step], prod):
-            total += (norm + p) / h
-        rows += map(UpperBoundRow._make, zip(repeat(ell), hs, norms[step::step], prod))
-        degenerate += [(ell, h) for h, norm in zip(hs, norms[step::step]) if norm == math.inf]
+    norms = np.divide(1.0, dist, out=np.full(len(dist), math.inf), where=dist > 0)
+    # the columns, level by level; row h of level ell is orbit point h 2^(ell-1)
+    counts = [h_lim >> level for level in levels]
+    ell = np.repeat(np.arange(1, len(counts) + 1), counts)
+    h = np.concatenate([np.empty(0, np.int64)] + [np.arange(1, c + 1) for c in counts])
+    term_norm = norms[h << (ell - 1)]
+    term_prod = np.concatenate(sum(prods, [np.empty(0)]))
+    # from 0.0, row by row, as a loop adds them (np.sum would pair them)
+    total = float(np.cumsum(np.append(0.0, (term_norm + term_prod) / h))[-1])
+    rows = zip(ell.tolist(), h.tolist(), term_norm.tolist(), term_prod.tolist())
+    deg = term_norm == math.inf
+    degenerate = zip(ell[deg].tolist(), h[deg].tolist())
+    log_n = math.log(big_n)
     return UpperBoundTerms(
-        params, term_nk, term_nh, term_log2, total, tuple(rows), tuple(degenerate)
+        params, big_n / k_lim, big_n / h_lim * log_n, log_n * log_n, total,
+        tuple(map(UpperBoundRow._make, rows)), tuple(degenerate),
     )

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import coordinates, point_set, random_point_set
 from corner_oracle import brute_force_discrepancy_2d, brute_force_discrepancy_points
 from exact_helpers import star_discrepancy_1d
 from row_sweep_oracle import row_sweep_discrepancy_2d
-from halkron.discrepancy import growth_scan, star_discrepancy_2d
+from halkron.discrepancy import _RankSweep, growth_scan, star_discrepancy_2d
 from halkron.numtheory import UnitFraction, make_unit_fraction, rational_bad, theorem_alpha
 from halkron.sequences import PerturbSpec, PointSet2, generate_point_set
 
@@ -26,6 +27,18 @@ def brute_1d(fracs):
         lt = sum(1 for v in fracs if v < t)
         best = max(best, abs(Fraction(le, n) - t), abs(t - Fraction(lt, n)))
     return best
+
+
+def colliding_set(rng: random.Random) -> PointSet2:
+    """One to five pairs of distinct 128-bit points whose x (and y) round
+    to the same double."""
+    xs, ys = [], []
+    for _ in range(rng.randint(1, 5)):
+        bx = rng.getrandbits(100) | (1 << 99)  # low bits: far below 1 ulp
+        by = rng.getrandbits(100) | (1 << 99)
+        xs += [bx, bx + 1]
+        ys += [by + 1, by]
+    return point_set(xs, ys)
 
 
 class TestStar1D:
@@ -141,16 +154,46 @@ class TestStar2D:
         # must still be separated by the exact confirmation stage
         rng = random.Random(53)
         for _ in range(20):
-            pairs = rng.randint(1, 5)
-            xs, ys = [], []
-            for _ in range(pairs):
-                bx = rng.getrandbits(100) | (1 << 99)  # low bits: far below 1 ulp
-                by = rng.getrandbits(100) | (1 << 99)
-                xs += [bx, bx + 1]
-                ys += [by + 1, by]
-            ps = point_set(xs, ys)
+            ps = colliding_set(rng)
+            xs, _ = coordinates(ps)
             assert float(xs[0] / (1 << 128)) == float(xs[1] / (1 << 128))
             assert star_discrepancy_2d(ps).d_star == brute_force_discrepancy_points(ps)
+
+
+def unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The former ranking: np.unique over the big-endian word rows, viewed
+    as one void scalar each, and back to native words."""
+    row = np.dtype((np.void, 8 * words.shape[1]))
+    vals, rank = np.unique(words.astype(">u8", order="C").view(row)[:, 0], return_inverse=True)
+    return vals.view(">u8").reshape(len(vals), -1).astype(np.uint64), rank
+
+
+class TestRanks:
+    """The lexsort ranks of ``_RankSweep`` against the np.unique route on
+    tie-heavy sets: a rational alpha (k*alpha on a handful of values),
+    coordinates that collide in double, coarse grids with duplicates at
+    one and four words, and a theorem-alpha set."""
+
+    @pytest.mark.parametrize("make_set", [
+        lambda: generate_point_set(PerturbSpec(1), rational_bad(1).fraction, 4096),
+        lambda: generate_point_set(PerturbSpec(3), rational_bad(3).fraction, 4096),
+        lambda: colliding_set(random.Random(53)),
+        lambda: random_point_set(random.Random(5), 300, width=16, coarse=True),
+        lambda: random_point_set(random.Random(6), 300, width=200, coarse=True),
+        lambda: generate_point_set(PerturbSpec(2), theorem_alpha(2).fraction, 1 << 13),
+    ], ids=["rational-1", "rational-3", "colliding", "coarse-w16", "coarse-w200", "theorem-2"])
+    def test_same_as_np_unique(self, make_set):
+        ps = make_set()
+        sweep = _RankSweep(ps)
+        xs, rank_x = unique_rows(ps.x)
+        ys, rank_y = unique_rows(ps.y)
+        k = np.zeros(len(xs) + 2, dtype=np.int64)
+        k[1:len(xs) + 1] = np.cumsum(np.bincount(rank_x, minlength=len(xs)))
+        k[-1] = len(ps)
+        assert sweep.xs.dtype == sweep.ys.dtype == np.uint64
+        assert np.array_equal(sweep.xs, xs) and np.array_equal(sweep.ys, ys)
+        assert np.array_equal(sweep.keys, np.sort(rank_x * len(ys) + rank_y))
+        assert np.array_equal(sweep.k, k)
 
 
 class TestRowSweepOracle:

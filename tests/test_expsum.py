@@ -247,6 +247,20 @@ class TestBoundTableOracle:
                            BoundParams(1 << 17, (1 << 16) + 6, 8)):
                 self.assert_same(params, 2, alpha)
 
+    def test_finite_and_infinite_norms_alternate(self):
+        # alpha = 3/8: 2^l h alpha is an integer for every even h at l = 2
+        # and every h divisible by 4 at l = 1, so inside each of these levels
+        # finite and infinite norms alternate (960 rows, 448 degenerate)
+        alpha = make_unit_fraction(3, 8, 128)
+        params = BoundParams(1 << 10, 1 << 10, 16)
+        res = upper_bound_rhs(params, 2, alpha)
+        assert (len(res.rows), len(res.degenerate)) == (960, 448)
+        self.assert_same(params, 2, alpha)
+
+    def test_levels_without_rows(self):
+        # H = 5: levels 3 to 10 have no row
+        self.assert_same(BoundParams(1 << 10, 5, 1 << 10), 1, theorem_alpha(1).fraction)
+
     def test_benchmark_table(self):
         # the bound table of perfbench's brackets workload: N = H = K = 2^16
         self.assert_same(BoundParams(1 << 16, 1 << 16, 1 << 16), 1, theorem_alpha(1).fraction)

@@ -2,7 +2,8 @@
 hold their oracles and helpers.  No module holds an object-dtype array,
 and only ``numtheory`` converts between Python ints and words (its
 ``to_words`` and ``from_words`` are the only ``to_bytes`` and
-``from_bytes`` calls).
+``from_bytes`` calls), so only it names a big-endian dtype or
+``np.void``: every other module works on native uint64 words.
 
 Every name that ``halkron/__init__.py`` imports must be used by another
 module of the package, outside the ``def`` or ``class`` that defines it.
@@ -14,6 +15,7 @@ helpers.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import halkron
@@ -82,5 +84,17 @@ def test_int_word_conversion_lives_in_numtheory():
         for path in PACKAGE.glob("*.py")
         for call in calls(path)
         if isinstance(call.func, ast.Attribute) and call.func.attr in ("to_bytes", "from_bytes")
+    }
+    assert users == {"numtheory.py"}
+
+
+def test_byte_order_lives_in_numtheory():
+    users = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r">[a-zA-Z]\d*", node.value))
+        or (isinstance(node, ast.Attribute) and node.attr == "void")
     }
     assert users == {"numtheory.py"}
