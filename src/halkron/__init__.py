@@ -4,13 +4,11 @@ brackets for the metric discrepancy exponents."""
 
 from .numtheory import (
     DEFAULT_WIDTH,
-    SpecialAlpha,
     UnitFraction,
     make_unit_fraction,
     rational_bad,
     shallit_beta,
     theorem_alpha,
-    user_alpha,
 )
 from .sequences import (
     PerturbSpec,

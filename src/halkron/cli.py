@@ -3,9 +3,9 @@ growth scans, emits the exponent curve and certification reports, and
 writes the exponent-bracket tables as CSV/JSON.
 
 Each flag that several commands share is declared once, as a parent
-parser.  Every output goes through ``_emit``, which embeds the run
-configuration and a format version so a file can be re-produced
-byte-for-byte from its own header.  Every size cap goes through
+parser.  Every output goes through ``_emit``, which embeds a format
+version and the config, exactly the flags the result reads, so a file
+can be re-produced byte-for-byte from its own header.  Every size cap goes through
 ``_guard``: the caps are CLI policy, and the library functions cap no
 size.  Exit codes: 0 success, 2 usage, 3 guard (a size above its cap, or
 an allocation that fails), 4 certification failure.
@@ -22,16 +22,15 @@ import sys
 from . import discrepancy, expsum, metric, trigprod
 from .numtheory import (
     DEFAULT_WIDTH,
-    SpecialAlpha,
+    UnitFraction,
     make_unit_fraction,
     rational_bad,
     shallit_beta,
     theorem_alpha,
-    user_alpha,
 )
 from .sequences import PerturbSpec, generate_point_set
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,7 +74,7 @@ def _single_n(ns: list[int], command: str) -> int:
     return ns[0]
 
 
-def parse_alpha(text: str, n: int, width: int) -> SpecialAlpha:
+def parse_alpha(text: str, n: int, width: int) -> UnitFraction:
     """theorem | shallit | rational | bits:HEX:WIDTH | frac:P/Q."""
     if text == "theorem":
         return theorem_alpha(n, width)
@@ -89,13 +88,13 @@ def parse_alpha(text: str, n: int, width: int) -> SpecialAlpha:
             bits, bits_width = int(digits, 16), int(w)
         except ValueError:
             raise UsageError("bits spec must look like bits:0x1234:128") from None
-        return user_alpha(bits, bits_width)
+        return UnitFraction(bits, bits_width)
     if text.startswith("frac:"):
         try:
             p, q = (int(part) for part in text[len("frac:"):].split("/"))
         except ValueError:
             raise UsageError("frac spec must look like frac:P/Q") from None
-        return user_alpha(make_unit_fraction(p, q, width).bits, width)
+        return make_unit_fraction(p, q, width)
     raise UsageError(f"unknown alpha spec {text!r}")
 
 
@@ -138,9 +137,8 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _config(args, keys: list[str]) -> dict:
-    cfg = {k: getattr(args, k) for k in keys}
-    cfg["width"] = args.width
-    return cfg
+    """The values of the flags ``keys``: exactly those the result reads."""
+    return {k: getattr(args, k) for k in keys}
 
 
 def _guard(need: int, cap: int, force: bool, what: str) -> None:
@@ -165,11 +163,10 @@ def cmd_gen(args) -> int:
     if args.count < 1:
         raise UsageError("count must be >= 1")
     alpha = parse_alpha(args.alpha, n, args.width)
-    ps = generate_point_set(PerturbSpec(n), alpha.fraction, args.count)
+    ps = generate_point_set(PerturbSpec(n), alpha, args.count)
     csv_text = io.StringIO()
     ps.write_csv(csv_text)
-    body = f"# alpha: {alpha.to_json()}\n{csv_text.getvalue()}"
-    _emit(args, _config(args, ["n", "alpha", "count"]), body)
+    _emit(args, _config(args, ["n", "alpha", "count", "width"]), csv_text.getvalue())
     return EXIT_OK
 
 
@@ -179,7 +176,7 @@ def cmd_disc(args) -> int:
         raise UsageError("count must be >= 1")
     _guard(args.count, args.guard, args.force, f"the point set has {args.count} points")
     alpha = parse_alpha(args.alpha, n, args.width)
-    ps = generate_point_set(PerturbSpec(n), alpha.fraction, args.count)
+    ps = generate_point_set(PerturbSpec(n), alpha, args.count)
     res = discrepancy.star_discrepancy_2d(ps)
     payload = {
         "n_points": res.n_points,
@@ -190,7 +187,7 @@ def cmd_disc(args) -> int:
             {"coord": float(s.coord), "closed": s.closed} for s in res.witness_box
         ],
     }
-    _emit(args, _config(args, ["n", "alpha", "count"]), payload=payload)
+    _emit(args, _config(args, ["n", "alpha", "count", "width"]), payload=payload)
     return EXIT_OK
 
 
@@ -202,7 +199,7 @@ def cmd_scan(args) -> int:
         raise UsageError("L values must be >= 1")
     bits = n * ls[-1]
     _guard(1 << bits, args.guard, args.force, f"L = {ls[-1]} gives N = 2^{bits} points")
-    rec = discrepancy.growth_scan(PerturbSpec(n), alpha.fraction, ls)
+    rec = discrepancy.growth_scan(PerturbSpec(n), alpha, ls)
     rows = [
         [ell, n_pts, repr(nd), repr(math.log(n_pts)), repr(math.log(nd))]
         for (ell, n_pts, nd) in rec.samples
@@ -212,14 +209,14 @@ def cmd_scan(args) -> int:
         "residual": rec.residual,
         "a_n_reference": rec.reference_exponent,
     }
-    _emit(args, _config(args, ["n", "alpha", "L", "guard"]),
+    _emit(args, _config(args, ["n", "alpha", "L", "width"]),
           _csv(["L", "N", "NDstar", "logN", "logNDstar"], rows), payload)
     return EXIT_OK
 
 
 def cmd_trig(args) -> int:
     ns = parse_range(args.n)
-    cfg = _config(args, ["n", "mode", "grid"])
+    cfg = _config(args, ["n", "mode"] + ["grid"] * (args.mode == "gn"))
     if args.mode == "an":
         _emit(args, cfg, _csv(["n", "a_n"], [[n, repr(trigprod.a_exponent(n))] for n in ns]))
         return EXIT_OK
@@ -246,11 +243,10 @@ def cmd_lambda(args) -> int:
         for n, br in brackets.items() for rec in br.levels
     ]
     body = _csv(["n"] * lead + ["j", "m_j", "M_j", "exp_lower", "exp_upper"], rows)
-    if args.out == "-" and args.json is None:
-        body += "".join(
-            f"# n={n}: exponent bracket [{br.exponent_lower:.5f}, {br.exponent_upper:.5f}]\n"
-            for n, br in brackets.items()
-        )
+    body += "".join(
+        f"# n={n}: exponent bracket [{br.exponent_lower:.5f}, {br.exponent_upper:.5f}]\n"
+        for n, br in brackets.items()
+    )
     payload = {
         "table": {
             str(n): {"exp_lower": br.exponent_lower, "exp_upper": br.exponent_upper}
@@ -306,7 +302,7 @@ def cmd_bound(args) -> int:
     params = expsum.BoundParams(args.N, args.H, args.K)
     _guard(params.table_rows, DEFAULT_BOUND_ROW_CAP, args.force,
            f"the bound table has {params.table_rows} rows")
-    res = expsum.upper_bound_rhs(params, n, alpha.fraction)
+    res = expsum.upper_bound_rhs(params, n, alpha)
     body = _csv(list(expsum.UpperBoundRow._fields), res.rows)
     payload = {
         "term_nk": res.term_nk,
@@ -317,7 +313,7 @@ def cmd_bound(args) -> int:
         "total": res.total if res.finite else None,
         "degenerate": [list(d) for d in res.degenerate],
     }
-    _emit(args, _config(args, ["n", "alpha", "N", "H", "K"]), body, payload)
+    _emit(args, _config(args, ["n", "alpha", "N", "H", "K", "width"]), body, payload)
     return EXIT_OK
 
 

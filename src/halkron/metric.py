@@ -359,10 +359,15 @@ class IntegralPi:
 
 
 def quadrature_bytes(n: int, blocks: int, qpts: int) -> int:
-    """Bytes of the direct quadrature, r = n blocks in 1..24 (else 0): three float64
-    arrays of 2^min(r, 18) x qpts points and a qpts x qpts companion matrix."""
+    """Bytes of the direct quadrature, r = n blocks in 1..24 (else 0): the float64
+    product at 2^min(r, 18) x qpts points, the phases and factors of one block
+    of panels, and a qpts x qpts companion matrix."""
     r = n * blocks
-    return 8 * (3 * (1 << min(r, 18)) * qpts + qpts * qpts) if 1 <= r <= 24 else 0
+    if not 1 <= r <= 24:
+        return 0
+    panels = 1 << min(r, 18)
+    block = min(panels, max(1, _QUAD_CHUNK // qpts))
+    return 8 * ((panels + 2 * block) * qpts + qpts * qpts)
 
 
 def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
@@ -376,22 +381,23 @@ def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     panels = 1 << min(r, 18)
     nodes, weights = np.polynomial.legendre.leggauss(qpts)
     h = 1.0 / panels
-    mids = (np.arange(panels, dtype=float) + 0.5) * h
-    xs = (mids[:, None] + (0.5 * h) * nodes[None, :]).ravel()
+    offsets = (0.5 * h) * nodes
     gamma = PerturbSpec(n).gamma(r)
-    prod = np.ones_like(xs)
-    scratch = np.empty(min(xs.size, _QUAD_CHUNK))
-    for c in range(0, xs.size, _QUAD_CHUNK):
+    prod = np.ones((panels, qpts))
+    step = max(1, _QUAD_CHUNK // qpts)  # whole panels whose factors are taken together
+    scratch = np.empty((min(panels, step), qpts))
+    for p0 in range(0, panels, step):
+        p = prod[p0 : p0 + step]
+        f = scratch[: len(p)]
         # t holds the phase {2^j x}, doubled in place: 2t - floor(2t) is exact on [0, 1)
-        t, p = xs[c : c + _QUAD_CHUNK], prod[c : c + _QUAD_CHUNK]
-        f = scratch[: t.size]
+        t = ((np.arange(p0, p0 + len(p), dtype=float) + 0.5) * h)[:, None] + offsets
         for j in range(r):
             if j:
                 t *= 2.0
                 t -= np.floor(t, out=f)
             p *= lacunary_factor(t, gamma[j], out=f)
-    prod = prod.reshape(panels, qpts)
-    return float((prod * weights[None, :]).sum() * 0.5 * h)
+    prod *= weights
+    return float(prod.sum() * 0.5 * h)
 
 
 def integral_pi(n: int, blocks: int, quadrature_points: int = 8, grid_size: int = 1 << 14) -> IntegralPi:

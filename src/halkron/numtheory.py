@@ -8,7 +8,6 @@ floats only appear when a caller converts at the trigonometric boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,49 +104,8 @@ def make_unit_fraction(numerator: int, denominator: int, width: int = DEFAULT_WI
 
 # -- special alpha constructions ---------------------------------------------
 
-KIND_SHALLIT = "shallit_beta"
-KIND_THEOREM = "theorem_alpha"
-KIND_RATIONAL_BAD = "rational_bad"
-KIND_USER = "user_bits"
 
-
-@dataclass(frozen=True)
-class SpecialAlpha:
-    """A named fixed-point alpha.  ``kind`` is one of the KIND_* constants;
-    ``param`` holds the period n for the parametrized kinds."""
-
-    kind: str
-    fraction: UnitFraction
-    param: int | None = None
-
-    def kind_label(self) -> str:
-        if self.param is None:
-            return self.kind
-        return f"{self.kind}({self.param})"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind_label(),
-                "width": self.fraction.width,
-                "bits_hex": f"0x{self.fraction.bits:x}",
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SpecialAlpha":
-        obj = json.loads(text)
-        kind = obj["kind"]
-        param = None
-        if "(" in kind:
-            base, rest = kind.split("(", 1)
-            kind = base
-            param = int(rest.rstrip(")"))
-        frac = UnitFraction(int(obj["bits_hex"], 16), int(obj["width"]))
-        return SpecialAlpha(kind, frac, param)
-
-
-def shallit_beta(width: int = DEFAULT_WIDTH) -> SpecialAlpha:
+def shallit_beta(width: int = DEFAULT_WIDTH) -> UnitFraction:
     """beta = sum_{k>=0} 4**(-2**k): binary ones exactly at positions
     2, 4, 8, 16, ... after the point."""
     bits = 0
@@ -155,26 +113,18 @@ def shallit_beta(width: int = DEFAULT_WIDTH) -> SpecialAlpha:
     while p <= width:
         bits |= 1 << (width - p)
         p *= 2
-    return SpecialAlpha(KIND_SHALLIT, UnitFraction(bits, width))
+    return UnitFraction(bits, width)
 
 
-def rational_bad(n: int, width: int = DEFAULT_WIDTH) -> SpecialAlpha:
+def rational_bad(n: int, width: int = DEFAULT_WIDTH) -> UnitFraction:
     """W-bit truncation of 2**(n-1) / (2**n + 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    frac = make_unit_fraction(1 << (n - 1), (1 << n) + 1, width)
-    return SpecialAlpha(KIND_RATIONAL_BAD, frac, n)
+    return make_unit_fraction(1 << (n - 1), (1 << n) + 1, width)
 
 
-def theorem_alpha(n: int, width: int = DEFAULT_WIDTH) -> SpecialAlpha:
+def theorem_alpha(n: int, width: int = DEFAULT_WIDTH) -> UnitFraction:
     """alpha = 2**(n-1)/(2**n + 1) + beta (mod 1), the sharp lower-bound
     parameter.  Both summands are produced by integer long division, so the
     value is bit-exact for the given width."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    frac = rational_bad(n, width).fraction.add(shallit_beta(width).fraction)
-    return SpecialAlpha(KIND_THEOREM, frac, n)
-
-
-def user_alpha(bits: int, width: int = DEFAULT_WIDTH) -> SpecialAlpha:
-    return SpecialAlpha(KIND_USER, UnitFraction(bits, width))
+    return rational_bad(n, width).add(shallit_beta(width))

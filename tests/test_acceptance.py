@@ -42,7 +42,7 @@ def brackets():
 
 @pytest.fixture(scope="module")
 def growth_record():
-    return hk.growth_scan(PerturbSpec(1), hk.theorem_alpha(1).fraction, list(range(4, 14)))
+    return hk.growth_scan(PerturbSpec(1), hk.theorem_alpha(1), list(range(4, 14)))
 
 
 def test_criterion_01_reference_brackets(brackets):
@@ -181,7 +181,7 @@ def test_criterion_08_product_and_sum_identities():
 def test_criterion_09_lower_bound_chain():
     worst_margin = math.inf
     for n in range(1, 4):
-        alpha = hk.theorem_alpha(n).fraction
+        alpha = hk.theorem_alpha(n)
         for blocks in range(1, 5):
             big_n = 1 << (n * blocks)
             ps = hk.generate_point_set(PerturbSpec(n), alpha, big_n)
@@ -196,7 +196,7 @@ def test_criterion_10_growth_fit(growth_record):
     rec = growth_record
     a1 = rec.reference_exponent
     in_band = a1 - 0.15 <= rec.fitted_exponent <= a1 + 0.05
-    alpha = hk.theorem_alpha(1).fraction
+    alpha = hk.theorem_alpha(1)
     chain_ok = True
     for (blocks, big_n, nd) in rec.samples:
         rhs = product_lower_bound(1, blocks, alpha)

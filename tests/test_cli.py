@@ -202,11 +202,11 @@ class TestKernelGuard:
             raise AssertionError("the quadrature was built")
 
         monkeypatch.setattr(cli.metric, "integral_pi", build)
-        # 2^18 panels x 2000 points: about 12.6 GB
+        # 2^18 panels x 2000 points, in blocks of 8 panels: about 4.2 GB
         code, out, err = run(capsys, "integral", "--n", "1", "--L", "18", "--quad", "2000")
         assert code == 3
         assert out == ""
-        assert f"needs {8 * (3 * 2**18 * 2000 + 2000**2)} bytes" in err and "--force" in err
+        assert f"needs {8 * ((2**18 + 2 * 8) * 2000 + 2000**2)} bytes" in err and "--force" in err
 
     def test_force_overrides_the_quadrature_cap(self, capsys, monkeypatch):
         # the n = 1 kernel (262176 bytes) passes this cap, the quadrature does not
@@ -215,7 +215,7 @@ class TestKernelGuard:
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert f"needs {8 * (3 * 2**3 * 200 + 200**2)} bytes" in err
+        assert f"needs {8 * ((2**3 + 2 * 2**3) * 200 + 200**2)} bytes" in err
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0
         assert json.loads(out)["by_direct"] is not None
@@ -346,6 +346,54 @@ class TestReproducibility:
         _, out1, _ = run(capsys, "scan", "--n", "1", "--alpha", "theorem", "--L", "4..6")
         _, out2, _ = run(capsys, "scan", "--n", "1", "--alpha", "theorem", "--L", "4..6")
         assert out1 == out2
+
+
+class TestConfig:
+    """A config lists exactly the flags the command's result reads."""
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["trig", "--n", "1..3"], {"n", "mode"}),
+        (["trig", "--n", "3", "--mode", "gn", "--grid", "1000"], {"n", "mode", "grid"}),
+        (["scan", "--n", "1", "--L", "3..4"], {"n", "alpha", "L", "width"}),
+        (["lambda", "--n", "1", "--depth", "1", "--grid", "256"], {"n", "depth", "grid"}),
+        (["lambda", "--n", "1", "--depth", "1", "--grid", "256", "--compare-grid", "512"],
+         {"n", "depth", "grid", "compare_grid"}),
+        (["certify", "--n", "1", "--grid", "2000", "--blocks", "5", "--struct-grid", "2048"],
+         {"n", "grid", "blocks", "struct_grid"}),
+        (["integral", "--n", "1", "--L", "1"], {"n", "L", "quad"}),
+        (["gen", "--n", "1", "--count", "4"], {"n", "alpha", "count", "width"}),
+        (["disc", "--n", "1", "--count", "4"], {"n", "alpha", "count", "width"}),
+        (["bound", "--n", "1", "--N", "16", "--H", "16", "--K", "16"],
+         {"n", "alpha", "N", "H", "K", "width"}),
+    ], ids=["trig-an", "trig-gn", "scan", "lambda", "lambda-compare", "certify", "integral",
+            "gen", "disc", "bound"])
+    def test_keys(self, capsys, argv, keys):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if out.startswith("{"):
+            assert json.loads(out)["format_version"] == cli.FORMAT_VERSION
+            config = json.loads(out)["config"]
+        else:
+            lines = out.splitlines()
+            assert lines[0] == f"# format_version: {cli.FORMAT_VERSION}"
+            assert lines[1].startswith("# config: ")
+            config = json.loads(lines[1][len("# config: "):])
+        assert set(config) == keys
+
+    def test_gen_writes_no_other_comment_line(self, capsys):
+        code, out, _ = run(capsys, "gen", "--n", "2", "--alpha", "frac:1/3", "--count", "8")
+        assert code == 0
+        comments = [l.split(":")[0] for l in out.splitlines() if l.startswith("#")]
+        assert comments == ["# format_version", "# config"]
+
+    def test_lambda_brackets_follow_the_table_in_a_file(self, tmp_path, capsys):
+        path, jpath = tmp_path / "l.csv", tmp_path / "l.json"
+        code, out, _ = run(capsys, "lambda", "--n", "1..2", "--depth", "1", "--grid", "256",
+                           "--out", str(path), "--json", str(jpath))
+        assert code == 0 and out == ""
+        tail = path.read_text().splitlines()[-2:]
+        assert [l.split(":")[0] for l in tail] == ["# n=1", "# n=2"]
+        assert all("exponent bracket [" in l for l in tail)
 
 
 class TestUnwritablePath:

@@ -175,12 +175,12 @@ class TestRanks:
     one and four words, and a theorem-alpha set."""
 
     @pytest.mark.parametrize("make_set", [
-        lambda: generate_point_set(PerturbSpec(1), rational_bad(1).fraction, 4096),
-        lambda: generate_point_set(PerturbSpec(3), rational_bad(3).fraction, 4096),
+        lambda: generate_point_set(PerturbSpec(1), rational_bad(1), 4096),
+        lambda: generate_point_set(PerturbSpec(3), rational_bad(3), 4096),
         lambda: colliding_set(random.Random(53)),
         lambda: random_point_set(random.Random(5), 300, width=16, coarse=True),
         lambda: random_point_set(random.Random(6), 300, width=200, coarse=True),
-        lambda: generate_point_set(PerturbSpec(2), theorem_alpha(2).fraction, 1 << 13),
+        lambda: generate_point_set(PerturbSpec(2), theorem_alpha(2), 1 << 13),
     ], ids=["rational-1", "rational-3", "colliding", "coarse-w16", "coarse-w200", "theorem-2"])
     def test_same_as_np_unique(self, make_set):
         ps = make_set()
@@ -204,7 +204,7 @@ class TestRowSweepOracle:
     @pytest.mark.parametrize("make_alpha", [theorem_alpha, rational_bad])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_generated_sets(self, n, make_alpha):
-        alpha = make_alpha(n).fraction
+        alpha = make_alpha(n)
         for count in (1, 7, 64, 1000, 4096):
             ps = generate_point_set(PerturbSpec(n), alpha, count)
             got = star_discrepancy_2d(ps)
@@ -252,7 +252,7 @@ class TestBruteForceGrid:
 
 class TestGrowthScan:
     def test_single_sample_has_no_fit(self):
-        rec = growth_scan(PerturbSpec(1), theorem_alpha(1).fraction, [5])
+        rec = growth_scan(PerturbSpec(1), theorem_alpha(1), [5])
         assert rec.fitted_exponent is None
         assert len(rec.samples) == 1
 
@@ -261,6 +261,6 @@ class TestGrowthScan:
         assert rec.fitted_exponent == pytest.approx(1.0, abs=0.1)
 
     def test_samples_sorted_and_reference(self):
-        rec = growth_scan(PerturbSpec(2), theorem_alpha(2).fraction, [3, 1, 2])
+        rec = growth_scan(PerturbSpec(2), theorem_alpha(2), [3, 1, 2])
         assert [s[0] for s in rec.samples] == [1, 2, 3]
         assert rec.reference_exponent == pytest.approx(0.81093, abs=5e-5)

@@ -58,7 +58,7 @@ def benchmark_sets(workload: str, seed: int):
     for argv in workloads.commands(workload, seed):
         args = cli.build_parser().parse_args(argv)
         n = int(args.n)
-        alpha = cli.parse_alpha(args.alpha, n, args.width).fraction
+        alpha = cli.parse_alpha(args.alpha, n, args.width)
         sizes = [1 << (n * ell) for ell in cli.parse_range(args.L)] if argv[0] == "scan" else [args.count]
         for size in sizes:
             yield generate_point_set(PerturbSpec(n), alpha, size)
@@ -74,13 +74,13 @@ class TestBlockSweepOracle:
     @pytest.mark.parametrize("make_alpha", [theorem_alpha, rational_bad])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_generated_sets(self, n, make_alpha):
-        alpha = make_alpha(n).fraction
+        alpha = make_alpha(n)
         counts = {1, 7, 1000, 3000} | {1 << (n * ell) for ell in range(1, 12 // n + 1)}
         for count in sorted(counts):
             assert_same_as_oracle(generate_point_set(PerturbSpec(n), alpha, count))
 
     def test_n1_at_2_14(self):
-        assert_same_as_oracle(generate_point_set(PerturbSpec(1), theorem_alpha(1).fraction, 1 << 14))
+        assert_same_as_oracle(generate_point_set(PerturbSpec(1), theorem_alpha(1), 1 << 14))
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])

@@ -48,7 +48,7 @@ class TestExpSumMk:
         assert res.modulus < 1e-12
 
     def test_matches_naive_small(self):
-        alpha = theorem_alpha(2).fraction
+        alpha = theorem_alpha(2)
         res = exp_sum_mk(2, 50, alpha)
         naive = direct_exp_sum(mk_array(2, 50).tolist(), alpha.to_float())
         assert res.value == pytest.approx(naive, abs=1e-9)
@@ -61,7 +61,7 @@ class TestExpSumMk:
     def test_lower_bound_chain_modulus(self, blocks):
         # |sum e(m_k a)| >= 2^{nL-1} Pi_{nL,c}(a) - |sin(2^{nL} pi a)| / (2 sin(pi a))
         n = 1
-        alpha = theorem_alpha(n).fraction
+        alpha = theorem_alpha(n)
         r = n * blocks
         res = exp_sum_mk(n, 1 << (r - 1), alpha)
         prod = math.exp(log_pi_product(r, PerturbSpec(n).gamma(r), alpha.bits, alpha.modulus))
@@ -75,7 +75,7 @@ class TestIdentities:
     @pytest.mark.parametrize("n,l", [(1, 4), (2, 3), (3, 2), (2, 8), (1, 16)])
     def test_split_identity_exact(self, n, l):
         # sum over the m_k equals half of (perturbed sum + geometric sum)
-        alpha = theorem_alpha(n).fraction
+        alpha = theorem_alpha(n)
         r = n * l
         lhs = exp_sum_mk(n, 1 << (r - 1), alpha).value
         pert = exp_sum_perturbed(n, r, alpha).value
@@ -111,12 +111,12 @@ class TestIdentities:
 
 class TestTwoAdditive:
     def test_single_term(self):
-        chk = two_additive_bound_check(0, 1, theorem_alpha(1).fraction, 1, 1)
+        chk = two_additive_bound_check(0, 1, theorem_alpha(1), 1, 1)
         assert chk.lhs == pytest.approx(1.0, abs=1e-12)
         assert chk.rhs >= 1.0 - 1e-12
 
     def test_spec_instance(self):
-        chk = two_additive_bound_check(0, 1, theorem_alpha(1).fraction, 1, 1 << 12)
+        chk = two_additive_bound_check(0, 1, theorem_alpha(1), 1, 1 << 12)
         assert chk.ok
 
     def test_power_of_two_telescopes(self):
@@ -147,12 +147,12 @@ class TestTwoAdditive:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            two_additive_bound_check(0, 1, theorem_alpha(1).fraction, 1, (1 << 22) + 1)
+            two_additive_bound_check(0, 1, theorem_alpha(1), 1, (1 << 22) + 1)
 
 
 class TestUpperBoundRhs:
     def test_degenerate_sums_empty(self):
-        res = upper_bound_rhs(BoundParams(2, 1, 1), 1, theorem_alpha(1).fraction)
+        res = upper_bound_rhs(BoundParams(2, 1, 1), 1, theorem_alpha(1))
         ln2 = math.log(2.0)
         assert res.term_nk == 2.0
         assert res.term_nh_log == pytest.approx(2.0 * ln2, abs=1e-14)
@@ -167,7 +167,7 @@ class TestUpperBoundRhs:
         assert math.isinf(res.total)
 
     def test_rows_exposed(self):
-        res = upper_bound_rhs(BoundParams(64, 8, 8), 2, theorem_alpha(2).fraction)
+        res = upper_bound_rhs(BoundParams(64, 8, 8), 2, theorem_alpha(2))
         assert res.rows
         for row in res.rows:
             assert row.term_norm > 0.0 and row.term_prod >= 1.0
@@ -179,7 +179,7 @@ class TestUpperBoundRhs:
         from halkron.sequences import generate_point_set
 
         n = 1
-        alpha = theorem_alpha(n).fraction
+        alpha = theorem_alpha(n)
         big_n = 1 << 8
         ps = generate_point_set(PerturbSpec(n), alpha, big_n)
         nd = float(big_n * star_discrepancy_2d(ps).d_star)
@@ -189,7 +189,7 @@ class TestUpperBoundRhs:
 
 class TestProductLowerBound:
     def test_evaluates_finite(self):
-        val = product_lower_bound(2, 2, theorem_alpha(2).fraction)
+        val = product_lower_bound(2, 2, theorem_alpha(2))
         assert math.isfinite(val)
 
     @pytest.mark.parametrize("alpha", [UnitFraction(0, 128), UnitFraction(1, 1100)])
@@ -242,7 +242,7 @@ class TestBoundTableOracle:
         # l = 1 has 2^14 + 3 rows, more than one block of the table; in the
         # second, l = 2 has 2^14 + 1 rows and crosses into the second orbit block
         rng = random.Random(3)
-        for alpha in (theorem_alpha(2).fraction, UnitFraction(rng.getrandbits(128), 128)):
+        for alpha in (theorem_alpha(2), UnitFraction(rng.getrandbits(128), 128)):
             for params in (BoundParams(1 << 16, (1 << 15) + 6, 4),
                            BoundParams(1 << 17, (1 << 16) + 6, 8)):
                 self.assert_same(params, 2, alpha)
@@ -259,11 +259,11 @@ class TestBoundTableOracle:
 
     def test_levels_without_rows(self):
         # H = 5: levels 3 to 10 have no row
-        self.assert_same(BoundParams(1 << 10, 5, 1 << 10), 1, theorem_alpha(1).fraction)
+        self.assert_same(BoundParams(1 << 10, 5, 1 << 10), 1, theorem_alpha(1))
 
     def test_benchmark_table(self):
         # the bound table of perfbench's brackets workload: N = H = K = 2^16
-        self.assert_same(BoundParams(1 << 16, 1 << 16, 1 << 16), 1, theorem_alpha(1).fraction)
+        self.assert_same(BoundParams(1 << 16, 1 << 16, 1 << 16), 1, theorem_alpha(1))
 
 
 class TestDoubledPhases:
@@ -329,7 +329,7 @@ class TestBoundCounts:
         [(1 << 16, 1 << 16, 1 << 16), (1 << 10, 700, 300), (1000, 1000, 37), (64, 3, 64), (2, 1, 2)],
     )
     def test_closed_forms(self, big_n, h_lim, k_lim):
-        res = upper_bound_rhs(BoundParams(big_n, h_lim, k_lim), 1, theorem_alpha(1).fraction)
+        res = upper_bound_rhs(BoundParams(big_n, h_lim, k_lim), 1, theorem_alpha(1))
         log2n = big_n.bit_length() - 1
         ells = range(1, k_lim.bit_length())
         assert len(res.rows) == sum(h_lim >> ell for ell in ells)
@@ -337,7 +337,7 @@ class TestBoundCounts:
 
     def test_brackets_counts(self):
         size = 1 << 16
-        res = upper_bound_rhs(BoundParams(size, size, size), 1, theorem_alpha(1).fraction)
+        res = upper_bound_rhs(BoundParams(size, size, size), 1, theorem_alpha(1))
         assert len(res.rows) == 65535
         assert sum(16 - r.ell for r in res.rows) == 917506
 
@@ -352,11 +352,11 @@ class TestBoundCounts:
 
         monkeypatch.setattr(expsum, "lacunary_factors", counted)
         size = 1 << 16
-        upper_bound_rhs(BoundParams(size, size, size), 1, theorem_alpha(1).fraction)
+        upper_bound_rhs(BoundParams(size, size, size), 1, theorem_alpha(1))
         assert calls == [(1 << 14, 15), (1 << 14, 15)]
         calls.clear()
         # K = 1 has no level, so no table
-        assert not upper_bound_rhs(BoundParams(size, size, 1), 1, theorem_alpha(1).fraction).rows
+        assert not upper_bound_rhs(BoundParams(size, size, 1), 1, theorem_alpha(1)).rows
         assert calls == []
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from exact_helpers import continued_fraction, nearest_int_distance
 from halkron.numtheory import (
-    SpecialAlpha,
     UnitFraction,
     from_words,
     make_unit_fraction,
@@ -137,17 +136,17 @@ class TestWords:
 class TestShallitBeta:
     def test_width_8(self):
         # ones at positions 2, 4, 8: 0.01010001
-        assert shallit_beta(8).fraction.bits == 0b01010001 == 81
+        assert shallit_beta(8).bits == 0b01010001 == 81
 
     def test_width_4(self):
-        assert shallit_beta(4).fraction.bits == 0b0101 == 5
+        assert shallit_beta(4).bits == 0b0101 == 5
 
     def test_width_2(self):
-        assert shallit_beta(2).fraction.bits == 0b01
+        assert shallit_beta(2).bits == 0b01
 
     @pytest.mark.parametrize("width", [4, 8, 77, 128, 200])
     def test_bit_positions(self, width):
-        bits = shallit_beta(width).fraction.bits
+        bits = shallit_beta(width).bits
         expected = set()
         p = 2
         while p <= width:
@@ -159,15 +158,15 @@ class TestShallitBeta:
 class TestTheoremAlpha:
     def test_n1_width8(self):
         # 1/3 = 0.01010101 plus beta = 0.01010001 -> 166/256
-        assert theorem_alpha(1, 8).fraction.bits == 166
+        assert theorem_alpha(1, 8).bits == 166
 
     def test_n2_width8(self):
         # 2/5 = 0.01100110; (102 + 81) mod 256
-        assert theorem_alpha(2, 8).fraction.bits == 183
+        assert theorem_alpha(2, 8).bits == 183
 
     def test_rational_part_alone(self):
-        assert rational_bad(1, 8).fraction.bits == 85
-        assert rational_bad(2, 8).fraction.bits == 102
+        assert rational_bad(1, 8).bits == 85
+        assert rational_bad(2, 8).bits == 102
 
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
@@ -207,7 +206,7 @@ class TestContinuedFraction:
             assert Fraction(p, q) == u.as_fraction()
 
     def test_convergent_recurrence_and_growth(self):
-        u = theorem_alpha(3).fraction
+        u = theorem_alpha(3)
         cf = continued_fraction(u, 25)
         hs = [1, 0]  # h_{-1}, h_0
         ks = [0, 1]
@@ -238,14 +237,3 @@ class TestNearestIntDistance:
             assert d == pytest.approx(nearest_int_distance(t + 1.0), abs=1e-12)
             assert 0.0 <= d <= 0.5
 
-
-class TestSpecialAlphaSerialization:
-    @pytest.mark.parametrize("alpha", [
-        shallit_beta(128),
-        theorem_alpha(4, 128),
-        rational_bad(2, 64),
-    ])
-    def test_round_trip_bit_exact(self, alpha):
-        back = SpecialAlpha.from_json(alpha.to_json())
-        assert back == alpha
-        assert back.fraction.bits == alpha.fraction.bits

@@ -169,7 +169,7 @@ class TestGeneratePointSet:
     def test_matches_pointwise_construction(self):
         from halkron.numtheory import theorem_alpha
 
-        alpha = theorem_alpha(2).fraction
+        alpha = theorem_alpha(2)
         spec = PerturbSpec(2)
         xs, ys = coordinates(generate_point_set(spec, alpha, 200))
         for k in (0, 1, 17, 100, 199):
@@ -180,7 +180,7 @@ class TestGeneratePointSet:
     def test_word_arrays_are_frozen(self):
         # two uint64 words per coordinate at W = 128
         count = 1 << 16
-        ps = generate_point_set(PerturbSpec(1), theorem_alpha(1).fraction, count)
+        ps = generate_point_set(PerturbSpec(1), theorem_alpha(1), count)
         assert ps.x.dtype == ps.y.dtype == np.uint64
         assert ps.x.nbytes == ps.y.nbytes == 16 * count
         with pytest.raises(ValueError):
