@@ -15,44 +15,44 @@ from halkron import cli
 # argv, sha256(stdout), sha256(--json file) or None
 PINS = [
     (["gen", "--n", "1", "--count", "64"],
-     "473ee0e67ca4a9954a9590f63411284c9d417edc46b7e8440d7ac8c7b0eef1bd", None),
+     "d80df324fb5d00056bf48a130daaa03b16196536896975e519a6a6414d794e9a", None),
     (["disc", "--n", "1", "--alpha", "rational", "--count", "256"],
-     "a98fc35fc23e17b7108bba123a4d3a3f9f96bfffb8287b8684909f7bec05b87e",
-     "b02b730b1aa6624daf9256a20ed29b4ef5c198ecac289a93cc0719dfe1e15e1b"),
+     "6617d7656a410da5ec61eea89b011a68048a15e8ffde1f1d29aab5e88cee16df",
+     "a4e1fdf7ef23495dc6a3f30a541bb3dc9d5dfc828d19f2b3181245da62554d6b"),
     (["scan", "--n", "1", "--L", "3..6"],
-     "1e7fd5bff48fa2fe9d5352e1773b2fdad0e335550c2c3a0c27574bf542f74c6f",
-     "1ca24df384905c87afb9fde4d2e5aa7ed6517c876055b831a204487490a716d4"),
+     "df332f7fc4330817991aca0e8c430d9c5289a2d72537b1e6bdf1be66cd04154a",
+     "c9e5131afef67fd556929b35ae9cbb81e9e033488c641cc28acb06ca4dda63e3"),
     (["trig", "--n", "1..50"],
-     "da1dbba82d6e9dc4a84b84593c7303475863ed0a8ad24a2e20ca0e338906ccf4", None),
+     "3699882bf5e0cf6833bfde3c1accb29dcdc36d093a66a53a45a1b69e239b0673", None),
     (["trig", "--n", "3", "--mode", "gn", "--grid", "2000"],
-     "290d5e271813ff7e360a982d4a7505a6ad626feed266c41ea28d72ce58a7a5d5", None),
+     "89e5b03fefadad99f7d01fdf1b3725f6b21bb66f95c07bf01ce3c6ab0b4be471", None),
     (["lambda", "--n", "1..2", "--depth", "3", "--grid", "2048"],
-     "d49ad1d382d5054cd75e261f4448768fd240a0fbbdc08ee1ccf77b57a268366f",
-     "14828db5a304c8047df2e7427fd32252166b26b825fd20809de6fe5076f05b1a"),
+     "4f67b6f0d58d81a5d6bb57a4661bd88f63fff2bffe4b44e3d99b5f3a30723e6d",
+     "574ef291c18e0a1a2ab005de99f4442f42e2461cf0185b780cb1ae808c8e6605"),
     (["lambda", "--n", "2", "--depth", "3", "--grid", "2048"],
-     "daeeab1ff256c20a132347bcc6a31c18f023bf720d3912e961e0dfdbfd1cb6ad", None),
+     "205338dcc716237629431aaabc68da4c90b32c3b834dad674efc5bc438b93c65", None),
     (["certify", "--n", "1..2", "--grid", "2000", "--blocks", "5", "--struct-grid", "2048"],
-     "7d8dadaf5ada5f9d830767be308ec619e66b5193b8116b754cca3bc966b18dda",
-     "7d8dadaf5ada5f9d830767be308ec619e66b5193b8116b754cca3bc966b18dda"),
+     "16bfb8e43d0746c2423482979509219b01eb86ec7f256ef6d30be793d962d169",
+     "16bfb8e43d0746c2423482979509219b01eb86ec7f256ef6d30be793d962d169"),
     (["bound", "--n", "2", "--alpha", "shallit", "--N", "256", "--H", "256", "--K", "256"],
-     "3cae76a860fb3c458b416c3ce2a66b8f39a465fca50521563fe12d18b2c61d1c",
-     "a570c61f499f7a5dee53ea43e9b516f635f59125a768331ee5ee82eff435c8b6"),
+     "e4d21d7c4f2f0a0805ba88c54fce1bd2dfe618468d1e709ab87a4e4010803d04",
+     "da161694591188ec8dddecb8dbf5b969e51ee32dacd4f442fc2ed8335493a8d5"),
     (["integral", "--n", "1", "--L", "3"],
-     "1216519883c18f6d392d9a40bd42e0a4074cbbd264f6967833f4c93c55129933",
-     "9c10f63501377124fad667f4cf5cfa326d186d8b28b95db4073dbd55a1592a80"),
+     "0fe9bb83fc7a83d466cabfb7c731715affeb80784f9ac54bf085754edb05af3e",
+     "01ad17c09f81b83ba646ccbd2408b04e057b65bc0dfcd254f5d32125939cc2b0"),
     # width above 128 and N = 2^70: sticky rows and doubled columns j >= 64
     (["--width", "200", "bound", "--n", "3", "--N", "1180591620717411303424", "--H", "8",
       "--K", "8"],
-     "53aca6f7b29f70a44ad2485b0a07c4613fc84e228479faa1a71b95a1767564db",
-     "3b0652053cfec21314bac7f0c120844336c5fe760558997c688e268719570e6c"),
+     "7ab0ed55ab1b9f6791d4f56016dc6d704906afac88523ca726ebd1391ec83107",
+     "905bfd43cd659b9cae14dc90d30a846945ce88a7e579f1b18d4f487d23edd779"),
     # the sharpness product at the rational 4/9, r = 900
     (["certify", "--n", "3", "--grid", "2000", "--blocks", "300", "--struct-grid", "2048"],
-     "c557f7f979bf6ab71cc6a8da3aca7ccbd3326cd0036d14ffdb53a71713c94e2b",
-     "c557f7f979bf6ab71cc6a8da3aca7ccbd3326cd0036d14ffdb53a71713c94e2b"),
+     "f9243a2a377744e872e48de8324747a3fa602d76b909875a319bad7ea876b358",
+     "f9243a2a377744e872e48de8324747a3fa602d76b909875a319bad7ea876b358"),
     # N = H = K = 2^16: two orbit blocks; l = 1 spans both, l = 2 ends where the second begins
     (["bound", "--n", "1", "--N", "65536", "--H", "65536", "--K", "65536"],
-     "3aedf17d826e4a48ad176d707cd6245a70ac3187568b95a7e59a3751aea654d8",
-     "15bef308baff76ed5521c480617213a48a055a8c4344503b91c60ac2691bb2b4"),
+     "7aefc73ada8cdc71ca9b2dc09951641ade798573cea8bc707d860ea0619ecf7a",
+     "2698105fbf08dd16a68f78dbdc282d9c9e3ef183378f86ad7ab8830d9d2a28b0"),
 ]
 
 
