@@ -242,8 +242,7 @@ def cmd_lambda(args) -> int:
                       repr(rec.exp_lower), repr(rec.exp_upper)]
         for n, br in brackets.items() for rec in br.levels
     ]
-    body = _csv(["n"] * lead + ["j", "m_j", "M_j", "exp_lower", "exp_upper"], rows)
-    body += "".join(
+    body = _csv(["n"] * lead + ["j", "m_j", "M_j", "exp_lower", "exp_upper"], rows) + "".join(
         f"# n={n}: exponent bracket [{br.exponent_lower:.5f}, {br.exponent_upper:.5f}]\n"
         for n, br in brackets.items()
     )
