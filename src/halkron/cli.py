@@ -3,12 +3,13 @@ growth scans, emits the exponent curve and certification reports, and
 writes the exponent-bracket tables as CSV/JSON.
 
 Each flag that several commands share is declared once, as a parent
-parser.  Every output goes through ``_emit``, which embeds a format
-version and the config, exactly the flags the result reads, so a file
-can be re-produced byte-for-byte from its own header.  Every size cap goes through
-``_guard``: the caps are CLI policy, and the library functions cap no
-size.  Exit codes: 0 success, 2 usage, 3 guard (a size above its cap, or
-an allocation that fails), 4 certification failure.
+parser (``--width`` with ``--alpha``).  Every output goes through
+``_emit``, which embeds a format version and the config, exactly the
+flags the result reads: the command and ``--key value`` per config key
+re-produce the file byte for byte.  Every size cap goes through
+``_guard``: the caps are CLI policy, and library functions cap no size.
+Exit codes: 0 success, 2 usage, 3 guard (a size above its cap, or an
+allocation that fails), 4 certification failure.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ EXIT_GUARD = 3
 EXIT_CERTIFY = 4
 
 # central defaults, see README
-DEFAULT_GRID_LAMBDA = 1 << 14
 DEFAULT_DEPTH = 12
 DEFAULT_GUARD = 1 << 16
 DEFAULT_CERTIFY_GRID = 100_000
@@ -75,7 +75,9 @@ def _single_n(ns: list[int], command: str) -> int:
 
 
 def parse_alpha(text: str, n: int, width: int) -> UnitFraction:
-    """theorem | shallit | rational | bits:HEX:WIDTH | frac:P/Q."""
+    """theorem | shallit | rational | bits:HEX:WIDTH | frac:P/Q; width >= 1, also for bits:."""
+    if width < 1:
+        raise UsageError(f"width must be >= 1, got {width}")
     if text == "theorem":
         return theorem_alpha(n, width)
     if text == "shallit":
@@ -136,9 +138,10 @@ def _csv(header: list[str], rows) -> str:
     return "".join([line % tuple(row) for row in [header, *rows]])
 
 
-def _config(args, keys: list[str]) -> dict:
-    """The values of the flags ``keys``: exactly those the result reads."""
-    return {k: getattr(args, k) for k in keys}
+def _config(args, keys: list[str], **built) -> dict:
+    """The values of the flags ``keys``, exactly those the result reads,
+    and ``built``, the values it was built at (an alpha's width)."""
+    return {k: getattr(args, k) for k in keys} | built
 
 
 def _guard(need: int, cap: int, force: bool, what: str) -> None:
@@ -166,7 +169,7 @@ def cmd_gen(args) -> int:
     ps = generate_point_set(PerturbSpec(n), alpha, args.count)
     csv_text = io.StringIO()
     ps.write_csv(csv_text)
-    _emit(args, _config(args, ["n", "alpha", "count", "width"]), csv_text.getvalue())
+    _emit(args, _config(args, ["n", "alpha", "count"], width=alpha.width), csv_text.getvalue())
     return EXIT_OK
 
 
@@ -187,7 +190,7 @@ def cmd_disc(args) -> int:
             {"coord": float(s.coord), "closed": s.closed} for s in res.witness_box
         ],
     }
-    _emit(args, _config(args, ["n", "alpha", "count", "width"]), payload=payload)
+    _emit(args, _config(args, ["n", "alpha", "count"], width=alpha.width), payload=payload)
     return EXIT_OK
 
 
@@ -209,7 +212,7 @@ def cmd_scan(args) -> int:
         "residual": rec.residual,
         "a_n_reference": rec.reference_exponent,
     }
-    _emit(args, _config(args, ["n", "alpha", "L", "width"]),
+    _emit(args, _config(args, ["n", "alpha", "L"], width=alpha.width),
           _csv(["L", "N", "NDstar", "logN", "logNDstar"], rows), payload)
     return EXIT_OK
 
@@ -312,17 +315,17 @@ def cmd_bound(args) -> int:
         "total": res.total if res.finite else None,
         "degenerate": [list(d) for d in res.degenerate],
     }
-    _emit(args, _config(args, ["n", "alpha", "N", "H", "K", "width"]), body, payload)
+    _emit(args, _config(args, ["n", "alpha", "N", "H", "K"], width=alpha.width), body, payload)
     return EXIT_OK
 
 
 def cmd_integral(args) -> int:
     n = _single_n(parse_range(args.n), "integral")
-    _check_kernels([n], [DEFAULT_GRID_LAMBDA], args.force)
+    _check_kernels([n], [metric.DEFAULT_GRID], args.force)
     size = metric.quadrature_bytes(n, args.L, args.quad)
     _guard(size, DEFAULT_BYTE_CAP, args.force,
            f"n={n}, L={args.L}, quad {args.quad}: the direct quadrature needs {size} bytes")
-    res = metric.integral_pi(n, args.L, args.quad, DEFAULT_GRID_LAMBDA)
+    res = metric.integral_pi(n, args.L, args.quad)
     payload = {
         "by_recurrence": res.by_recurrence,
         "by_direct": res.by_direct,
@@ -344,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     out = flag("--out", default="-", help="output file (default -, stdout)")
     alpha = flag("--alpha", default="theorem",
                  help="theorem | shallit | rational | bits:HEX:WIDTH | frac:P/Q")
+    alpha.add_argument("--width", type=int, default=DEFAULT_WIDTH,
+                       help="fixed-point width in bits (default 128); bits: carries its own")
     json_out = flag("--json", help="also write the result as a JSON document to this file")
     force = flag("--force", action="store_true", help="build sizes above their cap")
     guard = flag("--guard", type=int, default=DEFAULT_GUARD,
@@ -353,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="halkron",
         description="perturbed Halton-Kronecker hybrid sequences and their discrepancy apparatus",
     )
-    p.add_argument("--width", type=int, default=DEFAULT_WIDTH,
-                   help="fixed-point width in bits (default 128)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, *parents) -> argparse.ArgumentParser:
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("lambda", cmd_lambda, "per-level exponent bracket table", force, json_out)
     sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    sp.add_argument("--grid", type=int, default=DEFAULT_GRID_LAMBDA)
+    sp.add_argument("--grid", type=int, default=metric.DEFAULT_GRID)
     sp.add_argument("--compare-grid", type=int, default=None,
                     help="second grid size; report refinement deltas")
 
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                  force, json_out)
     sp.add_argument("--grid", type=int, default=DEFAULT_CERTIFY_GRID)
     sp.add_argument("--blocks", type=int, default=20, help="L for the sharpness identity")
-    sp.add_argument("--struct-grid", type=int, default=DEFAULT_GRID_LAMBDA)
+    sp.add_argument("--struct-grid", type=int, default=metric.DEFAULT_GRID)
 
     sp = command("bound", cmd_bound, "generic upper-bound right-hand side terms",
                  alpha, force, json_out)
@@ -407,8 +410,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.width < 1:
-            raise UsageError(f"width must be >= 1, got {args.width}")
         return args.func(args)
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)

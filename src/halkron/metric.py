@@ -27,6 +27,7 @@ import numpy as np
 from .sequences import PerturbSpec
 from .trigprod import lacunary_factor
 
+DEFAULT_GRID = 1 << 14  # tabulation cells of a level where the caller names none
 _MIN_GRID = 256
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _QUAD_CHUNK = 1 << 14  # quadrature points whose factors are taken together, in cache
@@ -313,7 +314,7 @@ def _level_records(n: int, levels: list[PhiGrid], j_max: int) -> list[LevelRecor
     ]
 
 
-def lambda_bracket(n: int, j_max: int, grid_size: int = 1 << 14) -> LambdaBracket:
+def lambda_bracket(n: int, j_max: int, grid_size: int = DEFAULT_GRID) -> LambdaBracket:
     """Ratio extrema per level up to j_max; the max sequence is
     non-increasing and the min sequence non-decreasing, so the deepest pair
     brackets both limit rates."""
@@ -400,7 +401,8 @@ def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     return float(prod.sum() * 0.5 * h)
 
 
-def integral_pi(n: int, blocks: int, quadrature_points: int = 8, grid_size: int = 1 << 14) -> IntegralPi:
+def integral_pi(n: int, blocks: int, quadrature_points: int = 8,
+                grid_size: int = DEFAULT_GRID) -> IntegralPi:
     if n < 1 or blocks < 0:
         raise ValueError("need n >= 1 and blocks >= 0")
     if quadrature_points < 2:
@@ -432,7 +434,7 @@ class StructuralReport:
         return not self.failures
 
 
-def structural_checks(n: int, grid_size: int = 1 << 14) -> StructuralReport:
+def structural_checks(n: int, grid_size: int = DEFAULT_GRID) -> StructuralReport:
     """Verifies, on the grid: mirror symmetry about 1/2 for levels up to
     _J_SYMMETRY, concavity of the first level, monotonicity of the ratio
     extrema up to level _J_MONOTONE, and the integral bound

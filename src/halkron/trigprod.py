@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .numtheory import to_words
 from .sequences import PerturbSpec
 
 _HARD_ZERO = 1e-300
@@ -90,18 +89,16 @@ def lacunary_factors(phases: np.ndarray, gamma: Sequence[int]) -> np.ndarray:
 
 def log_pi_product(r: int, gamma: Sequence[int], p: int, q: int) -> float:
     """log Pi_{r,gamma}(p/q) = sum_{j<r} log |cos(2^j pi p/q + gamma_j pi/2)|,
-    -inf on a hard zero.  The phases 2^j p mod q are reduced exactly: by
-    ``doubled_phases`` for q = 2^W (a W-bit alpha is p = its bits), by the
-    int division for any other q."""
+    -inf on a hard zero.  Every phase is reduced exactly and rounded once,
+    by the int division ((p << j) mod q) / q, whatever q is; a W-bit alpha
+    is p = its bits over q = 2^W, whose rows ``doubled_phases`` rounds the
+    same way."""
     if not 0 <= p < q:
         raise ValueError("need 0 <= p < q")
     if not 0 <= r <= len(gamma):
         raise ValueError("need 0 <= r <= len(gamma)")
     acc = 0.0
-    if q > 1 and q & (q - 1) == 0:
-        phases = doubled_phases(to_words([p], q.bit_length() - 1), r)
-    else:
-        phases = np.array([[((p << j) % q) / q for j in range(r)]])
+    phases = np.array([[((p << j) % q) / q for j in range(r)]])
     for f in lacunary_factors(phases, gamma[:r])[0].tolist():
         if f < _HARD_ZERO:
             return -math.inf

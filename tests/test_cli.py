@@ -16,6 +16,17 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def config_of(out: str) -> dict:
+    """The config of a command's stdout, after its format version is checked."""
+    if out.startswith("{"):
+        assert json.loads(out)["format_version"] == cli.FORMAT_VERSION
+        return json.loads(out)["config"]
+    lines = out.splitlines()
+    assert lines[0] == f"# format_version: {cli.FORMAT_VERSION}"
+    assert lines[1].startswith("# config: ")
+    return json.loads(lines[1][len("# config: "):])
+
+
 class TestGen:
     def test_emits_rows(self, capsys):
         code, out, _ = run(capsys, "gen", "--n", "1", "--alpha", "theorem", "--count", "16")
@@ -30,6 +41,7 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "--n", "2", "--alpha", "bits:0xdeadbeef:32",
                            "--count", "8")
         assert code == 0
+        assert config_of(out)["width"] == 32  # the spec's width, not --width
 
     def test_count_zero_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "--n", "1", "--alpha", "theorem", "--count", "0")
@@ -370,15 +382,7 @@ class TestConfig:
     def test_keys(self, capsys, argv, keys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        if out.startswith("{"):
-            assert json.loads(out)["format_version"] == cli.FORMAT_VERSION
-            config = json.loads(out)["config"]
-        else:
-            lines = out.splitlines()
-            assert lines[0] == f"# format_version: {cli.FORMAT_VERSION}"
-            assert lines[1].startswith("# config: ")
-            config = json.loads(lines[1][len("# config: "):])
-        assert set(config) == keys
+        assert set(config_of(out)) == keys
 
     def test_gen_writes_no_other_comment_line(self, capsys):
         code, out, _ = run(capsys, "gen", "--n", "2", "--alpha", "frac:1/3", "--count", "8")
@@ -415,18 +419,78 @@ class TestUnwritablePath:
         assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
-@pytest.mark.parametrize("argv", [
+ALPHA_COMMANDS = [
+    ["gen", "--n", "1", "--count", "4"],
+    ["gen", "--n", "1", "--count", "4", "--alpha", "bits:0x5:8"],
+    ["disc", "--n", "1", "--count", "4"],
+    ["scan", "--n", "1", "--L", "2"],
+    ["bound", "--n", "1", "--N", "16", "--H", "16", "--K", "16"],
+]
+ALPHA_FREE_COMMANDS = [
     ["trig", "--n", "1"],
     ["lambda", "--n", "1", "--depth", "3", "--grid", "2048"],
     ["certify", "--n", "1", "--grid", "2000", "--blocks", "2", "--struct-grid", "2048"],
     ["integral", "--n", "1", "--L", "3"],
-], ids=["trig", "lambda", "certify", "integral"])
+]
+
+
+@pytest.mark.parametrize("argv", ALPHA_COMMANDS + ALPHA_FREE_COMMANDS,
+                         ids=["gen", "gen-bits", "disc", "scan", "bound",
+                              "trig", "lambda", "certify", "integral"])
 def test_width_below_one_is_usage_error(capsys, argv):
-    # also for the commands that build no alpha
+    # an alpha command checks it, also for a bits: spec, which carries its
+    # own width; any other command has no --width, so argparse rejects the flag
     for width in ("0", "-5"):
-        code, out, err = run(capsys, "--width", width, *argv)
-        assert code == 2 and out == ""
-        assert err == f"error: width must be >= 1, got {width}\n"
+        if argv in ALPHA_COMMANDS:
+            code, out, err = run(capsys, *argv, "--width", width)
+            assert code == 2 and out == ""
+            assert err == f"error: width must be >= 1, got {width}\n"
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--width", width])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --width {width}" in capsys.readouterr().err
+
+
+def test_width_before_the_command_is_rejected(capsys):
+    # halkron has no top-level flag, so 7 reads as the command
+    for argv in ALPHA_COMMANDS + ALPHA_FREE_COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--width", "7", *argv])
+        assert exc.value.code == 2
+        assert "invalid choice: '7'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "disc", "scan", "bound",
+                                     "trig", "lambda", "certify", "integral"])
+def test_help_lists_width_for_the_alpha_commands_only(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert ("--width" in capsys.readouterr().out) == (command in ("gen", "disc", "scan", "bound"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "2", "--alpha", "frac:1/3", "--count", "8", "--width", "40"],
+    ["gen", "--n", "2", "--alpha", "bits:0xdeadbeef:32", "--count", "8"],
+    ["disc", "--n", "1", "--alpha", "rational", "--count", "64"],
+    ["scan", "--n", "1", "--L", "2..4"],
+    ["trig", "--n", "1..5"],
+    ["trig", "--n", "3", "--mode", "gn", "--grid", "1000"],
+    ["lambda", "--n", "1..2", "--depth", "2", "--grid", "256", "--compare-grid", "512"],
+    ["certify", "--n", "1", "--grid", "2000", "--blocks", "5", "--struct-grid", "2048"],
+    ["bound", "--n", "3", "--N", "1024", "--H", "8", "--K", "8", "--width", "200"],
+    ["integral", "--n", "1", "--L", "2", "--quad", "4"],
+], ids=["gen-frac-40", "gen-bits", "disc", "scan", "trig-an", "trig-gn", "lambda-compare",
+        "certify", "bound-wide", "integral"])
+def test_an_output_rebuilds_from_its_own_config(capsys, argv):
+    # the header replays as <command> --key value ..., with no other flag
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    replay = [argv[0]]
+    for key, value in config_of(out).items():
+        replay += [f"--{key.replace('_', '-')}", str(value)]
+    assert run(capsys, *replay) == (0, out, "")
 
 
 def test_single_n_commands_reject_a_range(capsys):

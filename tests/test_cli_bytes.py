@@ -41,8 +41,8 @@ PINS = [
      "0fe9bb83fc7a83d466cabfb7c731715affeb80784f9ac54bf085754edb05af3e",
      "01ad17c09f81b83ba646ccbd2408b04e057b65bc0dfcd254f5d32125939cc2b0"),
     # width above 128 and N = 2^70: sticky rows and doubled columns j >= 64
-    (["--width", "200", "bound", "--n", "3", "--N", "1180591620717411303424", "--H", "8",
-      "--K", "8"],
+    (["bound", "--n", "3", "--N", "1180591620717411303424", "--H", "8", "--K", "8",
+      "--width", "200"],
      "7ab0ed55ab1b9f6791d4f56016dc6d704906afac88523ca726ebd1391ec83107",
      "905bfd43cd659b9cae14dc90d30a846945ce88a7e579f1b18d4f487d23edd779"),
     # the sharpness product at the rational 4/9, r = 900

@@ -285,9 +285,10 @@ class TestDoubledPhases:
         want = [[((b << j) & (mod - 1)) / mod for j in range(width + 2)] for b in bs]
         assert doubled_phases(to_words(bs, width), width + 2).tolist() == want
 
-    @pytest.mark.parametrize("den", [3, 5, 9, 257, 768, (1 << 64) + 1])
+    @pytest.mark.parametrize("den", [3, 5, 9, 256, 257, 768, 1 << 64, (1 << 64) + 1, 1 << 128])
     def test_other_moduli_take_the_int_division(self, den, monkeypatch):
-        # the phase rows log_pi_product hands to the factor table
+        # the phase rows log_pi_product hands to the factor table, for every
+        # modulus: 2^W takes the int division too
         seen = []
 
         def factors(phases, gamma):
