@@ -359,62 +359,92 @@ class IntegralPi:
         return None if d is None else d <= 1e-5
 
 
+def _panel_block(qpts: int) -> int:
+    """Panels whose factors are taken together, in cache: the largest power
+    of two <= max(1, _QUAD_CHUNK // qpts), so a block of a group (see
+    ``_pi_direct_quadrature``) holds whole periods of every factor."""
+    return 1 << (max(1, _QUAD_CHUNK // qpts).bit_length() - 1)
+
+
+def _check_integral(n: int, blocks: int, qpts: int) -> None:
+    if n < 1 or blocks < 0:
+        raise ValueError("need n >= 1 and blocks >= 0")
+    if qpts < 2:
+        raise ValueError("quadrature_points must be >= 2")
+    if n * blocks > 60:
+        raise ValueError("n * blocks must stay <= 60 for the recurrence path")
+
+
 def quadrature_bytes(n: int, blocks: int, qpts: int) -> int:
     """Bytes of the direct quadrature, r = n blocks in 1..24 (else 0): the float64
     product at 2^min(r, 18) x qpts points, the phases and factors of one block
-    of panels, and a qpts x qpts companion matrix."""
+    of panels, and a qpts x qpts companion matrix.  A block is at most
+    ``_panel_block(qpts)`` panels, the power of two the quadrature takes
+    together.  Raises ``ValueError`` on the arguments ``integral_pi`` refuses."""
+    _check_integral(n, blocks, qpts)
     r = n * blocks
     if not 1 <= r <= 24:
         return 0
     panels = 1 << min(r, 18)
-    block = min(panels, max(1, _QUAD_CHUNK // qpts))
+    block = min(panels, _panel_block(qpts))
     return 8 * ((panels + 2 * block) * qpts + qpts * qpts)
 
 
 def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
-    """Composite Gauss-Legendre over 2^min(r, 18) dyadic panels, r = n blocks.
+    """Composite Gauss-Legendre over 2^R dyadic panels, R = min(r, 18), r = n blocks.
 
     The factor j has its kinks at multiples of 2^-(j+1), so the panel
     boundaries contain every kink only for r <= 18.  Beyond that the panels
     straddle kinks and the route goes wrong (about 3 times the recurrence
-    value at n = 2, blocks = 12), so ``by_direct`` is no check there."""
+    value at n = 2, blocks = 12), so ``by_direct`` is no check there.
+
+    Each factor is taken once per period of panels.  Panel 0 is a group of
+    its own, and group b = 1..R holds the panels [2^(b-1), 2^b), whose
+    centres c_p = (p + 1/2) 2^-R lie in one binade and are even multiples of
+    its ulp.  So x = fl(c_p + o_k) rounds the Gauss offset o_k to the same
+    multiple of that ulp for every panel of a group, and the phase {2^j x},
+    doubled exactly in place, is the same for panels p and p + 2^(R-j) of a
+    group, and for every panel of it once j >= R.  A group is split into
+    blocks of ``_panel_block(qpts)`` panels, a power of two, so a block
+    holds whole periods: factor j is taken on the block's first
+    min(len, 2^(R-j)) panels and multiplied into every period of the block,
+    in the same j order.  Every product element sees the same factors in
+    the same order as one taken point by point."""
     r = n * blocks
-    panels = 1 << min(r, 18)
+    depth = min(r, 18)  # R
+    panels = 1 << depth
     nodes, weights = np.polynomial.legendre.leggauss(qpts)
     h = 1.0 / panels
     offsets = (0.5 * h) * nodes
     gamma = PerturbSpec(n).gamma(r)
     prod = np.ones((panels, qpts))
-    step = max(1, _QUAD_CHUNK // qpts)  # whole panels whose factors are taken together
+    step = _panel_block(qpts)
     scratch = np.empty((min(panels, step), qpts))
-    for p0 in range(0, panels, step):
-        p = prod[p0 : p0 + step]
-        f = scratch[: len(p)]
-        # t holds the phase {2^j x}, doubled in place: 2t - floor(2t) is exact on [0, 1)
-        t = ((np.arange(p0, p0 + len(p), dtype=float) + 0.5) * h)[:, None] + offsets
-        for j in range(r):
-            if j:
-                t *= 2.0
-                t -= np.floor(t, out=f)
-            p *= lacunary_factor(t, gamma[j], out=f)
+    for b in range(depth + 1):
+        for p0 in range((1 << b) >> 1, 1 << b, step):
+            p = prod[p0 : min(p0 + step, 1 << b)]
+            # t holds the phase {2^j x}, doubled in place: 2t - floor(2t) is exact on [0, 1)
+            t = ((np.arange(p0, p0 + len(p), dtype=float) + 0.5) * h)[:, None] + offsets
+            for j in range(r):
+                t = t[: 1 << max(depth - j, 0)]  # one period of factor j
+                f = scratch[: len(t)]
+                if j:
+                    t *= 2.0
+                    t -= np.floor(t, out=f)
+                periods = p.reshape(-1, len(t), qpts)
+                periods *= lacunary_factor(t, gamma[j], out=f)
     prod *= weights
     return float(prod.sum() * 0.5 * h)
 
 
 def integral_pi(n: int, blocks: int, quadrature_points: int = 8,
                 grid_size: int = DEFAULT_GRID) -> IntegralPi:
-    if n < 1 or blocks < 0:
-        raise ValueError("need n >= 1 and blocks >= 0")
-    if quadrature_points < 2:
-        raise ValueError("quadrature_points must be >= 2")
-    r = n * blocks
-    if r > 60:
-        raise ValueError("n * blocks must stay <= 60 for the recurrence path")
+    _check_integral(n, blocks, quadrature_points)
     if blocks == 0:
         return IntegralPi(n, 0, 1.0, 1.0)
     level = phi_level(n, blocks, grid_size)
     by_rec = level.integral()
-    by_direct = _pi_direct_quadrature(n, blocks, quadrature_points) if r <= 24 else None
+    by_direct = _pi_direct_quadrature(n, blocks, quadrature_points) if n * blocks <= 24 else None
     return IntegralPi(n, blocks, by_rec, by_direct)
 
 

@@ -54,7 +54,9 @@ def doubled_phases(words: np.ndarray, r: int) -> np.ndarray:
     j >= W are 0.  The table is column-major, so each column is contiguous.
     """
     padded = np.pad(words.T, ((0, 3), (0, 0)))  # [word, row]
-    nonzero_from = np.logical_or.accumulate(padded[::-1] != 0)[::-1]  # [k, row]: words k on
+    nonzero_from = padded != 0  # [k, row]: words k on, or-ed up from the last word below
+    for k in range(len(padded) - 2, -1, -1):
+        nonzero_from[k] |= nonzero_from[k + 1]
 
     def windows(rows, offsets):
         q, t = offsets >> 6, (offsets & 63).astype(np.uint64)

@@ -236,6 +236,12 @@ class TestKernelGuard:
         assert code == 0
         assert json.loads(out)["by_direct"] is None
 
+    def test_quadrature_order_is_checked_before_its_bytes(self, capsys):
+        code, out, err = run(capsys, "integral", "--n", "1", "--L", "3", "--quad", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: quadrature_points must be >= 2\n"
+
     def test_grid_rule_is_checked_first(self, capsys):
         code, _, err = run(capsys, "integral", "--n", "30", "--L", "1")
         assert code == 2

@@ -23,8 +23,10 @@ from halkron.metric import (
     mu,
     phi_level,
     phi_levels,
+    quadrature_bytes,
     structural_checks,
 )
+from halkron.trigprod import lacunary_factor
 
 GRID = 1 << 12  # enough for unit tests; acceptance uses 2^14
 
@@ -277,9 +279,30 @@ class TestDirectQuadratureOracle:
         assert _pi_direct_quadrature(n, l, 8) == pi_direct_quadrature(n, l, 8)
 
     def test_bit_identical_other_quadrature_orders(self):
-        # (1, 13, 3) and (2, 6, 5): the last block of points is a short one
-        for n, l, q in [(1, 5, 2), (2, 4, 5), (3, 3, 16), (1, 13, 3), (2, 6, 5)]:
+        # (1, 13, 3) and (2, 6, 5): the last block of points is a short one;
+        # (1, 20, 2): r > 18, so the factors j >= 18 are taken on one panel
+        # a group; (1, 16, 3) and (1, 12, 200): 2^14 // q is no power of two,
+        # so a block is 4096 or 64 panels and the upper groups span several
+        for n, l, q in [(1, 5, 2), (2, 4, 5), (3, 3, 16), (1, 13, 3), (2, 6, 5),
+                        (1, 20, 2), (1, 16, 3), (1, 12, 200)]:
             assert _pi_direct_quadrature(n, l, q) == pi_direct_quadrature(n, l, q)
+
+    def test_factors_taken_once_per_period(self, monkeypatch):
+        taken = []
+
+        def counting(phase, sine, out=None):
+            taken.append(phase.size)
+            return lacunary_factor(phase, sine, out=out)
+
+        monkeypatch.setattr("halkron.metric.lacunary_factor", counting)
+        _pi_direct_quadrature(2, 12, 8)
+        # one factor per point would be 24 x 2^18 x 8 = 50,331,648
+        assert sum(taken) < 20_000_000
+
+    def test_bytes_use_the_power_of_two_block(self):
+        # 2^14 // 200 = 81 panels round down to a block of 64
+        panels, block = 1 << 12, 64
+        assert quadrature_bytes(1, 12, 200) == 8 * ((panels + 2 * block) * 200 + 200**2)
 
 
 class TestStructuralChecks:
