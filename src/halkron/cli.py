@@ -15,7 +15,6 @@ allocation that fails), 4 certification failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -24,6 +23,7 @@ from . import discrepancy, expsum, metric, trigprod
 from .numtheory import (
     DEFAULT_WIDTH,
     UnitFraction,
+    from_words,
     make_unit_fraction,
     rational_bad,
     shallit_beta,
@@ -167,9 +167,12 @@ def cmd_gen(args) -> int:
         raise UsageError("count must be >= 1")
     alpha = parse_alpha(args.alpha, n, args.width)
     ps = generate_point_set(PerturbSpec(n), alpha, args.count)
-    csv_text = io.StringIO()
-    ps.write_csv(csv_text)
-    _emit(args, _config(args, ["n", "alpha", "count"], width=alpha.width), csv_text.getvalue())
+    q = 1 << ps.width
+    xs, ys = from_words(ps.x, ps.width), from_words(ps.y, ps.width)
+    rows = [[k, f"0x{xb:x}", f"0x{yb:x}", repr(xb / q), repr(yb / q)]
+            for k, (xb, yb) in enumerate(zip(xs, ys))]
+    _emit(args, _config(args, ["n", "alpha", "count"], width=alpha.width),
+          _csv(["k", "x_bits_hex", "y_bits_hex", "x_float", "y_float"], rows))
     return EXIT_OK
 
 
@@ -270,8 +273,6 @@ def cmd_lambda(args) -> int:
 
 def cmd_certify(args) -> int:
     ns = parse_range(args.n)
-    if args.grid < 1000:
-        raise UsageError("certification grid must be >= 1000")
     _check_kernels(ns, [args.struct_grid], args.force)
     # every n's sharpness identity first: its size rule fails before any other work
     sharps = [trigprod.sharpness_identity(n, args.blocks) for n in ns]

@@ -10,12 +10,11 @@ plain base-2 radical inverse.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import UnitFraction, from_words
+from .numtheory import UnitFraction
 
 
 @dataclass(frozen=True)
@@ -36,21 +35,13 @@ class PerturbSpec:
         if self.shift < 0:
             raise ValueError("shift must be >= 0")
 
-    def weight(self, j: int) -> int:
-        """c^(shift)_j."""
-        return 1 if (j + self.shift) % self.period == 0 else 0
-
     def gamma(self, r: int) -> tuple[int, ...]:
-        """The first r weights, as used by the trigonometric products."""
-        return tuple(self.weight(j) for j in range(r))
+        """The weights c^(shift)_j, j < r: the pattern's one definition."""
+        return tuple(int((j + self.shift) % self.period == 0) for j in range(r))
 
     def digit_mask(self, nbits: int) -> int:
-        """Bit mask of the digit positions with weight 1 below nbits."""
-        first = (-self.shift) % self.period
-        mask = 0
-        for p in range(first, nbits, self.period):
-            mask |= 1 << p
-        return mask
+        """Bit mask of the digit positions below nbits where ``gamma`` is 1."""
+        return sum(1 << p for p, c in enumerate(self.gamma(nbits)) if c)
 
     def digit_parity(self, ks: np.ndarray) -> np.ndarray:
         """Parity of the ``digit_mask`` digits of each non-negative int64 in
@@ -79,14 +70,6 @@ class PointSet2:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def write_csv(self, fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["k", "x_bits_hex", "y_bits_hex", "x_float", "y_float"])
-        q = 1 << self.width
-        xs, ys = from_words(self.x, self.width), from_words(self.y, self.width)
-        for k, (xb, yb) in enumerate(zip(xs, ys)):
-            w.writerow([k, f"0x{xb:x}", f"0x{yb:x}", repr(xb / q), repr(yb / q)])
 
 
 def generate_point_set(spec: PerturbSpec, alpha: UnitFraction, count: int) -> PointSet2:

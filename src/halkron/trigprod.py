@@ -126,8 +126,8 @@ def a_exponent(n: int) -> float:
 
 
 def f_iterate(nu: int, x):
-    """f_nu with f_0 = id and f_1(x) = 2 x sqrt(1-x^2); accepts scalars or
-    arrays in [0,1], clamped against rounding excursions."""
+    """f_nu with f_0 = id and f_1(x) = 2 x sqrt(1-x^2) at x in [0,1], as a
+    float array of x's shape, clamped against rounding excursions."""
     if nu < 0:
         raise ValueError("nu must be >= 0")
     arr = np.asarray(x, dtype=float)
@@ -137,8 +137,6 @@ def f_iterate(nu: int, x):
         # 1-x^2 as (1-x)(1+x): no cancellation near x = 1
         arr = 2.0 * arr * np.sqrt((1.0 - arr) * (1.0 + arr))
         arr = np.clip(arr, 0.0, 1.0)
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return float(arr)
     return arr
 
 

@@ -249,9 +249,16 @@ class TestKernelGuard:
 
 
 class TestCertify:
-    def test_small_grid_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "certify", "--n", "1", "--grid", "100")
-        assert code == 2
+    def test_small_grid_is_usage_error(self, capsys, monkeypatch):
+        # the one grid rule is trigprod.dichotomy_grid's; no structural check runs first
+        def work(*args):
+            raise AssertionError("a structural check ran before the grid rule")
+
+        monkeypatch.setattr(cli.metric, "structural_checks", work)
+        for argv in (["--n", "1", "--grid", "100"], ["--n", "1..2", "--grid", "999"]):
+            code, out, err = run(capsys, "certify", *argv)
+            assert code == 2 and out == ""
+            assert err == "error: grid_size must be >= 1000\n"
 
     def test_passes_for_n1(self, capsys):
         code, out, _ = run(capsys, "certify", "--n", "1", "--grid", "2000",

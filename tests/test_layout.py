@@ -5,6 +5,9 @@ and only ``numtheory`` converts between Python ints and words (its
 ``from_bytes`` calls), so only it names a big-endian dtype or
 ``np.void``: every other module works on native uint64 words.
 
+Only ``cli.py`` imports ``csv``, ``io``, ``json`` or ``sys``: the other
+modules compute, and the CLI reads arguments and writes every output.
+
 Every name that ``halkron/__init__.py`` imports must be used by another
 module of the package, outside the ``def`` or ``class`` that defines it.
 The only exceptions are the paper's identities that acceptance criteria 8
@@ -98,3 +101,22 @@ def test_byte_order_lives_in_numtheory():
         or (isinstance(node, ast.Attribute) and node.attr == "void")
     }
     assert users == {"numtheory.py"}
+
+
+def imported_modules(path: Path):
+    """The absolute module names that the file at ``path`` imports."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_only_the_cli_does_io():
+    users = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for name in imported_modules(path)
+        if name.split(".")[0] in {"csv", "io", "json", "sys"}
+    }
+    assert users <= {"cli.py"}, f"modules other than cli.py import I/O: {sorted(users - {'cli.py'})}"

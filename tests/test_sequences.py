@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import coordinates
+from halkron import cli
 from halkron.numtheory import UnitFraction, make_unit_fraction, theorem_alpha
 from exact_helpers import DigitVector, mk_array
 from halkron.sequences import PerturbSpec, PointSet2, generate_point_set
@@ -44,6 +44,18 @@ class TestWeightedDigitSum:
             shift = rng.randint(0, 7)
             assert weighted_digit_sum(k, PerturbSpec(n, shift=shift)) == \
                 brute_weighted_digit_sum(k, n, shift)
+
+
+class TestPattern:
+    def test_digit_mask_holds_the_pattern(self):
+        for period in range(1, 9):
+            for shift in range(10):
+                spec = PerturbSpec(period, shift=shift)
+                for nbits in range(71):
+                    mask = spec.digit_mask(nbits)
+                    assert mask >> nbits == 0
+                    assert all((mask >> p & 1) == ((p + shift) % period == 0)
+                               for p in range(nbits))
 
 
 class TestDigitVector:
@@ -140,6 +152,11 @@ class TestFairness:
                     assert (hits == base).all()
 
 
+def gen_table(capsys) -> list[str]:
+    """The CSV lines of the ``gen`` output on stdout, after its comment lines."""
+    return [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+
+
 class TestGeneratePointSet:
     def test_single_point(self):
         ps = generate_point_set(PerturbSpec(1), make_unit_fraction(1, 2, 128), 1)
@@ -192,14 +209,27 @@ class TestGeneratePointSet:
         with pytest.raises(ValueError):
             PointSet2(ps.x, ps.y.astype(np.int64), ps.width)
 
-    def test_csv_export(self):
+    def test_csv_export(self, capsys):
         ps = generate_point_set(PerturbSpec(1), make_unit_fraction(1, 2, 128), 4)
-        buf = io.StringIO()
-        ps.write_csv(buf)
-        lines = buf.getvalue().splitlines()
+        assert cli.main(["gen", "--n", "1", "--alpha", "frac:1/2", "--count", "4"]) == 0
+        lines = gen_table(capsys)
         assert lines[0] == "k,x_bits_hex,y_bits_hex,x_float,y_float"
         assert len(lines) == 5
         k, xh, yh, xf, yf = lines[2].split(",")
         assert k == "1"
         assert int(xh, 16) == coordinates(ps)[0][1]
         assert float(xf) == 0.5
+
+    @pytest.mark.parametrize("argv, alpha", [
+        (["--alpha", "theorem", "--width", "200"], theorem_alpha(2, 200)),
+        (["--alpha", "bits:0x9e3779b97f:40"], UnitFraction(0x9E3779B97F, 40)),
+    ], ids=["two-words", "bits"])
+    def test_csv_floats_are_the_hex_numerators(self, capsys, argv, alpha):
+        # every float column is the double of its exact numerator over 2^W
+        assert cli.main(["gen", "--n", "2", *argv, "--count", "16"]) == 0
+        rows = [line.split(",") for line in gen_table(capsys)[1:]]
+        assert len(rows) == 16
+        assert int(rows[1][2], 16) == alpha.bits  # y_1 = alpha
+        for _, xh, yh, xf, yf in rows:
+            assert xf == repr(int(xh, 16) / 2**alpha.width)
+            assert yf == repr(int(yh, 16) / 2**alpha.width)
