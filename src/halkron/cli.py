@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 from . import discrepancy, expsum, metric, trigprod
 from .numtheory import (
@@ -135,7 +136,7 @@ def _emit(args, config: dict, body: str | None = None, payload: dict | None = No
 def _csv(header: list[str], rows) -> str:
     """CSV lines of ``header`` and ``rows``, each value written by ``str``."""
     line = ",".join(["%s"] * len(header)) + "\n"
-    return "".join([line % tuple(row) for row in [header, *rows]])
+    return "".join([line % tuple(row) for row in chain([header], rows)])
 
 
 def _config(args, keys: list[str], **built) -> dict:
@@ -306,7 +307,7 @@ def cmd_bound(args) -> int:
     _guard(params.table_rows, DEFAULT_BOUND_ROW_CAP, args.force,
            f"the bound table has {params.table_rows} rows")
     res = expsum.upper_bound_rhs(params, n, alpha)
-    body = _csv(list(expsum.UpperBoundRow._fields), res.rows)
+    body = _csv(list(expsum.UpperBoundRow._fields), zip(*res.rows.columns))
     payload = {
         "term_nk": res.term_nk,
         "term_nh_log": res.term_nh_log,

@@ -11,6 +11,7 @@ product has no phase accuracy left while the shifted bits stay exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -158,6 +159,29 @@ class UpperBoundRow(NamedTuple):
     term_prod: float  # sum_r 2^r Pi_{r,c^(l)}(2^l h alpha)
 
 
+class BoundRows(Sequence):
+    """The rows of a bound table, held as its four columns: ``columns`` is
+    the lists (ell, h, term_norm, term_prod), and an ``UpperBoundRow`` is
+    built only where a row is read.  Equal to any sequence of the same rows."""
+
+    def __init__(self, ell: list, h: list, term_norm: list, term_prod: list) -> None:
+        self.columns = (ell, h, term_norm, term_prod)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return BoundRows(*(c[i] for c in self.columns))
+        return UpperBoundRow(*(c[i] for c in self.columns))
+
+    def __iter__(self):
+        return map(UpperBoundRow._make, zip(*self.columns))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True)
 class UpperBoundTerms:
     """The four summands of the right-hand side, kept separate: the bound is
@@ -168,7 +192,7 @@ class UpperBoundTerms:
     term_nh_log: float
     term_log2: float
     term_sum: float
-    rows: tuple[UpperBoundRow, ...]
+    rows: Sequence[UpperBoundRow]
     degenerate: tuple[tuple[int, int], ...]  # (ell, h) with ||2^l h alpha|| = 0
 
     @property
@@ -213,11 +237,11 @@ def upper_bound_rhs(params: BoundParams, n: int, alpha: UnitFraction) -> UpperBo
     term_prod = np.concatenate(sum(prods, [np.empty(0)]))
     # from 0.0, row by row, as a loop adds them (np.sum would pair them)
     total = float(np.cumsum(np.append(0.0, (term_norm + term_prod) / h))[-1])
-    rows = zip(ell.tolist(), h.tolist(), term_norm.tolist(), term_prod.tolist())
+    rows = BoundRows(ell.tolist(), h.tolist(), term_norm.tolist(), term_prod.tolist())
     deg = term_norm == math.inf
     degenerate = zip(ell[deg].tolist(), h[deg].tolist())
     log_n = math.log(big_n)
     return UpperBoundTerms(
         params, big_n / k_lim, big_n / h_lim * log_n, log_n * log_n, total,
-        tuple(map(UpperBoundRow._make, rows)), tuple(degenerate),
+        rows, tuple(degenerate),
     )

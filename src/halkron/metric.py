@@ -9,6 +9,12 @@ r/2^n of cell k g/2^n + q.  A level step therefore gathers the cubic
 coefficients of those cells as [q, k, p], multiplies them by a [q, r, k]
 branch-weight kernel (built once per ``phi_levels`` call) in one batched
 matmul, and contracts the result with the offset powers (r/2^n)^(3-p).
+The cells are stored cell-major, so the gathered [q, k, p] array is a
+strided view of them.  Both sine-bound layers take a recurring sine
+once and reuse its double: the kernel's cosines are symmetric in
+j <-> 2^n g - j, exactly so on a power-of-two grid, and the direct
+quadrature's factors repeat with a period of panels within each group of
+panels of one binade.
 Every level is rescaled by its maximum with the scale tracked in log space;
 the ratio extrema that produce the exponent brackets are invariant under
 that rescaling.  The extrema of a whole level stack come from one set of
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .sequences import PerturbSpec
 from .trigprod import lacunary_factor
@@ -49,7 +56,8 @@ def _edge_slope(d0: float, d1: float) -> float:
 
 def _pchip_cells(grid: np.ndarray) -> np.ndarray:
     """Fritsch-Carlson PCHIP of uniform samples as cubic coefficients
-    c[0..3, i], so cell i is ((c0 t + c1) t + c2) t + c3 for t in [0,1).
+    c[i, 0..3], cell-major, so cell i is ((c0 t + c1) t + c2) t + c3 for t
+    in [0,1).
 
     Slopes and derivatives are in units of one cell.  An interior
     derivative is the harmonic mean of the adjacent slopes, or 0 where they
@@ -66,11 +74,11 @@ def _pchip_cells(grid: np.ndarray) -> np.ndarray:
         d[1:-1] = np.where(inner, 1.0 / ((3.0 / a + 3.0 / b) / 6.0), 0.0)
     d[0] = _edge_slope(delta[0], delta[1])
     d[-1] = _edge_slope(delta[-1], delta[-2])
-    c = np.zeros((4, len(grid)))
-    c[0, :-1] = d[:-1] + d[1:] - 2.0 * delta
-    c[1, :-1] = (delta - d[:-1]) - c[0, :-1]
-    c[2, :-1] = d[:-1]
-    c[3] = grid
+    c = np.zeros((len(grid), 4))
+    c[:-1, 0] = d[:-1] + d[1:] - 2.0 * delta
+    c[:-1, 1] = (delta - d[:-1]) - c[:-1, 0]
+    c[:-1, 2] = d[:-1]
+    c[:, 3] = grid
     c.flags.writeable = False
     return c
 
@@ -127,7 +135,7 @@ class PhiGrid:
         idx = x * self.grid_size
         i = int(idx)
         t = idx - i
-        return float(_horner(self.cells[:, i], t))
+        return float(_horner(self.cells[i], t))
 
     def values(self) -> np.ndarray:
         return self.grid * math.exp(self.log_scale)
@@ -162,13 +170,27 @@ def _kernel(n: int, grid_size: int) -> np.ndarray:
     belong to no node; they hold finite values that the level step drops.
     The 0/0 points (x=0 with the middle branch, x=1 with its mirror) take
     their finite limit 1.  One buffer of ``kernel_bytes`` is filled in place:
-    the child of branch k sits at (i + k g) / (2^n g) on the fine grid."""
+    the child of branch k sits at y = j / (2^n g), j = i + k g, on the fine
+    grid.
+
+    On a power-of-two grid y and 1/2 - y are exact, so the cosine at j is
+    bit for bit the one at 2^n g - j: entry (i, k) equals
+    (g - i, 2^n - 1 - k).  There only the rows q <= m/2, m = g/2^n, and the
+    padding row m take their cosines, and the nodes i of rows
+    m/2 + 1..m - 1 copy those of g - i with the branches reversed.  On
+    other grids the two roundings differ, and every row takes its own."""
     b = 1 << n
     m = grid_size // b
     i = np.arange((m + 1) * b, dtype=float).reshape(m + 1, b, 1)
-    w = np.add(i, grid_size * np.arange(b, dtype=float), out=np.empty((m + 1, b, b)))
-    w /= b * grid_size
-    lacunary_factor(w, False, out=w)  # |cos(pi y)| in place, as the cosine allows
+    w = np.empty((m + 1, b, b))
+    mirrored = grid_size & (grid_size - 1) == 0
+    half = m // 2 + 1 if mirrored else m  # rows 0..half-1 and m are filled
+    for rows in (slice(0, half), slice(m, m + 1)):
+        y = np.add(i[rows], grid_size * np.arange(b, dtype=float), out=w[rows])
+        y /= b * grid_size
+        lacunary_factor(y, False, out=y)  # |cos(pi y)| in place, as the cosine allows
+    flat = w.reshape(-1, b)
+    flat[half * b : m * b] = flat[grid_size - half * b : 0 : -1, ::-1]
     w *= b
     with np.errstate(invalid="ignore"):
         np.divide(lacunary_factor(i / grid_size, True), w, out=w)
@@ -182,9 +204,13 @@ def _gather_cells(cells: np.ndarray, b: int) -> np.ndarray:
 
     On g cells with b | g the child (x_i + k)/b of node i = q b + r lies in
     cell k g/b + q at the local offset r/b, so the cell depends on (q, k)
-    only and the offset on r only."""
-    m = (cells.shape[1] - 1) // b
-    return cells.T[np.arange(b) * m + np.arange(m + 1)[:, None]]
+    only and the offset on r only.  The result is a read-only strided view
+    of the cell-major ``cells``, no copy: for each branch k the window of
+    m + 1 cells starting at cell k m.  Each [k, p] matrix has unit column
+    stride and row stride 4m, so the batched matmul hands it to BLAS as it
+    is."""
+    m = (len(cells) - 1) // b
+    return sliding_window_view(cells, m + 1, axis=0)[::m].transpose(2, 0, 1)
 
 
 def _offset_powers(b: int) -> np.ndarray:
@@ -279,7 +305,7 @@ def _level_records(n: int, levels: list[PhiGrid], j_max: int) -> list[LevelRecor
         ratio = nxt.grid / prev.grid * s
         c = [int(np.argmax(ratio)), int(np.argmin(ratio))]
         cells = np.clip(np.add.outer(c, np.arange(-2, 2)), 0, g)
-        window.append(np.stack([prev.cells.T[cells], nxt.cells.T[cells]], axis=2))
+        window.append(np.stack([prev.cells[cells], nxt.cells[cells]], axis=2))
         scale += [s, s]
         ext += c
         grid_best += ratio[c].tolist()
@@ -377,17 +403,22 @@ def _check_integral(n: int, blocks: int, qpts: int) -> None:
 
 def quadrature_bytes(n: int, blocks: int, qpts: int) -> int:
     """Bytes of the direct quadrature, r = n blocks in 1..24 (else 0): the float64
-    product at 2^min(r, 18) x qpts points, the phases and factors of one block
-    of panels, and a qpts x qpts companion matrix.  A block is at most
-    ``_panel_block(qpts)`` panels, the power of two the quadrature takes
-    together.  Raises ``ValueError`` on the arguments ``integral_pi`` refuses."""
+    product at 2^R x qpts points, R = min(r, 18), the phases and factors of
+    one block of panels, the factor tables of the largest group, and a
+    qpts x qpts companion matrix.  A block is at most ``_panel_block(qpts)``
+    panels, the power of two the quadrature takes together.  The largest
+    group holds 2^(R-1) panels, so it tables the periods 2^(R-j) of
+    j = 2..R-1 and one panel for each j = R..r-1.  Raises ``ValueError`` on
+    the arguments ``integral_pi`` refuses."""
     _check_integral(n, blocks, qpts)
     r = n * blocks
     if not 1 <= r <= 24:
         return 0
-    panels = 1 << min(r, 18)
+    depth = min(r, 18)
+    panels = 1 << depth
     block = min(panels, _panel_block(qpts))
-    return 8 * ((panels + 2 * block) * qpts + qpts * qpts)
+    tables = max(panels // 2 - 2, 0) + r - depth
+    return 8 * ((panels + 2 * block + tables) * qpts + qpts * qpts)
 
 
 def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
@@ -408,8 +439,12 @@ def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     blocks of ``_panel_block(qpts)`` panels, a power of two, so a block
     holds whole periods: factor j is taken on the block's first
     min(len, 2^(R-j)) panels and multiplied into every period of the block,
-    in the same j order.  Every product element sees the same factors in
-    the same order as one taken point by point."""
+    in the same j order.  Where the period 2^(R-j) is shorter than the
+    group, the factor is taken into a table of the group's first period,
+    and a block at offset o >= 2^(R-j) in the group reads the same doubles
+    from rows o mod 2^(R-j) on; blocks and periods are powers of two, so
+    those rows are whole periods or a whole block.  Every product element
+    sees the same factors in the same order as one taken point by point."""
     r = n * blocks
     depth = min(r, 18)  # R
     panels = 1 << depth
@@ -418,21 +453,31 @@ def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     offsets = (0.5 * h) * nodes
     gamma = PerturbSpec(n).gamma(r)
     prod = np.ones((panels, qpts))
+    periods = [1 << max(depth - j, 0) for j in range(r)]  # panels per period of factor j
     step = _panel_block(qpts)
     scratch = np.empty((min(panels, step), qpts))
     for b in range(depth + 1):
-        for p0 in range((1 << b) >> 1, 1 << b, step):
-            p = prod[p0 : min(p0 + step, 1 << b)]
+        lo, hi = (1 << b) >> 1, 1 << b
+        # factor j over the group's first period, for the periods shorter than the group
+        tables = {j: np.empty((s, qpts)) for j, s in enumerate(periods) if s < hi - lo}
+        for p0 in range(lo, hi, step):
+            p = prod[p0 : min(p0 + step, hi)]
+            o = p0 - lo
             # t holds the phase {2^j x}, doubled in place: 2t - floor(2t) is exact on [0, 1)
             t = ((np.arange(p0, p0 + len(p), dtype=float) + 0.5) * h)[:, None] + offsets
-            for j in range(r):
-                t = t[: 1 << max(depth - j, 0)]  # one period of factor j
-                f = scratch[: len(t)]
-                if j:
-                    t *= 2.0
-                    t -= np.floor(t, out=f)
-                periods = p.reshape(-1, len(t), qpts)
-                periods *= lacunary_factor(t, gamma[j], out=f)
+            for j, period in enumerate(periods):
+                if o >= period:  # a later period of the group: factor j is in its table
+                    f = tables[j][o % period :][: len(p)]
+                else:
+                    t = t[:period]
+                    f = tables[j][o : o + len(t)] if j in tables else scratch[: len(t)]
+                    if j:
+                        t *= 2.0
+                        t -= np.floor(t, out=f)
+                    lacunary_factor(t, gamma[j], out=f)
+                each = p.reshape(-1, len(f), qpts)  # the block's periods of factor j
+                each *= f
+        del tables  # before the next group's, twice the size
     prod *= weights
     return float(prod.sum() * 0.5 * h)
 

@@ -66,7 +66,7 @@ def oracle_phi_levels(n: int, j_max: int, grid_size: int) -> list[PhiGrid]:
     w = _kernel(n, grid_size)
     while len(levels) <= j_max:
         prev = levels[-1]
-        sums = np.einsum("rkq,rkq->rq", w, _children(prev.cells, b))
+        sums = np.einsum("rkq,rkq->rq", w, _children(prev.cells.T, b))
         vals = sums.T.ravel()[: grid_size + 1] / b
         s = float(vals.max())
         levels.append(PhiGrid(n, len(levels), vals / s, prev.log_scale + math.log(s)))

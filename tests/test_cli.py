@@ -214,11 +214,13 @@ class TestKernelGuard:
             raise AssertionError("the quadrature was built")
 
         monkeypatch.setattr(cli.metric, "integral_pi", build)
-        # 2^18 panels x 2000 points, in blocks of 8 panels: about 4.2 GB
+        # 2^18 panels x 2000 points, in blocks of 8 panels, and the largest
+        # group's tables of 2^17 - 2 panels: about 6.3 GB
         code, out, err = run(capsys, "integral", "--n", "1", "--L", "18", "--quad", "2000")
         assert code == 3
         assert out == ""
-        assert f"needs {8 * ((2**18 + 2 * 8) * 2000 + 2000**2)} bytes" in err and "--force" in err
+        need = 8 * ((2**18 + 2 * 8 + 2**17 - 2) * 2000 + 2000**2)
+        assert f"needs {need} bytes" in err and "--force" in err
 
     def test_force_overrides_the_quadrature_cap(self, capsys, monkeypatch):
         # the n = 1 kernel (262176 bytes) passes this cap, the quadrature does not
@@ -227,7 +229,7 @@ class TestKernelGuard:
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert f"needs {8 * ((2**3 + 2 * 2**3) * 200 + 200**2)} bytes" in err
+        assert f"needs {8 * ((2**3 + 2 * 2**3 + 2) * 200 + 200**2)} bytes" in err
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0
         assert json.loads(out)["by_direct"] is not None

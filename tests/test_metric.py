@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kernel_oracle import full_kernel
 from level_step_oracle import oracle_phi_levels
 from ratio_search_oracle import oracle_ratio_extrema
 from quadrature_oracle import pi_direct_quadrature
@@ -29,6 +30,19 @@ from halkron.metric import (
 from halkron.trigprod import lacunary_factor
 
 GRID = 1 << 12  # enough for unit tests; acceptance uses 2^14
+
+
+def factor_sizes(monkeypatch) -> list[int]:
+    """The sizes of the phase arrays that ``metric`` passes to
+    ``lacunary_factor`` from now on, one entry a call."""
+    taken = []
+
+    def counting(phase, sine, out=None):
+        taken.append(phase.size)
+        return lacunary_factor(phase, sine, out=out)
+
+    monkeypatch.setattr("halkron.metric.lacunary_factor", counting)
+    return taken
 
 
 class TestPhiLevel:
@@ -120,6 +134,37 @@ class TestLevelStepOracle:
     @pytest.mark.parametrize("n,grid", [(1, 256), (3, 3 << 10), (6, 1 << 10)])
     def test_kernel_bytes_is_the_kernel_size(self, n, grid):
         assert kernel_bytes(n, grid) == _kernel(n, grid).nbytes
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_children_are_a_view_of_the_cells(self, n):
+        cells = phi_level(n, 2, GRID).cells
+        children = _gather_cells(cells, 1 << n)
+        assert np.shares_memory(children, cells) and not children.flags.writeable
+        m = GRID >> n
+        k, q = np.meshgrid(np.arange(1 << n), np.arange(m + 1))
+        assert np.array_equal(children, cells[k * m + q])
+
+
+class TestKernelOracle:
+    """The mirrored kernel against the former fill of every entry in
+    ``kernel_oracle``, on power-of-two grids from 2^8 (m = 1 block row at
+    n = 8) to 2^14 and on grids where the mirror does not hold."""
+
+    CASES = [(n, 1 << e) for n in range(1, 9) for e in range(8, 15)]
+    CASES += [(n, g) for n in range(1, 9) for g in (3 << 10, 5 << 9) if g % (1 << n) == 0]
+
+    @pytest.mark.parametrize("n,grid", CASES)
+    def test_node_rows_equal_the_full_fill(self, n, grid):
+        got, want = _kernel(n, grid), full_kernel(n, grid)
+        nodes = grid + 1  # entries of node i = q 2^n + r, i <= grid
+        assert np.array_equal(got.reshape(-1, 1 << n)[:nodes], want.reshape(-1, 1 << n)[:nodes])
+        assert np.isfinite(got).all()
+
+    def test_cosines_taken_once(self, monkeypatch):
+        taken = factor_sizes(monkeypatch)
+        _kernel(8, 1 << 14)
+        # every entry and the numerators would be 65 x 256 x 256 + 16640 = 4,276,480
+        assert sum(taken) < 2_300_000
 
 
 class TestAgainstScipy:
@@ -282,9 +327,11 @@ class TestDirectQuadratureOracle:
         # (1, 13, 3) and (2, 6, 5): the last block of points is a short one;
         # (1, 20, 2): r > 18, so the factors j >= 18 are taken on one panel
         # a group; (1, 16, 3) and (1, 12, 200): 2^14 // q is no power of two,
-        # so a block is 4096 or 64 panels and the upper groups span several
+        # so a block is 4096 or 64 panels and the upper groups span several;
+        # (1, 16, 40) and (3, 6, 5): the largest group is 128 blocks of 256
+        # panels or 64 of 2048, and its later blocks read the group's tables
         for n, l, q in [(1, 5, 2), (2, 4, 5), (3, 3, 16), (1, 13, 3), (2, 6, 5),
-                        (1, 20, 2), (1, 16, 3), (1, 12, 200)]:
+                        (1, 20, 2), (1, 16, 3), (1, 12, 200), (1, 16, 40), (3, 6, 5)]:
             assert _pi_direct_quadrature(n, l, q) == pi_direct_quadrature(n, l, q)
 
     def test_factors_taken_once_per_period(self, monkeypatch):
@@ -299,10 +346,17 @@ class TestDirectQuadratureOracle:
         # one factor per point would be 24 x 2^18 x 8 = 50,331,648
         assert sum(taken) < 20_000_000
 
+    def test_factors_taken_once_per_group_period(self, monkeypatch):
+        taken = factor_sizes(monkeypatch)
+        _pi_direct_quadrature(2, 12, 8)
+        # once per period of each block of 2048 panels would be 18,911,568
+        assert sum(taken) < 9_000_000
+
     def test_bytes_use_the_power_of_two_block(self):
-        # 2^14 // 200 = 81 panels round down to a block of 64
-        panels, block = 1 << 12, 64
-        assert quadrature_bytes(1, 12, 200) == 8 * ((panels + 2 * block) * 200 + 200**2)
+        # 2^14 // 200 = 81 panels round down to a block of 64; the largest
+        # group (2^11 panels) tables the periods 2^10, ..., 2 of j = 2..11
+        panels, block, tables = 1 << 12, 64, (1 << 11) - 2
+        assert quadrature_bytes(1, 12, 200) == 8 * ((panels + 2 * block + tables) * 200 + 200**2)
 
 
 class TestStructuralChecks:
