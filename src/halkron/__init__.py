@@ -2,6 +2,13 @@
 star discrepancy, lacunary trigonometric products, and the transfer-operator
 brackets for the metric discrepancy exponents."""
 
+import os
+
+# One OpenBLAS thread unless the caller chose a count: set here, before any
+# module imports numpy, because OpenBLAS starts its worker threads while numpy
+# loads, and that start costs more than any BLAS call of halkron gains from it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .numtheory import (
     DEFAULT_WIDTH,
     UnitFraction,

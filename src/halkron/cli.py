@@ -30,7 +30,7 @@ from .numtheory import (
     shallit_beta,
     theorem_alpha,
 )
-from .sequences import PerturbSpec, generate_point_set
+from .sequences import PerturbSpec, PointSet2, generate_point_set
 
 FORMAT_VERSION = 3
 
@@ -162,28 +162,29 @@ def _check_kernels(ns: list[int], grids: list[int], force: bool) -> None:
                    f"n={n}, grid {grid}: the level kernel needs {size} bytes")
 
 
-def cmd_gen(args) -> int:
-    n = _single_n(parse_range(args.n), "gen")
+def _point_set(args, command: str) -> PointSet2:
+    """The first ``--count`` points for ``--n`` and the alpha, after the
+    usage checks and the point guard (``gen`` and ``disc``)."""
+    n = _single_n(parse_range(args.n), command)
     if args.count < 1:
         raise UsageError("count must be >= 1")
-    alpha = parse_alpha(args.alpha, n, args.width)
-    ps = generate_point_set(PerturbSpec(n), alpha, args.count)
+    _guard(args.count, args.guard, args.force, f"the point set has {args.count} points")
+    return generate_point_set(PerturbSpec(n), parse_alpha(args.alpha, n, args.width), args.count)
+
+
+def cmd_gen(args) -> int:
+    ps = _point_set(args, "gen")
     q = 1 << ps.width
     xs, ys = from_words(ps.x, ps.width), from_words(ps.y, ps.width)
     rows = [[k, f"0x{xb:x}", f"0x{yb:x}", repr(xb / q), repr(yb / q)]
             for k, (xb, yb) in enumerate(zip(xs, ys))]
-    _emit(args, _config(args, ["n", "alpha", "count"], width=alpha.width),
+    _emit(args, _config(args, ["n", "alpha", "count"], width=ps.width),
           _csv(["k", "x_bits_hex", "y_bits_hex", "x_float", "y_float"], rows))
     return EXIT_OK
 
 
 def cmd_disc(args) -> int:
-    n = _single_n(parse_range(args.n), "disc")
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
-    _guard(args.count, args.guard, args.force, f"the point set has {args.count} points")
-    alpha = parse_alpha(args.alpha, n, args.width)
-    ps = generate_point_set(PerturbSpec(n), alpha, args.count)
+    ps = _point_set(args, "disc")
     res = discrepancy.star_discrepancy_2d(ps)
     payload = {
         "n_points": res.n_points,
@@ -194,7 +195,7 @@ def cmd_disc(args) -> int:
             {"coord": float(s.coord), "closed": s.closed} for s in res.witness_box
         ],
     }
-    _emit(args, _config(args, ["n", "alpha", "count"], width=alpha.width), payload=payload)
+    _emit(args, _config(args, ["n", "alpha", "count"], width=ps.width), payload=payload)
     return EXIT_OK
 
 
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    sp = command("gen", cmd_gen, "write a point-set CSV", alpha)
+    sp = command("gen", cmd_gen, "write a point-set CSV", alpha, guard, force)
     sp.add_argument("--count", type=int, required=True)
 
     sp = command("disc", cmd_disc, "exact 2D star discrepancy of a generated set",

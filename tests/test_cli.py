@@ -60,6 +60,17 @@ class TestGen:
             assert code == 2
             assert "bits spec must look like bits:0x1234:128" in err
 
+    def test_guard_and_force(self, capsys):
+        argv = ["gen", "--n", "1", "--count", "5", "--guard", "4"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == ("guard: the point set has 5 points, above the cap of 4; "
+                       "pass --force to go past it\n")
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0
+        assert len([l for l in out.splitlines() if not l.startswith("#")]) == 1 + 5
+
     def test_bad_range(self, capsys):
         for text in ("x", "3..x", "..4", "1..2..3"):
             code, _, err = run(capsys, "scan", "--n", "1", "--alpha", "theorem", "--L", text)
@@ -356,7 +367,7 @@ class TestAllocationFailure:
     allocation fails at once: a ``guard:`` line and exit 3, no traceback."""
 
     @pytest.mark.parametrize("argv", [
-        ["gen", "--n", "1", "--count", str(10**15)],
+        ["gen", "--n", "1", "--count", str(10**15), "--force"],
         ["trig", "--n", "3", "--mode", "gn", "--grid", str(10**15)],
         ["certify", "--n", "1", "--grid", str(10**15)],
         ["integral", "--n", "1", "--L", "2", "--quad", str(10**15), "--force"],
@@ -525,6 +536,26 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_starts_one_openblas_thread():
+    # OpenBLAS starts its worker threads while numpy loads, which costs more
+    # start-up time than any BLAS call of halkron gains; a caller's count wins
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    code = ("import os, halkron.cli; task = '/proc/self/task'; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir(task)) if os.path.isdir(task) else 0)")
+
+    def import_cli(env) -> list[str]:
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=60).stdout.split()
+
+    value, tasks = import_cli(env)
+    assert value == "1"
+    assert tasks in ("1", "0")  # 0: no /proc/self/task on this system
+    assert import_cli(env | {"OPENBLAS_NUM_THREADS": "2"})[0] == "2"
 
 
 def test_lambda_bytes_do_not_depend_on_blas_threads():

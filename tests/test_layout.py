@@ -8,6 +8,10 @@ and only ``numtheory`` converts between Python ints and words (its
 Only ``cli.py`` imports ``csv``, ``io``, ``json`` or ``sys``: the other
 modules compute, and the CLI reads arguments and writes every output.
 
+``halkron/__init__.py`` sets the OpenBLAS thread default before it imports
+any module of the package: the first of them loads numpy, and OpenBLAS
+starts its threads as numpy loads.
+
 Every name that ``halkron/__init__.py`` imports must be used by another
 module of the package, outside the ``def`` or ``class`` that defines it.
 The only exceptions are the paper's identities that acceptance criteria 8
@@ -120,3 +124,12 @@ def test_only_the_cli_does_io():
         if name.split(".")[0] in {"csv", "io", "json", "sys"}
     }
     assert users <= {"cli.py"}, f"modules other than cli.py import I/O: {sorted(users - {'cli.py'})}"
+
+
+def test_blas_thread_default_precedes_every_import():
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    statements = [ast.unparse(node) for node in body]
+    at = statements.index("os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')")
+    imports_before = [ast.unparse(node) for node in body[:at]
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports_before == ["import os"]
