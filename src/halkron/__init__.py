@@ -47,7 +47,6 @@ from .metric import (
     integral_pi,
     lambda_bracket,
     mu,
-    phi_level,
     phi_levels,
     structural_checks,
 )

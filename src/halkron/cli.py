@@ -43,7 +43,7 @@ EXIT_CERTIFY = 4
 DEFAULT_DEPTH = 12
 DEFAULT_GUARD = 1 << 16
 DEFAULT_CERTIFY_GRID = 100_000
-DEFAULT_BYTE_CAP = 1 << 30  # bytes of one transfer-operator kernel or one direct quadrature
+DEFAULT_BYTE_CAP = 1 << 30  # bytes of one sampled level stack or one direct quadrature
 DEFAULT_BOUND_ROW_CAP = 1 << 22  # rows of one bound table
 
 
@@ -152,14 +152,15 @@ def _guard(need: int, cap: int, force: bool, what: str) -> None:
         raise GuardError(f"{what}, above the cap of {cap}; pass --force to go past it")
 
 
-def _check_kernels(ns: list[int], grids: list[int], force: bool) -> None:
-    """Usage error for a grid that breaks the grid rule; guard on each level
-    kernel's bytes against ``DEFAULT_BYTE_CAP``."""
+def _check_levels(ns: list[int], j_max: int, grids: list[int], force: bool) -> None:
+    """Usage error for a grid that breaks the grid rule; guard on the bytes
+    of each n's levels 0..j_max sampled on each grid against
+    ``DEFAULT_BYTE_CAP``."""
     for n in ns:
         for grid in grids:
-            size = metric.kernel_bytes(n, grid)
+            size = metric.level_bytes(n, j_max, grid)
             _guard(size, DEFAULT_BYTE_CAP, force,
-                   f"n={n}, grid {grid}: the level kernel needs {size} bytes")
+                   f"n={n}, grid {grid}: levels 0..{j_max} need {size} bytes")
 
 
 def _point_set(args, command: str) -> PointSet2:
@@ -242,7 +243,7 @@ def cmd_lambda(args) -> int:
     ns = parse_range(args.n)
     compare = args.compare_grid is not None
     keys = ["n", "depth", "grid"] + ["compare_grid"] * compare
-    _check_kernels(ns, [args.grid] + [args.compare_grid] * compare, args.force)
+    _check_levels(ns, args.depth + 1, [args.grid] + [args.compare_grid] * compare, args.force)
     brackets = {n: metric.lambda_bracket(n, args.depth, args.grid) for n in ns}
     lead = len(ns) > 1  # a range of n puts n in the first column
     rows = [
@@ -275,7 +276,7 @@ def cmd_lambda(args) -> int:
 
 def cmd_certify(args) -> int:
     ns = parse_range(args.n)
-    _check_kernels(ns, [args.struct_grid], args.force)
+    _check_levels(ns, metric.STRUCTURAL_LEVEL, [args.struct_grid], args.force)
     # every n's sharpness identity first: its size rule fails before any other work
     sharps = [trigprod.sharpness_identity(n, args.blocks) for n in ns]
     reports = []
@@ -324,10 +325,11 @@ def cmd_bound(args) -> int:
 
 def cmd_integral(args) -> int:
     n = _single_n(parse_range(args.n), "integral")
-    _check_kernels([n], [metric.DEFAULT_GRID], args.force)
     size = metric.quadrature_bytes(n, args.L, args.quad)
     _guard(size, DEFAULT_BYTE_CAP, args.force,
            f"n={n}, L={args.L}, quad {args.quad}: the direct quadrature needs {size} bytes")
+    size = metric.level_bytes(n, args.L)
+    _guard(size, DEFAULT_BYTE_CAP, args.force, f"n={n}: levels 0..{args.L} need {size} bytes")
     res = metric.integral_pi(n, args.L, args.quad)
     payload = {
         "by_recurrence": res.by_recurrence,

@@ -2,117 +2,91 @@
 mu constant, monotone ratio brackets for the metric exponents, integral
 evaluation, and structural checks (symmetry, concavity, monotonicity).
 
-Levels are tabulated on a uniform grid of [0,1] with monotone cubic (PCHIP)
-interpolation for off-grid children.  The grid is a multiple of 2^n, so the
-children (x_i + k)/2^n of node i = q 2^n + r all sit at the local offset
-r/2^n of cell k g/2^n + q.  A level step therefore gathers the cubic
-coefficients of those cells as [q, k, p], multiplies them by a [q, r, k]
-branch-weight kernel (built once per ``phi_levels`` call) in one batched
-matmul, and contracts the result with the offset powers (r/2^n)^(3-p).
-The cells are stored cell-major, so the gathered [q, k, p] array is a
-strided view of them.  Both sine-bound layers take a recurring sine
-once and reuse its double: the kernel's cosines are symmetric in
-j <-> 2^n g - j, exactly so on a power-of-two grid, and the direct
-quadrature's factors repeat with a period of panels within each group of
-panels of one binade.
-Every level is rescaled by its maximum with the scale tracked in log space;
-the ratio extrema that produce the exponent brackets are invariant under
-that rescaling.  The extrema of a whole level stack come from one set of
-golden-section searches run in lockstep as arrays; off the grid they and
-``PhiGrid.interpolate`` evaluate the cell cubics by the one ``_horner``.
+The operator L f(x) = 2^-n sum_{k<2^n} w_k(x) f((x + k)/2^n), with
+w_k(x) = |sin(pi x)| / (2^n |cos(pi (x + k)/2^n)|), is one M x M
+collocation matrix at the M first-kind Chebyshev nodes of [0,1].  Every
+w_k is entire, so the leading eigenfunction is analytic and collocation
+converges geometrically in M (Bandtlow & Jenkinson, Adv. Math. 218
+(2008)).  A level is its M node values, rescaled by their maximum with
+the scale tracked in log space, and the next level is the matrix times
+them.  Its interpolant is evaluated in barycentric form (Berrut &
+Trefethen, SIAM Review 46 (2004)) and integrated by Fejer's first rule.
+A level's ``grid_size`` + 1 uniform points are where the ratio extrema
+are located, by golden-section searches run in lockstep as arrays, and
+where the structural checks are made.  The direct quadrature takes each
+recurring sine once: its factors repeat with a period of panels within
+each group of panels of one binade.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .sequences import PerturbSpec
 from .trigprod import lacunary_factor
 
-DEFAULT_GRID = 1 << 14  # tabulation cells of a level where the caller names none
+DEFAULT_GRID = 1 << 14  # sample cells of a level where the caller names none
 _MIN_GRID = 256
+_NODES = 48  # collocation nodes M; 3M/2 nodes move no exponent by 1e-14 (test_metric)
+_BRANCH_BLOCK = 64  # branches whose basis values the build takes together
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _QUAD_CHUNK = 1 << 14  # quadrature points whose factors are taken together, in cache
 # depths of the structural checks: symmetric levels, monotone ratio levels, integral bounds
 _J_SYMMETRY, _J_MONOTONE, _L_MAX = 6, 12, 10
+STRUCTURAL_LEVEL = max(_J_SYMMETRY, _J_MONOTONE + 1, _L_MAX)  # deepest level they build
 
 
-def _edge_slope(d0: float, d1: float) -> float:
-    """One-sided three-point end derivative on equal steps, set to 0 or
-    clipped to 3 d0 where it would break shape preservation (Moler,
-    Numerical Computing with MATLAB, sec. 3.6)."""
-    d = (3.0 * d0 - d1) / 2.0
-    if np.sign(d) != np.sign(d0):
-        return 0.0
-    if np.sign(d0) != np.sign(d1) and abs(d) > 3.0 * abs(d0):
-        return 3.0 * d0
-    return d
+def _chebyshev(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m first-kind Chebyshev nodes of [0,1] in increasing order,
+    t_j = sin^2(theta_j / 2) for theta_j = (2j + 1) pi / 2m; their
+    barycentric weights (-1)^j sin(theta_j); and their Fejer first-rule
+    quadrature weights on [0,1]."""
+    theta = (2 * np.arange(m) + 1) * np.pi / (2 * m)
+    k = np.arange(1, m // 2 + 1)
+    fejer = 1.0 - 2.0 * (np.cos(np.outer(theta, 2 * k)) / (4 * k * k - 1)).sum(axis=1)
+    return np.sin(theta / 2) ** 2, (-1.0) ** np.arange(m) * np.sin(theta), fejer / m
 
 
-def _pchip_cells(grid: np.ndarray) -> np.ndarray:
-    """Fritsch-Carlson PCHIP of uniform samples as cubic coefficients
-    c[i, 0..3], cell-major, so cell i is ((c0 t + c1) t + c2) t + c3 for t
-    in [0,1).
+_T, _C, _FEJER = _chebyshev(_NODES)
 
-    Slopes and derivatives are in units of one cell.  An interior
-    derivative is the harmonic mean of the adjacent slopes, or 0 where they
-    differ in sign or one vanishes.  The extra cell len(grid)-1 is the
-    constant last node, so t = 0 there evaluates x = 1.
-    """
-    delta = np.diff(grid)
-    a, b = delta[:-1], delta[1:]
-    d = np.zeros_like(grid)
-    inner = (np.sign(a) == np.sign(b)) & (a != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the weighted form (w/a + w/b) / 2w with w = 3: it rounds like the
-        # reference PCHIP that the tests compare against
-        d[1:-1] = np.where(inner, 1.0 / ((3.0 / a + 3.0 / b) / 6.0), 0.0)
-    d[0] = _edge_slope(delta[0], delta[1])
-    d[-1] = _edge_slope(delta[-1], delta[-2])
-    c = np.zeros((len(grid), 4))
-    c[:-1, 0] = d[:-1] + d[1:] - 2.0 * delta
-    c[:-1, 1] = (delta - d[:-1]) - c[:-1, 0]
-    c[:-1, 2] = d[:-1]
-    c[:, 3] = grid
-    c.flags.writeable = False
+
+def _basis(x):
+    """The Lagrange basis of the nodes at x, on a new last axis, in
+    barycentric form: C_j / (x - T_j), normalized to sum 1.  At a node it is
+    that node's unit vector."""
+    d = np.subtract.outer(x, _T)
+    hit = d == 0.0
+    with np.errstate(divide="ignore"):
+        c = np.divide(_C, d, out=d)
+    at_node = hit.any(axis=-1)
+    c[at_node] = hit[at_node]
+    c /= c.sum(axis=-1, keepdims=True)
     return c
-
-
-def _horner(c: np.ndarray, t):
-    """The cell cubic ((c0 t + c1) t + c2) t + c3 at offset t, with the
-    coefficients on the last axis of c: the one off-grid evaluator."""
-    return ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
-
-
-def _simpson(y: np.ndarray) -> float:
-    """Composite Simpson rule over [0,1] for samples on an even number of
-    uniform cells: weights 1, 4, 2, ..., 2, 4, 1 times h/3."""
-    cells = len(y) - 1
-    s = y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
-    return float(s) / (3.0 * cells)
 
 
 @dataclass(frozen=True)
 class PhiGrid:
-    """One level of the recurrence, tabulated on grid_size+1 uniform nodes.
+    """One level of the recurrence: its values at the collocation nodes,
+    ``node_values``, and its interpolant sampled at grid_size + 1 uniform
+    points, ``grid``.
 
-    ``grid`` is normalized to max 1; the true level values are
-    ``grid * exp(log_scale)``.  Levels decay geometrically, so deep runs
-    would underflow without the split.  The fields are frozen and ``grid``
-    is read-only: the interpolation coefficients ``cells`` derive from it.
+    Both are normalized so that the node values have max 1; the true level
+    values are these times ``exp(log_scale)``.  Levels decay geometrically,
+    so deep runs would underflow without the split.  The fields are frozen
+    and the arrays read-only.
     """
 
     n: int
     level: int
-    grid: np.ndarray
+    node_values: np.ndarray
     log_scale: float
+    grid: np.ndarray
 
     def __post_init__(self) -> None:
+        self.node_values.flags.writeable = False
         self.grid.flags.writeable = False
 
     @property
@@ -121,21 +95,14 @@ class PhiGrid:
 
     @property
     def nodes(self) -> np.ndarray:
+        """The uniform sample points of ``grid``."""
         return np.linspace(0.0, 1.0, len(self.grid))
 
-    @cached_property
-    def cells(self) -> np.ndarray:
-        """Read-only PCHIP coefficients of ``grid``, see ``_pchip_cells``."""
-        return _pchip_cells(self.grid)
-
     def interpolate(self, x: float) -> float:
-        """Normalized PCHIP value at x in [0,1], from the one cell holding x."""
+        """Normalized value of the interpolant at x in [0,1]."""
         if not 0.0 <= x <= 1.0:
             raise ValueError("x must lie in [0,1]")
-        idx = x * self.grid_size
-        i = int(idx)
-        t = idx - i
-        return float(_horner(self.cells[i], t))
+        return float((_basis(np.float64(x)) * self.node_values).sum())
 
     def values(self) -> np.ndarray:
         return self.grid * math.exp(self.log_scale)
@@ -144,8 +111,8 @@ class PhiGrid:
         return self.interpolate(x) * math.exp(self.log_scale)
 
     def integral(self) -> float:
-        """Simpson integral of the level over [0,1]."""
-        return _simpson(self.grid) * math.exp(self.log_scale)
+        """Fejer integral of the level over [0,1]."""
+        return float(_FEJER @ self.node_values) * math.exp(self.log_scale)
 
 
 def _check_grid(n: int, grid_size: int) -> None:
@@ -156,92 +123,68 @@ def _check_grid(n: int, grid_size: int) -> None:
         raise ValueError(f"grid_size must be a multiple of 2^n = {b} and >= {_MIN_GRID}")
 
 
-def kernel_bytes(n: int, grid_size: int) -> int:
-    """Bytes of the float64 kernel that building levels of (n, grid_size)
-    allocates, the largest array of a level step: 2^n x 2^n weights for
-    each of the grid_size/2^n + 1 blocks of 2^n nodes."""
-    _check_grid(n, grid_size)
-    return 8 * (1 << n) * (grid_size + (1 << n))
+def level_bytes(n: int, j_max: int, grid_size: int | None = None) -> int:
+    """Bytes of the largest float64 arrays that levels 0..j_max of n
+    allocate: one block of the collocation build, [M, min(2^n,
+    _BRANCH_BLOCK), M], and the [j_max + 1, M] node values; sampled on
+    grid_size + 1 points, as ``phi_levels`` samples them, also the
+    [grid_size + 1, M] basis and the [j_max + 1, grid_size + 1] samples.
+    Raises ``ValueError`` on a grid that breaks the grid rule."""
+    m = len(_T)
+    size = m * m * min(1 << n, _BRANCH_BLOCK) + (j_max + 1) * m
+    if grid_size is not None:
+        _check_grid(n, grid_size)
+        size += (grid_size + 1) * (m + j_max + 1)
+    return 8 * size
 
 
-def _kernel(n: int, grid_size: int) -> np.ndarray:
-    """Branch weights w_k(x_i) = |sin(pi x_i)| / (2^n |cos((x_i+k) pi / 2^n)|)
-    indexed [q, r, k] for node i = q 2^n + r.  Rows with i > grid_size
-    belong to no node; they hold finite values that the level step drops.
-    The 0/0 points (x=0 with the middle branch, x=1 with its mirror) take
-    their finite limit 1.  One buffer of ``kernel_bytes`` is filled in place:
-    the child of branch k sits at y = j / (2^n g), j = i + k g, on the fine
-    grid.
+def _collocation(n: int) -> np.ndarray:
+    """The M x M matrix of L on node values: entry (i, j) is
+    2^-n sum_k w_k(T_i) l_j((T_i + k)/2^n), l_j the ``_basis``.
 
-    On a power-of-two grid y and 1/2 - y are exact, so the cosine at j is
-    bit for bit the one at 2^n g - j: entry (i, k) equals
-    (g - i, 2^n - 1 - k).  There only the rows q <= m/2, m = g/2^n, and the
-    padding row m take their cosines, and the nodes i of rows
-    m/2 + 1..m - 1 copy those of g - i with the branches reversed.  On
-    other grids the two roundings differ, and every row takes its own."""
+    The cosine of branch k is |sin(pi a)| of its phase offset from 1/2,
+    a = ((k - 2^(n-1)) + x)/2^n, formed before the sine: the two branches
+    whose cosine vanishes at an end of [0,1] (k = 2^(n-1) at x = 0 and
+    k = 2^(n-1) - 1 at x = 1, removable against |sin(pi x)|) keep their
+    relative accuracy next to it.  The branches are taken _BRANCH_BLOCK at a
+    time, so the build's memory does not grow with 2^n."""
     b = 1 << n
-    m = grid_size // b
-    i = np.arange((m + 1) * b, dtype=float).reshape(m + 1, b, 1)
-    w = np.empty((m + 1, b, b))
-    mirrored = grid_size & (grid_size - 1) == 0
-    half = m // 2 + 1 if mirrored else m  # rows 0..half-1 and m are filled
-    for rows in (slice(0, half), slice(m, m + 1)):
-        y = np.add(i[rows], grid_size * np.arange(b, dtype=float), out=w[rows])
-        y /= b * grid_size
-        lacunary_factor(y, False, out=y)  # |cos(pi y)| in place, as the cosine allows
-    flat = w.reshape(-1, b)
-    flat[half * b : m * b] = flat[grid_size - half * b : 0 : -1, ::-1]
-    w *= b
-    with np.errstate(invalid="ignore"):
-        np.divide(lacunary_factor(i / grid_size, True), w, out=w)
-    w[0, 0, b // 2] = 1.0
-    w[m, 0, b // 2 - 1] = 1.0
-    return w
+    x = _T[:, None]
+    sin_x = lacunary_factor(x, True)
+    a = np.zeros((len(_T), len(_T)))
+    for k0 in range(0, b, _BRANCH_BLOCK):
+        k = np.arange(k0, min(k0 + _BRANCH_BLOCK, b), dtype=float)
+        w = sin_x / lacunary_factor(np.abs(((k - b / 2) + x) / b), True)
+        a += np.einsum("ik,ikj->ij", w, _basis((x + k) / b))
+    return a / (b * b)
 
 
-def _gather_cells(cells: np.ndarray, b: int) -> np.ndarray:
-    """Cell coefficients of every child, indexed [q, k, p].
-
-    On g cells with b | g the child (x_i + k)/b of node i = q b + r lies in
-    cell k g/b + q at the local offset r/b, so the cell depends on (q, k)
-    only and the offset on r only.  The result is a read-only strided view
-    of the cell-major ``cells``, no copy: for each branch k the window of
-    m + 1 cells starting at cell k m.  Each [k, p] matrix has unit column
-    stride and row stride 4m, so the batched matmul hands it to BLAS as it
-    is."""
-    m = (len(cells) - 1) // b
-    return sliding_window_view(cells, m + 1, axis=0)[::m].transpose(2, 0, 1)
-
-
-def _offset_powers(b: int) -> np.ndarray:
-    """Powers t^(3-p) of the local offsets t = r/b, indexed [r, p], so a cell
-    polynomial at offset r is its coefficients dotted with row r."""
-    t = np.arange(b) / b
-    return t[:, None] ** np.arange(3, -1, -1)
+def _node_levels(n: int, j_max: int) -> tuple[np.ndarray, list[float]]:
+    """Node values [j, node] of levels 0..j_max, iterated from the constant 1
+    and each normalized to max 1, and their log scales."""
+    a = _collocation(n)
+    vals = np.ones((j_max + 1, len(_T)))
+    logs = [0.0]
+    for j in range(1, j_max + 1):
+        v = a @ vals[j - 1]
+        s = float(v.max())
+        vals[j] = v / s
+        logs.append(logs[-1] + math.log(s))
+    return vals, logs
 
 
 def phi_levels(n: int, j_max: int, grid_size: int) -> list[PhiGrid]:
-    """Levels 0..j_max of the recurrence, iterated from the constant 1 on
-    every call; nothing is kept once the caller drops the list.
-
-    A level step is one batched matmul: for each block q of 2^n nodes, the
-    [r, k] weights times the [k, p] coefficients of the children's cells,
-    then each row r evaluated at its offset r/2^n."""
+    """Levels 0..j_max of the recurrence, each sampled on grid_size + 1
+    points, iterated from the constant 1 on every call; nothing is kept once
+    the caller drops the list.  Level 0 is 1 at every point; the samples of
+    the others are one matmul of their node values with the basis."""
     _check_grid(n, grid_size)
     if j_max < 0:
         raise ValueError("level must be >= 0")
-    b = 1 << n
-    w = _kernel(n, grid_size)
-    powers = _offset_powers(b)
-    levels = [PhiGrid(n, 0, np.ones(grid_size + 1), 0.0)]
-    for j in range(1, j_max + 1):
-        prev = levels[-1]
-        # [q, r, p]: weighted coefficient sums over the branches k
-        sums = np.einsum("qrp,rp->qr", w @ _gather_cells(prev.cells, b), powers)
-        vals = sums.ravel()[: grid_size + 1] / b
-        s = float(vals.max())
-        levels.append(PhiGrid(n, j, vals / s, prev.log_scale + math.log(s)))
-    return levels
+    vals, logs = _node_levels(n, j_max)
+    grids = np.ones((j_max + 1, grid_size + 1))
+    grids[1:] = vals[1:] @ _basis(np.linspace(0.0, 1.0, grid_size + 1)).T
+    return [PhiGrid(n, j, *level) for j, level in enumerate(zip(vals, logs, grids))]
 
 
 def phi_level(n: int, j: int, grid_size: int) -> PhiGrid:
@@ -289,36 +232,29 @@ def _exponent(n: int, value: float) -> float:
 def _level_records(n: int, levels: list[PhiGrid], j_max: int) -> list[LevelRecord]:
     """Ratio extrema of levels j+1 over j, with their exponents, for j <= j_max.
 
-    An extremum of q = Phi_{j+1}/Phi_j is its grid extremum at a node c or,
-    where more extreme, the best of 60 golden-section steps over
-    [x_{c-1}, x_{c+1}].  All 2(j_max+1) searches, max and min alternating,
-    step in lockstep as arrays.  Rounding is monotone, so each new point
-    lies in its search's current interval and hence in the start interval;
-    a node x_k = k fl(1/g) times g rounds to within k 2^-51 of k, so
-    int(x g) lies in c-2..c+1.  Each search reads both levels' cubics from
-    that window of the cell tables, clipped to 0..g like int(x g) itself."""
+    An extremum of q = Phi_{j+1}/Phi_j is its extremum on the sample grid,
+    at a point c, or, where more extreme, the best of 60 golden-section
+    steps over [x_{c-1}, x_{c+1}].  All 2(j_max+1) searches, max and min
+    alternating, step in lockstep as arrays, each reading both levels'
+    node values through one ``_basis`` of its points."""
     g = levels[0].grid_size
     xs = levels[0].nodes
-    scale, ext, grid_best, window = [], [], [], []
+    scale, ext, grid_best, pairs = [], [], [], []
     for prev, nxt in zip(levels[: j_max + 1], levels[1 : j_max + 2]):
         s = math.exp(nxt.log_scale - prev.log_scale)
         ratio = nxt.grid / prev.grid * s
         c = [int(np.argmax(ratio)), int(np.argmin(ratio))]
-        cells = np.clip(np.add.outer(c, np.arange(-2, 2)), 0, g)
-        window.append(np.stack([prev.cells[cells], nxt.cells[cells]], axis=2))
         scale += [s, s]
         ext += c
         grid_best += ratio[c].tolist()
-    window = np.concatenate(window)  # [search, cell, level, coefficient]
+        pairs += [(prev.node_values, nxt.node_values)] * 2
     scale, ext = np.array(scale), np.array(ext)
+    lower, upper = (np.array(v) for v in zip(*pairs))  # [search, node]
     sign = np.tile([1.0, -1.0], j_max + 1)
-    searches = np.arange(len(ext))
 
     def q(x: np.ndarray) -> np.ndarray:
-        idx = x * g
-        i = idx.astype(np.int64)
-        v = _horner(window[searches, i - ext + 2], (idx - i)[:, None])
-        return scale * v[:, 1] / v[:, 0]
+        basis = _basis(x)
+        return scale * (basis * upper).sum(axis=-1) / (basis * lower).sum(axis=-1)
 
     a, d = xs[np.maximum(ext - 1, 0)], xs[np.minimum(ext + 1, g)]
     b, c = d - _GOLDEN * (d - a), a + _GOLDEN * (d - a)
@@ -482,13 +418,13 @@ def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     return float(prod.sum() * 0.5 * h)
 
 
-def integral_pi(n: int, blocks: int, quadrature_points: int = 8,
-                grid_size: int = DEFAULT_GRID) -> IntegralPi:
+def integral_pi(n: int, blocks: int, quadrature_points: int = 8) -> IntegralPi:
     _check_integral(n, blocks, quadrature_points)
     if blocks == 0:
         return IntegralPi(n, 0, 1.0, 1.0)
-    level = phi_level(n, blocks, grid_size)
-    by_rec = level.integral()
+    _check_grid(n, DEFAULT_GRID)  # the recurrence takes no more branches than a default-grid level
+    vals, logs = _node_levels(n, blocks)
+    by_rec = float(_FEJER @ vals[-1]) * math.exp(logs[-1])
     by_direct = _pi_direct_quadrature(n, blocks, quadrature_points) if n * blocks <= 24 else None
     return IntegralPi(n, blocks, by_rec, by_direct)
 
@@ -510,12 +446,12 @@ class StructuralReport:
 
 
 def structural_checks(n: int, grid_size: int = DEFAULT_GRID) -> StructuralReport:
-    """Verifies, on the grid: mirror symmetry about 1/2 for levels up to
-    _J_SYMMETRY, concavity of the first level, monotonicity of the ratio
+    """Verifies, on the sample grid: mirror symmetry about 1/2 for levels up
+    to _J_SYMMETRY, concavity of the first level, monotonicity of the ratio
     extrema up to level _J_MONOTONE, and the integral bound
     int Pi_{nL,c} <= mu(n)^L for L up to _L_MAX."""
     failures: list[str] = []
-    levels = phi_levels(n, max(_J_SYMMETRY, _J_MONOTONE + 1, _L_MAX), grid_size)
+    levels = phi_levels(n, STRUCTURAL_LEVEL, grid_size)
 
     sym_dev = 0.0
     for j in range(_J_SYMMETRY + 1):

@@ -1,9 +1,9 @@
-"""Oracle for the ratio extrema of a level stack: the former scalar
-golden-section search, one search at a time, through ``PhiGrid.interpolate``.
+"""Oracle for the ratio extrema of a level stack: a scalar golden-section
+search, one search at a time, through ``PhiGrid.interpolate``.
 
-For each pair of levels it takes the grid extrema of the ratio and refines
-each in the two cells around it by 60 golden-section steps, calling the
-scalar interpolation twice per point.
+For each pair of levels it takes the extrema of the ratio on the sample
+grid and refines each in the two grid cells around it by 60 golden-section
+steps, calling the scalar barycentric interpolation twice per point.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ def _golden_extremum(f, lo: float, hi: float, maximize: bool, iters: int = 60) -
 
 
 def _ratio_extrema(prev: PhiGrid, nxt: PhiGrid) -> tuple[float, float]:
-    """Extrema of q(x) = Phi_{j+1}(x)/Phi_j(x) over [0,1]: grid extrema plus
-    golden-section refinement in the two adjacent cells."""
+    """Extrema of q(x) = Phi_{j+1}(x)/Phi_j(x) over [0,1]: sample-grid
+    extrema plus golden-section refinement in the two adjacent cells."""
     scale = math.exp(nxt.log_scale - prev.log_scale)
     ratio = nxt.grid / prev.grid * scale
     g = prev.grid_size

@@ -87,7 +87,7 @@ def test_criterion_02_mu_anchor():
     ok1 = abs(hk.mu(1) - math.sqrt(2.0) / 2.0) < 1e-12
     worst = 0.0
     for n in range(1, 9):
-        worst = max(worst, abs(hk.mu(n) - hk.phi_level(n, 1, LAMBDA_GRID).value_at(0.5)))
+        worst = max(worst, abs(hk.mu(n) - hk.phi_levels(n, 1, LAMBDA_GRID)[1].value_at(0.5)))
     ok = ok1 and worst < 1e-10
     report(2, ok, f"mu(1)-sqrt(2)/2 ok={ok1}; max |mu(n)-Phi_n,1(1/2)| = {worst:.2e} (n<=8)")
     assert ok1
@@ -208,7 +208,7 @@ def test_criterion_10_growth_fit(growth_record):
 
 
 def test_criterion_11_integral_cross_validation():
-    res11 = hk.integral_pi(1, 1, grid_size=LAMBDA_GRID)
+    res11 = hk.integral_pi(1, 1)
     ok1 = (
         abs(res11.by_recurrence - 2.0 / math.pi) < 1e-8
         and abs(res11.by_direct - 2.0 / math.pi) < 1e-8

@@ -194,15 +194,25 @@ class TestTrigAndLambda:
 
 
 class TestKernelGuard:
-    def test_large_n_is_guarded(self, capsys):
-        # 4 GiB and 1.5 GiB kernels at the default grid 2^14
-        code, out, err = run(capsys, "lambda", "--n", "14")
+    def test_large_n_is_guarded(self, capsys, tmp_path):
+        # the default grid 2^14 admits n = 14, whose depth-12 bracket holds
+        # the spectral exponent; n = 15 breaks the grid rule
+        jpath = tmp_path / "l.json"
+        code, out, _ = run(capsys, "lambda", "--n", "14", "--depth", "12", "--json", str(jpath))
+        assert code == 0
+        bracket = json.loads(jpath.read_text())["table"]["14"]
+        assert bracket["exp_lower"] - 1e-12 <= 0.1970369445925 <= bracket["exp_upper"] + 1e-12
+        code, out, err = run(capsys, "lambda", "--n", "15")
+        assert code == 2
+        assert out == "" and "multiple of 2^n" in err
+
+    def test_large_grid_is_guarded(self, capsys):
+        # 2^22 + 1 samples of levels 0..13 and their [2^22 + 1, 48] basis: about 2 GiB
+        code, out, err = run(capsys, "lambda", "--n", "1", "--depth", "12", "--grid", str(1 << 22))
         assert code == 3
         assert out == ""
-        assert f"needs {8 * 2**14 * (2**14 + 2**14)} bytes" in err
-        code, out, err = run(capsys, "certify", "--n", "13")
-        assert code == 3
-        assert f"needs {8 * 2**13 * (2**14 + 2**13)} bytes" in err
+        need = 8 * (48 * 48 * 2 + 14 * 48 + (2**22 + 1) * (48 + 14))
+        assert f"levels 0..13 need {need} bytes" in err and "--force" in err
 
     def test_force_overrides_the_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DEFAULT_BYTE_CAP", 1000)
@@ -234,7 +244,7 @@ class TestKernelGuard:
         assert f"needs {need} bytes" in err and "--force" in err
 
     def test_force_overrides_the_quadrature_cap(self, capsys, monkeypatch):
-        # the n = 1 kernel (262176 bytes) passes this cap, the quadrature does not
+        # the n = 1 levels (under 50,000 bytes) pass this cap, the quadrature does not
         monkeypatch.setattr(cli, "DEFAULT_BYTE_CAP", 300_000)
         argv = ["integral", "--n", "1", "--L", "3", "--quad", "200"]
         code, out, err = run(capsys, *argv)

@@ -6,20 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kernel_oracle import full_kernel
-from level_step_oracle import oracle_phi_levels
 from ratio_search_oracle import oracle_ratio_extrema
 from quadrature_oracle import pi_direct_quadrature
+from halkron import metric
 from halkron.metric import (
-    PhiGrid,
-    _gather_cells,
-    _kernel,
-    _offset_powers,
-    _pchip_cells,
+    _NODES,
+    _chebyshev,
     _pi_direct_quadrature,
-    _simpson,
     integral_pi,
-    kernel_bytes,
     lambda_bracket,
     mu,
     phi_level,
@@ -91,8 +85,13 @@ class TestPhiLevel:
         with pytest.raises(ValueError):
             lv.grid[GRID // 2] = 0.0
         with pytest.raises(ValueError):
-            lv.cells[3, 0] = 0.0
+            lv.node_values[3] = 0.0
         assert lambda_bracket(2, 4, GRID) == before
+
+    def test_interpolate_at_a_node_is_its_value(self):
+        lv = phi_level(3, 2, GRID)
+        for i in (0, 17, _NODES - 1):
+            assert lv.interpolate(float(metric._T[i])) == lv.node_values[i]
 
     def test_fields_cannot_be_rebound(self):
         lv = phi_level(1, 2, 256)
@@ -113,101 +112,6 @@ class TestPhiLevel:
         finally:
             tracemalloc.stop()
         assert retained < 1 << 20
-
-
-class TestLevelStepOracle:
-    """The batched matmul level step against the former einsum step in
-    ``level_step_oracle``, on power-of-two and other grids."""
-
-    CASES = [(n, g) for n in range(1, 7) for g in (1 << 10, 1 << 14, 3 << 10)]
-    CASES += [(7, 1 << 12), (8, 1 << 12)]
-
-    @pytest.mark.parametrize("n,grid", CASES)
-    def test_levels_match(self, n, grid):
-        got = phi_levels(n, 13, grid)
-        want = oracle_phi_levels(n, 13, grid)
-        assert len(got) == len(want) == 14
-        for a, b in zip(got, want):
-            assert np.max(np.abs(a.grid - b.grid)) <= 1e-12
-            assert abs(a.log_scale - b.log_scale) <= 1e-12
-
-    @pytest.mark.parametrize("n,grid", [(1, 256), (3, 3 << 10), (6, 1 << 10)])
-    def test_kernel_bytes_is_the_kernel_size(self, n, grid):
-        assert kernel_bytes(n, grid) == _kernel(n, grid).nbytes
-
-    @pytest.mark.parametrize("n", [1, 4, 8])
-    def test_children_are_a_view_of_the_cells(self, n):
-        cells = phi_level(n, 2, GRID).cells
-        children = _gather_cells(cells, 1 << n)
-        assert np.shares_memory(children, cells) and not children.flags.writeable
-        m = GRID >> n
-        k, q = np.meshgrid(np.arange(1 << n), np.arange(m + 1))
-        assert np.array_equal(children, cells[k * m + q])
-
-
-class TestKernelOracle:
-    """The mirrored kernel against the former fill of every entry in
-    ``kernel_oracle``, on power-of-two grids from 2^8 (m = 1 block row at
-    n = 8) to 2^14 and on grids where the mirror does not hold."""
-
-    CASES = [(n, 1 << e) for n in range(1, 9) for e in range(8, 15)]
-    CASES += [(n, g) for n in range(1, 9) for g in (3 << 10, 5 << 9) if g % (1 << n) == 0]
-
-    @pytest.mark.parametrize("n,grid", CASES)
-    def test_node_rows_equal_the_full_fill(self, n, grid):
-        got, want = _kernel(n, grid), full_kernel(n, grid)
-        nodes = grid + 1  # entries of node i = q 2^n + r, i <= grid
-        assert np.array_equal(got.reshape(-1, 1 << n)[:nodes], want.reshape(-1, 1 << n)[:nodes])
-        assert np.isfinite(got).all()
-
-    def test_cosines_taken_once(self, monkeypatch):
-        taken = factor_sizes(monkeypatch)
-        _kernel(8, 1 << 14)
-        # every entry and the numerators would be 65 x 256 x 256 + 16640 = 4,276,480
-        assert sum(taken) < 2_300_000
-
-
-class TestAgainstScipy:
-    """scipy as an oracle for the uniform-step PCHIP and Simpson rule."""
-
-    @staticmethod
-    def _grids(n):
-        rng = np.random.default_rng(n)
-        # a smooth level and noise with sign changes and flat steps
-        noisy = rng.random(GRID + 1)
-        noisy[100:110] = 0.5
-        return phi_level(n, 2, GRID).grid, noisy
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_pchip_at_every_child(self, n):
-        interp = pytest.importorskip("scipy.interpolate")
-        b = 1 << n
-        x = np.linspace(0.0, 1.0, GRID + 1)
-        r, k, q = np.meshgrid(np.arange(b), np.arange(b), np.arange(GRID // b + 1), indexing="ij")
-        i = q * b + r
-        node = i <= GRID
-        child = (x[i[node]] + k[node]) / b
-        for y in self._grids(n):
-            coef = _gather_cells(_pchip_cells(y), b)
-            got = np.einsum("qkp,rp->rkq", coef, _offset_powers(b))[node]
-            want = interp.PchipInterpolator(x, y)(child)
-            assert np.max(np.abs(got - want)) <= 1e-13
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_pchip_at_random_points(self, n):
-        interp = pytest.importorskip("scipy.interpolate")
-        xs = np.random.default_rng(100 + n).random(2000)
-        for y in self._grids(n):
-            lv = PhiGrid(n, 0, y, 0.0)
-            got = np.array([lv.interpolate(float(x)) for x in xs])
-            want = interp.PchipInterpolator(lv.nodes, y)(xs)
-            assert np.max(np.abs(got - want)) <= 1e-13
-
-    def test_simpson(self):
-        integrate = pytest.importorskip("scipy.integrate")
-        for y in self._grids(3):
-            want = integrate.simpson(y, dx=1.0 / GRID)
-            assert _simpson(y) == pytest.approx(want, rel=1e-14)
 
 
 class TestMu:
@@ -231,6 +135,24 @@ class TestMu:
 
 
 class TestLambdaBracket:
+    def test_more_nodes_move_no_exponent(self, monkeypatch):
+        # M collocation nodes against 3M/2: the collocation has converged
+        def exponents():
+            return [(r.exp_lower, r.exp_upper)
+                    for n in range(1, 9) for r in lambda_bracket(n, 12, 1 << 14).levels]
+
+        base = exponents()
+        for name, value in zip(("_T", "_C", "_FEJER"), _chebyshev(3 * _NODES // 2)):
+            monkeypatch.setattr(metric, name, value)
+        for (lo, hi), (lo2, hi2) in zip(base, exponents(), strict=True):
+            assert abs(lo - lo2) <= 1e-14 and abs(hi - hi2) <= 1e-14
+
+    def test_fejer_weights_integrate_the_nodes_polynomials(self):
+        # Fejer's first rule is exact for polynomials of degree < M
+        nodes, _, weights = _chebyshev(_NODES)
+        for p in range(0, _NODES, 7):
+            assert weights @ nodes**p == pytest.approx(1.0 / (p + 1), rel=1e-13)
+
     def test_depth_zero_anchor(self):
         # M_0 = mu(1): upper exponent 1 + log2(sqrt(2)/2) = 1/2
         br = lambda_bracket(1, 0, GRID)
@@ -271,7 +193,7 @@ class TestIntegralPi:
         assert res.by_recurrence == 1.0 and res.by_direct == 1.0
 
     def test_two_over_pi_both_paths(self):
-        res = integral_pi(1, 1, grid_size=1 << 14)
+        res = integral_pi(1, 1)
         assert res.by_recurrence == pytest.approx(2.0 / math.pi, abs=1e-8)
         assert res.by_direct == pytest.approx(2.0 / math.pi, abs=1e-8)
 
@@ -300,14 +222,15 @@ class TestIntegralPi:
 
         n, l, j = 2, 3, 1
         lv = phi_level(n, j, 1 << 12)
-        # quadrature of Phi_{n,j}(x) * Pi_{n(L-j),c}(x) on the level grid
+        # composite Simpson rule for Phi_{n,j}(x) * Pi_{n(L-j),c}(x) on the level's sample grid
         xs = lv.nodes
         gamma = PerturbSpec(n).gamma(n * (l - j))
         prod = np.ones_like(xs)
         for idx in range(n * (l - j)):
             t = (xs * float(2**idx)) % 1.0
             prod *= np.sin(np.pi * np.minimum(t, 1 - t)) if gamma[idx] else np.sin(np.pi * np.abs(0.5 - t))
-        lhs = _simpson(lv.values() * prod)
+        y = lv.values() * prod
+        lhs = (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()) / (3.0 * len(xs) - 3.0)
         rhs = _pi_direct_quadrature(n, l, 8)
         assert lhs == pytest.approx(rhs, abs=2e-7)
 
