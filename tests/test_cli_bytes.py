@@ -27,10 +27,10 @@ PINS = [
     (["trig", "--n", "3", "--mode", "gn", "--grid", "2000"],
      "89e5b03fefadad99f7d01fdf1b3725f6b21bb66f95c07bf01ce3c6ab0b4be471", None),
     (["lambda", "--n", "1..2", "--depth", "3", "--grid", "2048"],
-     "4f67b6f0d58d81a5d6bb57a4661bd88f63fff2bffe4b44e3d99b5f3a30723e6d",
-     "574ef291c18e0a1a2ab005de99f4442f42e2461cf0185b780cb1ae808c8e6605"),
+     "84fae8ca77f747e32604b6f8be86aed24575c38e7478366d97c212d663101c0a",
+     "7d23b0bb38e779ff99b73eb9359b86aae76d2fd1cbf80498870dbfacec729ffe"),
     (["lambda", "--n", "2", "--depth", "3", "--grid", "2048"],
-     "205338dcc716237629431aaabc68da4c90b32c3b834dad674efc5bc438b93c65", None),
+     "d26ce47ebe897ffcdadf93ae04c41e088a63fadfae1c687406576e704292b3e9", None),
     (["certify", "--n", "1..2", "--grid", "2000", "--blocks", "5", "--struct-grid", "2048"],
      "16bfb8e43d0746c2423482979509219b01eb86ec7f256ef6d30be793d962d169",
      "16bfb8e43d0746c2423482979509219b01eb86ec7f256ef6d30be793d962d169"),
