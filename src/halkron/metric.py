@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -39,28 +40,31 @@ _J_SYMMETRY, _J_MONOTONE, _L_MAX = 6, 12, 10
 STRUCTURAL_LEVEL = max(_J_SYMMETRY, _J_MONOTONE + 1, _L_MAX)  # deepest level they build
 
 
+@cache
 def _chebyshev(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The m first-kind Chebyshev nodes of [0,1] in increasing order,
     t_j = sin^2(theta_j / 2) for theta_j = (2j + 1) pi / 2m; their
     barycentric weights (-1)^j sin(theta_j); and their Fejer first-rule
-    quadrature weights on [0,1]."""
+    quadrature weights on [0,1].  Read-only, and taken on first use: numpy
+    work at import would grow the start-up of every command."""
     theta = (2 * np.arange(m) + 1) * np.pi / (2 * m)
     k = np.arange(1, m // 2 + 1)
     fejer = 1.0 - 2.0 * (np.cos(np.outer(theta, 2 * k)) / (4 * k * k - 1)).sum(axis=1)
-    return np.sin(theta / 2) ** 2, (-1.0) ** np.arange(m) * np.sin(theta), fejer / m
-
-
-_T, _C, _FEJER = _chebyshev(_NODES)
+    arrays = np.sin(theta / 2) ** 2, (-1.0) ** np.arange(m) * np.sin(theta), fejer / m
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _basis(x):
     """The Lagrange basis of the nodes at x, on a new last axis, in
-    barycentric form: C_j / (x - T_j), normalized to sum 1.  At a node it is
+    barycentric form: w_j / (x - t_j), normalized to sum 1.  At a node it is
     that node's unit vector."""
-    d = np.subtract.outer(x, _T)
+    nodes, weights, _ = _chebyshev(_NODES)
+    d = np.subtract.outer(x, nodes)
     hit = d == 0.0
     with np.errstate(divide="ignore"):
-        c = np.divide(_C, d, out=d)
+        c = np.divide(weights, d, out=d)
     at_node = hit.any(axis=-1)
     c[at_node] = hit[at_node]
     c /= c.sum(axis=-1, keepdims=True)
@@ -112,7 +116,7 @@ class PhiGrid:
 
     def integral(self) -> float:
         """Fejer integral of the level over [0,1]."""
-        return float(_FEJER @ self.node_values) * math.exp(self.log_scale)
+        return float(_chebyshev(_NODES)[2] @ self.node_values) * math.exp(self.log_scale)
 
 
 def _check_grid(n: int, grid_size: int) -> None:
@@ -130,7 +134,7 @@ def level_bytes(n: int, j_max: int, grid_size: int | None = None) -> int:
     grid_size + 1 points, as ``phi_levels`` samples them, also the
     [grid_size + 1, M] basis and the [j_max + 1, grid_size + 1] samples.
     Raises ``ValueError`` on a grid that breaks the grid rule."""
-    m = len(_T)
+    m = _NODES
     size = m * m * min(1 << n, _BRANCH_BLOCK) + (j_max + 1) * m
     if grid_size is not None:
         _check_grid(n, grid_size)
@@ -140,7 +144,7 @@ def level_bytes(n: int, j_max: int, grid_size: int | None = None) -> int:
 
 def _collocation(n: int) -> np.ndarray:
     """The M x M matrix of L on node values: entry (i, j) is
-    2^-n sum_k w_k(T_i) l_j((T_i + k)/2^n), l_j the ``_basis``.
+    2^-n sum_k w_k(t_i) l_j((t_i + k)/2^n), l_j the ``_basis``.
 
     The cosine of branch k is |sin(pi a)| of its phase offset from 1/2,
     a = ((k - 2^(n-1)) + x)/2^n, formed before the sine: the two branches
@@ -149,9 +153,9 @@ def _collocation(n: int) -> np.ndarray:
     relative accuracy next to it.  The branches are taken _BRANCH_BLOCK at a
     time, so the build's memory does not grow with 2^n."""
     b = 1 << n
-    x = _T[:, None]
+    x = _chebyshev(_NODES)[0][:, None]
     sin_x = lacunary_factor(x, True)
-    a = np.zeros((len(_T), len(_T)))
+    a = np.zeros((len(x), len(x)))
     for k0 in range(0, b, _BRANCH_BLOCK):
         k = np.arange(k0, min(k0 + _BRANCH_BLOCK, b), dtype=float)
         w = sin_x / lacunary_factor(np.abs(((k - b / 2) + x) / b), True)
@@ -163,7 +167,7 @@ def _node_levels(n: int, j_max: int) -> tuple[np.ndarray, list[float]]:
     """Node values [j, node] of levels 0..j_max, iterated from the constant 1
     and each normalized to max 1, and their log scales."""
     a = _collocation(n)
-    vals = np.ones((j_max + 1, len(_T)))
+    vals = np.ones((j_max + 1, len(a)))
     logs = [0.0]
     for j in range(1, j_max + 1):
         v = a @ vals[j - 1]
@@ -424,7 +428,7 @@ def integral_pi(n: int, blocks: int, quadrature_points: int = 8) -> IntegralPi:
         return IntegralPi(n, 0, 1.0, 1.0)
     _check_grid(n, DEFAULT_GRID)  # the recurrence takes no more branches than a default-grid level
     vals, logs = _node_levels(n, blocks)
-    by_rec = float(_FEJER @ vals[-1]) * math.exp(logs[-1])
+    by_rec = float(_chebyshev(_NODES)[2] @ vals[-1]) * math.exp(logs[-1])
     by_direct = _pi_direct_quadrature(n, blocks, quadrature_points) if n * blocks <= 24 else None
     return IntegralPi(n, blocks, by_rec, by_direct)
 
