@@ -152,10 +152,10 @@ def _guard(need: int, cap: int, force: bool, what: str) -> None:
         raise GuardError(f"{what}, above the cap of {cap}; pass --force to go past it")
 
 
-def _check_levels(ns: list[int], j_max: int, grids: list[int], force: bool) -> None:
+def _check_levels(ns: list[int], j_max: int, grids: list[int | None], force: bool) -> None:
     """Usage error for a grid that breaks the grid rule; guard on the bytes
-    of each n's levels 0..j_max sampled on each grid against
-    ``DEFAULT_BYTE_CAP``."""
+    of each n's levels 0..j_max sampled on each grid (None: not sampled)
+    against ``DEFAULT_BYTE_CAP``."""
     for n in ns:
         for grid in grids:
             size = metric.level_bytes(n, j_max, grid)
@@ -328,8 +328,7 @@ def cmd_integral(args) -> int:
     size = metric.quadrature_bytes(n, args.L, args.quad)
     _guard(size, DEFAULT_BYTE_CAP, args.force,
            f"n={n}, L={args.L}, quad {args.quad}: the direct quadrature needs {size} bytes")
-    size = metric.level_bytes(n, args.L)
-    _guard(size, DEFAULT_BYTE_CAP, args.force, f"n={n}: levels 0..{args.L} need {size} bytes")
+    _check_levels([n], args.L, [None], args.force)  # its levels are not sampled
     res = metric.integral_pi(n, args.L, args.quad)
     payload = {
         "by_recurrence": res.by_recurrence,

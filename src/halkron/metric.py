@@ -65,8 +65,7 @@ def _basis(x):
     hit = d == 0.0
     with np.errstate(divide="ignore"):
         c = np.divide(weights, d, out=d)
-    at_node = hit.any(axis=-1)
-    c[at_node] = hit[at_node]
+    np.copyto(c, hit, where=hit.any(axis=-1, keepdims=True))
     c /= c.sum(axis=-1, keepdims=True)
     return c
 
