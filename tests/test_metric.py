@@ -94,6 +94,14 @@ class TestPhiLevel:
         for i in (0, 17, _NODES - 1):
             assert lv.interpolate(float(nodes[i])) == lv.node_values[i]
 
+    def test_interpolate_against_scipy(self):
+        interp = pytest.importorskip("scipy.interpolate")
+        lv = phi_level(2, 3, GRID)
+        xs = np.random.default_rng(0).random(500)
+        want = interp.BarycentricInterpolator(_chebyshev(_NODES)[0], lv.node_values)(xs)
+        got = np.array([lv.interpolate(float(x)) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-13
+
     def test_fields_cannot_be_rebound(self):
         lv = phi_level(1, 2, 256)
         cubic = lv.interpolate(0.3001)
