@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kernel_oracle import full_fill
+from level_step_oracle import oracle_phi_levels
 from ratio_search_oracle import oracle_ratio_extrema
 from quadrature_oracle import pi_direct_quadrature
 from halkron import metric
@@ -121,6 +123,49 @@ class TestPhiLevel:
         finally:
             tracemalloc.stop()
         assert retained < 1 << 20
+
+
+class TestLevelStepOracle:
+    """The collocation level step against the Chebyshev-series step in
+    ``level_step_oracle``, on power-of-two and other grids."""
+
+    CASES = [(n, g) for n in range(1, 7) for g in (1 << 10, 1 << 14, 3 << 10)]
+    CASES += [(7, 1 << 12), (8, 1 << 12)]
+
+    @pytest.mark.parametrize("n,grid", CASES)
+    def test_levels_match(self, n, grid):
+        got = phi_levels(n, 13, grid)
+        want = oracle_phi_levels(n, 13, grid)
+        assert len(got) == len(want) == 14
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a.grid - b.grid)) <= 1e-12
+            assert abs(a.log_scale - b.log_scale) <= 1e-12
+
+
+class TestKernelOracle:
+    """Levels 1 and 2 sampled on the grid against the operator applied at
+    every sample node with the full fill of ``kernel_oracle``, on
+    power-of-two grids from 2^8 (one node per branch at n = 8) to 2^14 and
+    on grids that are not powers of two."""
+
+    CASES = [(n, 1 << e) for n in range(1, 9) for e in range(8, 15)]
+    CASES += [(n, g) for n in range(1, 9) for g in (3 << 10, 5 << 9) if g % (1 << n) == 0]
+
+    @pytest.mark.parametrize("n,grid", CASES)
+    def test_node_rows_equal_the_full_fill(self, n, grid):
+        levels = phi_levels(n, 2, grid)
+        nodes = _chebyshev(_NODES)[0]
+        for prev, lv in zip(levels, levels[1:]):
+            want = full_fill(n, grid, nodes, prev.node_values) * math.exp(prev.log_scale - lv.log_scale)
+            assert np.isfinite(want).all()
+            assert np.max(np.abs(lv.grid - want)) <= 1e-13
+
+    def test_cosines_taken_once(self, monkeypatch):
+        taken = factor_sizes(monkeypatch)
+        metric._collocation(8)
+        # the sines at the M nodes, then one cosine per node and branch
+        assert taken[0] == _NODES
+        assert sum(taken) == _NODES * (1 + 256)
 
 
 class TestMu:
