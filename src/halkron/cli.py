@@ -44,6 +44,7 @@ DEFAULT_DEPTH = 12
 DEFAULT_GUARD = 1 << 16
 DEFAULT_CERTIFY_GRID = 100_000
 DEFAULT_BYTE_CAP = 1 << 30  # bytes of one sampled level stack or one direct quadrature
+DEFAULT_BRANCH_CAP = 1 << 16  # branches 2^n of one collocation build
 DEFAULT_BOUND_ROW_CAP = 1 << 22  # rows of one bound table
 
 
@@ -153,10 +154,11 @@ def _guard(need: int, cap: int, force: bool, what: str) -> None:
 
 
 def _check_levels(ns: list[int], j_max: int, grids: list[int | None], force: bool) -> None:
-    """Usage error for a grid that breaks the grid rule; guard on the bytes
-    of each n's levels 0..j_max sampled on each grid (None: not sampled)
-    against ``DEFAULT_BYTE_CAP``."""
+    """Guard on each n's branch count 2^n against ``DEFAULT_BRANCH_CAP``, then
+    on the bytes of its levels 0..j_max sampled on each grid (None: not
+    sampled) against ``DEFAULT_BYTE_CAP``; a grid below 256 is a usage error."""
     for n in ns:
+        _guard(1 << n, DEFAULT_BRANCH_CAP, force, f"n={n}: the collocation takes 2^{n} branches")
         for grid in grids:
             size = metric.level_bytes(n, j_max, grid)
             _guard(size, DEFAULT_BYTE_CAP, force,

@@ -14,8 +14,7 @@ Trefethen, SIAM Review 46 (2004)) and integrated by Fejer's first rule.
 A level's ``grid_size`` + 1 uniform points are where the ratio extrema
 are located, by golden-section searches run in lockstep as arrays, and
 where the structural checks are made.  The direct quadrature takes each
-recurring sine once: its factors repeat with a period of panels within
-each group of panels of one binade.
+factor once per group of panels of one binade, on one period of it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ _MIN_GRID = 256
 _NODES = 48  # collocation nodes M; 3M/2 nodes move no exponent by 1e-14 (test_metric)
 _BRANCH_BLOCK = 64  # branches whose basis values the build takes together
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_QUAD_CHUNK = 1 << 14  # quadrature points whose factors are taken together, in cache
 # depths of the structural checks: symmetric levels, monotone ratio levels, integral bounds
 _J_SYMMETRY, _J_MONOTONE, _L_MAX = 6, 12, 10
 STRUCTURAL_LEVEL = max(_J_SYMMETRY, _J_MONOTONE + 1, _L_MAX)  # deepest level they build
@@ -121,24 +119,25 @@ class PhiGrid:
 def _check_grid(n: int, grid_size: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
-    b = 1 << n
-    if grid_size < _MIN_GRID or grid_size % b:
-        raise ValueError(f"grid_size must be a multiple of 2^n = {b} and >= {_MIN_GRID}")
+    if grid_size < _MIN_GRID:
+        raise ValueError(f"grid_size must be >= {_MIN_GRID}")
 
 
 def level_bytes(n: int, j_max: int, grid_size: int | None = None) -> int:
-    """Bytes of the largest float64 arrays that levels 0..j_max of n
-    allocate: one block of the collocation build, [M, min(2^n,
-    _BRANCH_BLOCK), M], and the [j_max + 1, M] node values; sampled on
-    grid_size + 1 points, as ``phi_levels`` samples them, also the
-    [grid_size + 1, M] basis and the [j_max + 1, grid_size + 1] samples.
-    Raises ``ValueError`` on a grid that breaks the grid rule."""
+    """Bytes of what levels 0..j_max of n allocate: the [j_max + 1, M] node
+    values, a ufunc buffer (``np.getbufsize``), and per ``_basis`` point its
+    argument, M basis values, M-entry boolean node-hit mask and row sum, plus
+    the branch weight of each of the M min(2^n, _BRANCH_BLOCK) points of one
+    build block, or the j_max + 1 samples of each of the grid_size + 1
+    points.  Raises ``ValueError`` on a grid that ``phi_levels`` refuses."""
     m = _NODES
-    size = m * m * min(1 << n, _BRANCH_BLOCK) + (j_max + 1) * m
+    basis = 9 * m + 16  # bytes a point
+    points = m * min(1 << n, _BRANCH_BLOCK)
+    size = points * (basis + 8) + 8 * ((j_max + 1) * m + np.getbufsize())
     if grid_size is not None:
         _check_grid(n, grid_size)
-        size += (grid_size + 1) * (m + j_max + 1)
-    return 8 * size
+        size += (grid_size + 1) * (basis + 8 * (j_max + 1))
+    return size
 
 
 def _collocation(n: int) -> np.ndarray:
@@ -186,7 +185,7 @@ def phi_levels(n: int, j_max: int, grid_size: int) -> list[PhiGrid]:
         raise ValueError("level must be >= 0")
     vals, logs = _node_levels(n, j_max)
     grids = np.ones((j_max + 1, grid_size + 1))
-    grids[1:] = vals[1:] @ _basis(np.linspace(0.0, 1.0, grid_size + 1)).T
+    np.matmul(vals[1:], _basis(np.linspace(0.0, 1.0, grid_size + 1)).T, out=grids[1:])
     return [PhiGrid(n, j, *level) for j, level in enumerate(zip(vals, logs, grids))]
 
 
@@ -324,13 +323,6 @@ class IntegralPi:
         return None if d is None else d <= 1e-5
 
 
-def _panel_block(qpts: int) -> int:
-    """Panels whose factors are taken together, in cache: the largest power
-    of two <= max(1, _QUAD_CHUNK // qpts), so a block of a group (see
-    ``_pi_direct_quadrature``) holds whole periods of every factor."""
-    return 1 << (max(1, _QUAD_CHUNK // qpts).bit_length() - 1)
-
-
 def _check_integral(n: int, blocks: int, qpts: int) -> None:
     if n < 1 or blocks < 0:
         raise ValueError("need n >= 1 and blocks >= 0")
@@ -341,23 +333,18 @@ def _check_integral(n: int, blocks: int, qpts: int) -> None:
 
 
 def quadrature_bytes(n: int, blocks: int, qpts: int) -> int:
-    """Bytes of the direct quadrature, r = n blocks in 1..24 (else 0): the float64
-    product at 2^R x qpts points, R = min(r, 18), the phases and factors of
-    one block of panels, the factor tables of the largest group, and a
-    qpts x qpts companion matrix.  A block is at most ``_panel_block(qpts)``
-    panels, the power of two the quadrature takes together.  The largest
-    group holds 2^(R-1) panels, so it tables the periods 2^(R-j) of
-    j = 2..R-1 and one panel for each j = R..r-1.  Raises ``ValueError`` on
-    the arguments ``integral_pi`` refuses."""
+    """Bytes of the direct quadrature, r = n blocks in 1..24 (else 0), at
+    R = min(r, 18): the float64 product at 2^R x qpts points, the phases and
+    factors of the largest group of 2^(R-1) panels, that group's centres
+    twice over while they are formed, the qpts x qpts companion matrix of
+    the Gauss-Legendre nodes, and a ufunc buffer (``np.getbufsize``).
+    Raises ``ValueError`` on the arguments ``integral_pi`` refuses."""
     _check_integral(n, blocks, qpts)
     r = n * blocks
     if not 1 <= r <= 24:
         return 0
-    depth = min(r, 18)
-    panels = 1 << depth
-    block = min(panels, _panel_block(qpts))
-    tables = max(panels // 2 - 2, 0) + r - depth
-    return 8 * ((panels + 2 * block + tables) * qpts + qpts * qpts)
+    panels = 1 << min(r, 18)
+    return 8 * (2 * panels * qpts + panels + qpts * qpts + np.getbufsize())
 
 
 def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
@@ -368,22 +355,14 @@ def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     straddle kinks and the route goes wrong (about 3 times the recurrence
     value at n = 2, blocks = 12), so ``by_direct`` is no check there.
 
-    Each factor is taken once per period of panels.  Panel 0 is a group of
-    its own, and group b = 1..R holds the panels [2^(b-1), 2^b), whose
-    centres c_p = (p + 1/2) 2^-R lie in one binade and are even multiples of
-    its ulp.  So x = fl(c_p + o_k) rounds the Gauss offset o_k to the same
-    multiple of that ulp for every panel of a group, and the phase {2^j x},
-    doubled exactly in place, is the same for panels p and p + 2^(R-j) of a
-    group, and for every panel of it once j >= R.  A group is split into
-    blocks of ``_panel_block(qpts)`` panels, a power of two, so a block
-    holds whole periods: factor j is taken on the block's first
-    min(len, 2^(R-j)) panels and multiplied into every period of the block,
-    in the same j order.  Where the period 2^(R-j) is shorter than the
-    group, the factor is taken into a table of the group's first period,
-    and a block at offset o >= 2^(R-j) in the group reads the same doubles
-    from rows o mod 2^(R-j) on; blocks and periods are powers of two, so
-    those rows are whole periods or a whole block.  Every product element
-    sees the same factors in the same order as one taken point by point."""
+    Panel 0 is a group of its own, and group b = 1..R holds the panels
+    [2^(b-1), 2^b), whose centres c_p = (p + 1/2) 2^-R lie in one binade and
+    are even multiples of its ulp.  So x = fl(c_p + o_k) rounds the Gauss
+    offset o_k to the same multiple of that ulp for every panel of a group,
+    and the phase {2^j x}, doubled exactly in place, is the same for panels
+    p and p + 2^(R-j) of a group, and for all of them once j >= R.  Factor j
+    is taken on the group's first min(group, 2^(R-j)) panels and multiplied
+    into each period of the group in j order, as a point-by-point product."""
     r = n * blocks
     depth = min(r, 18)  # R
     panels = 1 << depth
@@ -392,31 +371,21 @@ def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     offsets = (0.5 * h) * nodes
     gamma = PerturbSpec(n).gamma(r)
     prod = np.ones((panels, qpts))
-    periods = [1 << max(depth - j, 0) for j in range(r)]  # panels per period of factor j
-    step = _panel_block(qpts)
-    scratch = np.empty((min(panels, step), qpts))
+    phase, factor = np.empty((2, (panels + 1) // 2, qpts))  # for the largest group
     for b in range(depth + 1):
         lo, hi = (1 << b) >> 1, 1 << b
-        # factor j over the group's first period, for the periods shorter than the group
-        tables = {j: np.empty((s, qpts)) for j, s in enumerate(periods) if s < hi - lo}
-        for p0 in range(lo, hi, step):
-            p = prod[p0 : min(p0 + step, hi)]
-            o = p0 - lo
-            # t holds the phase {2^j x}, doubled in place: 2t - floor(2t) is exact on [0, 1)
-            t = ((np.arange(p0, p0 + len(p), dtype=float) + 0.5) * h)[:, None] + offsets
-            for j, period in enumerate(periods):
-                if o >= period:  # a later period of the group: factor j is in its table
-                    f = tables[j][o % period :][: len(p)]
-                else:
-                    t = t[:period]
-                    f = tables[j][o : o + len(t)] if j in tables else scratch[: len(t)]
-                    if j:
-                        t *= 2.0
-                        t -= np.floor(t, out=f)
-                    lacunary_factor(t, gamma[j], out=f)
-                each = p.reshape(-1, len(f), qpts)  # the block's periods of factor j
-                each *= f
-        del tables  # before the next group's, twice the size
+        # t holds the phase {2^j x}, doubled in place: 2t - floor(2t) is exact on [0, 1)
+        t = np.add(((np.arange(lo, hi, dtype=float) + 0.5) * h)[:, None], offsets,
+                   out=phase[: hi - lo])
+        for j in range(r):
+            t = t[: 1 << max(depth - j, 0)]  # one period of factor j
+            f = factor[: len(t)]
+            if j:
+                t *= 2.0
+                t -= np.floor(t, out=f)
+            lacunary_factor(t, gamma[j], out=f)
+            each = prod[lo:hi].reshape(-1, len(f), qpts)  # the group's periods of factor j
+            each *= f
     prod *= weights
     return float(prod.sum() * 0.5 * h)
 
@@ -425,7 +394,6 @@ def integral_pi(n: int, blocks: int, quadrature_points: int = 8) -> IntegralPi:
     _check_integral(n, blocks, quadrature_points)
     if blocks == 0:
         return IntegralPi(n, 0, 1.0, 1.0)
-    _check_grid(n, DEFAULT_GRID)  # the recurrence takes no more branches than a default-grid level
     vals, logs = _node_levels(n, blocks)
     by_rec = float(_chebyshev(_NODES)[2] @ vals[-1]) * math.exp(logs[-1])
     by_direct = _pi_direct_quadrature(n, blocks, quadrature_points) if n * blocks <= 24 else None

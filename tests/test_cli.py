@@ -190,28 +190,30 @@ class TestTrigAndLambda:
                              "--compare-grid", "0")
         assert code == 2
         assert out == ""
-        assert "multiple of 2^n" in err
+        assert "grid_size must be >= 256" in err
 
 
 class TestKernelGuard:
     def test_large_n_is_guarded(self, capsys, tmp_path):
-        # the default grid 2^14 admits n = 14, whose depth-12 bracket holds
-        # the spectral exponent; n = 15 breaks the grid rule
+        # n = 14 runs, and its depth-12 bracket holds the spectral exponent;
+        # n = 17 takes 2^17 branches, above the branch cap of 2^16
         jpath = tmp_path / "l.json"
         code, out, _ = run(capsys, "lambda", "--n", "14", "--depth", "12", "--json", str(jpath))
         assert code == 0
         bracket = json.loads(jpath.read_text())["table"]["14"]
         assert bracket["exp_lower"] - 1e-12 <= 0.1970369445925 <= bracket["exp_upper"] + 1e-12
-        code, out, err = run(capsys, "lambda", "--n", "15")
-        assert code == 2
-        assert out == "" and "multiple of 2^n" in err
+        code, out, err = run(capsys, "lambda", "--n", "17")
+        assert code == 3
+        assert out == "" and "2^17 branches" in err and "--force" in err
 
     def test_large_grid_is_guarded(self, capsys):
-        # 2^22 + 1 samples of levels 0..13 and their [2^22 + 1, 48] basis: about 2 GiB
+        # 2^22 + 1 samples of levels 0..13 and the basis of their points,
+        # each basis taking 9 * 48 + 16 bytes a point: about 2.3 GB
         code, out, err = run(capsys, "lambda", "--n", "1", "--depth", "12", "--grid", str(1 << 22))
         assert code == 3
         assert out == ""
-        need = 8 * (48 * 48 * 2 + 14 * 48 + (2**22 + 1) * (48 + 14))
+        points = 48 * 2 + 2**22 + 1
+        need = points * (9 * 48 + 16) + 8 * (48 * 2 + 14 * 48 + 8192 + 14 * (2**22 + 1))
         assert f"levels 0..13 need {need} bytes" in err and "--force" in err
 
     def test_force_overrides_the_cap(self, capsys, monkeypatch):
@@ -235,22 +237,22 @@ class TestKernelGuard:
             raise AssertionError("the quadrature was built")
 
         monkeypatch.setattr(cli.metric, "integral_pi", build)
-        # 2^18 panels x 2000 points, in blocks of 8 panels, and the largest
-        # group's tables of 2^17 - 2 panels: about 6.3 GB
+        # 2^18 panels x 2000 points, and the phases and factors of the
+        # largest group of 2^17 panels: about 8.4 GB
         code, out, err = run(capsys, "integral", "--n", "1", "--L", "18", "--quad", "2000")
         assert code == 3
         assert out == ""
-        need = 8 * ((2**18 + 2 * 8 + 2**17 - 2) * 2000 + 2000**2)
+        need = 8 * (2 * 2**18 * 2000 + 2**18 + 2000**2 + 8192)
         assert f"needs {need} bytes" in err and "--force" in err
 
     def test_force_overrides_the_quadrature_cap(self, capsys, monkeypatch):
-        # the n = 1 levels (under 50,000 bytes) pass this cap, the quadrature does not
+        # the n = 1 levels (about 111,000 bytes) pass this cap, the quadrature does not
         monkeypatch.setattr(cli, "DEFAULT_BYTE_CAP", 300_000)
         argv = ["integral", "--n", "1", "--L", "3", "--quad", "200"]
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert f"needs {8 * ((2**3 + 2 * 2**3 + 2) * 200 + 200**2)} bytes" in err
+        assert f"needs {8 * (2 * 2**3 * 200 + 2**3 + 200**2 + 8192)} bytes" in err
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0
         assert json.loads(out)["by_direct"] is not None
@@ -265,10 +267,21 @@ class TestKernelGuard:
         assert out == ""
         assert err == "error: quadrature_points must be >= 2\n"
 
-    def test_grid_rule_is_checked_first(self, capsys):
-        code, _, err = run(capsys, "integral", "--n", "30", "--L", "1")
-        assert code == 2
-        assert "multiple of 2^n" in err
+    def test_grid_rule_is_checked_first(self, capsys, monkeypatch):
+        # the branch cap of 2^16 refuses n = 30 before anything is built,
+        # and admits n = 16
+        built = []
+
+        def build(n, blocks, qpts):
+            built.append(n)
+            return cli.metric.IntegralPi(n, blocks, 1.0, 1.0)
+
+        monkeypatch.setattr(cli.metric, "integral_pi", build)
+        code, out, err = run(capsys, "integral", "--n", "30", "--L", "1")
+        assert code == 3 and out == ""
+        assert "2^30 branches" in err and "--force" in err
+        code, _, _ = run(capsys, "integral", "--n", "16", "--L", "1")
+        assert code == 0 and built == [16]
 
 
 class TestCertify:

@@ -17,6 +17,7 @@ from halkron.metric import (
     _pi_direct_quadrature,
     integral_pi,
     lambda_bracket,
+    level_bytes,
     mu,
     phi_level,
     phi_levels,
@@ -76,8 +77,6 @@ class TestPhiLevel:
             phi_level(1, 1, 100)
         with pytest.raises(ValueError):
             phi_level(1, -1, GRID)
-        with pytest.raises(ValueError):
-            phi_level(3, 1, 260)  # even, but not a multiple of 2^3
         with pytest.raises(ValueError):
             phi_level(1, 1, GRID).value_at(1.5)
 
@@ -300,12 +299,12 @@ class TestDirectQuadratureOracle:
         assert _pi_direct_quadrature(n, l, 8) == pi_direct_quadrature(n, l, 8)
 
     def test_bit_identical_other_quadrature_orders(self):
-        # (1, 13, 3) and (2, 6, 5): the last block of points is a short one;
+        # (1, 13, 3) and (2, 6, 5): a panel holds an odd number of points;
         # (1, 20, 2): r > 18, so the factors j >= 18 are taken on one panel
-        # a group; (1, 16, 3) and (1, 12, 200): 2^14 // q is no power of two,
-        # so a block is 4096 or 64 panels and the upper groups span several;
-        # (1, 16, 40) and (3, 6, 5): the largest group is 128 blocks of 256
-        # panels or 64 of 2048, and its later blocks read the group's tables
+        # a group; (1, 16, 3) and (1, 12, 200): q is no power of two, and
+        # the largest group holds 2^15 panels of 3 points or 2^11 of 200;
+        # (1, 16, 40) and (3, 6, 5): the largest group holds 2^15 or 2^17
+        # panels, so most factors are multiplied into many periods of it
         for n, l, q in [(1, 5, 2), (2, 4, 5), (3, 3, 16), (1, 13, 3), (2, 6, 5),
                         (1, 20, 2), (1, 16, 3), (1, 12, 200), (1, 16, 40), (3, 6, 5)]:
             assert _pi_direct_quadrature(n, l, q) == pi_direct_quadrature(n, l, q)
@@ -328,11 +327,57 @@ class TestDirectQuadratureOracle:
         # once per period of each block of 2048 panels would be 18,911,568
         assert sum(taken) < 9_000_000
 
-    def test_bytes_use_the_power_of_two_block(self):
-        # 2^14 // 200 = 81 panels round down to a block of 64; the largest
-        # group (2^11 panels) tables the periods 2^10, ..., 2 of j = 2..11
-        panels, block, tables = 1 << 12, 64, (1 << 11) - 2
-        assert quadrature_bytes(1, 12, 200) == 8 * ((panels + 2 * block + tables) * 200 + 200**2)
+    def test_bytes_count_the_largest_group(self):
+        # the product at 2^12 panels, the phases and factors of the largest
+        # group (2^11 panels), its centres twice, the companion matrix and
+        # one ufunc buffer of 8192 doubles
+        panels = 1 << 12
+        assert quadrature_bytes(1, 12, 200) == 8 * (
+            panels * 200 + 2 * (panels // 2) * 200 + panels + 200**2 + 8192
+        )
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes that tracemalloc traces while fn(*args) runs; numpy
+    reports its array buffers to it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestByteGuards:
+    """The byte counts that the CLI guards against its cap are at least the
+    traced peak of what they guard, up to a fixed slack for Python objects
+    and numpy's small temporaries."""
+
+    SLACK = 1 << 16
+
+    @pytest.fixture(autouse=True)
+    def warm(self):
+        # made once per process, not per call: the node tables and the
+        # first Gauss-Legendre rule's imports
+        _chebyshev(_NODES)
+        _pi_direct_quadrature(1, 1, 2)
+
+    @pytest.mark.parametrize(
+        "n,l,q", [(2, 12, 8), (1, 18, 8), (1, 20, 2), (3, 6, 5), (1, 16, 40), (1, 12, 200)]
+    )
+    def test_quadrature_bytes(self, n, l, q):
+        peak = traced_peak(_pi_direct_quadrature, n, l, q)
+        assert peak <= quadrature_bytes(n, l, q) + self.SLACK
+
+    @pytest.mark.parametrize("grid", [1 << 14, 1 << 18])
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_level_bytes(self, n, grid):
+        # the [grid + 1, 48] basis, its boolean node-hit mask and the
+        # samples of levels 0..13 dominate; n = 7 fills a branch block
+        need = level_bytes(n, 13, grid) + self.SLACK
+        assert traced_peak(lambda_bracket, n, 12, grid) <= need
+        assert traced_peak(structural_checks, n, grid) <= need
 
 
 class TestStructuralChecks:
