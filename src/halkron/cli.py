@@ -43,7 +43,7 @@ EXIT_CERTIFY = 4
 DEFAULT_DEPTH = 12
 DEFAULT_GUARD = 1 << 16
 DEFAULT_CERTIFY_GRID = 100_000
-DEFAULT_BYTE_CAP = 1 << 30  # bytes of one sampled level stack or one direct quadrature
+DEFAULT_BYTE_CAP = 1 << 30  # bytes of one level stack
 DEFAULT_BRANCH_CAP = 1 << 16  # branches 2^n of one collocation build
 DEFAULT_BOUND_ROW_CAP = 1 << 22  # rows of one bound table
 
@@ -153,16 +153,18 @@ def _guard(need: int, cap: int, force: bool, what: str) -> None:
         raise GuardError(f"{what}, above the cap of {cap}; pass --force to go past it")
 
 
-def _check_levels(ns: list[int], j_max: int, grids: list[int | None], force: bool) -> None:
+def _check_levels(ns: list[int], j_max: int, grid: int | None, force: bool) -> None:
     """Guard on each n's branch count 2^n against ``DEFAULT_BRANCH_CAP``, then
-    on the bytes of its levels 0..j_max sampled on each grid (None: not
-    sampled) against ``DEFAULT_BYTE_CAP``; a grid below 256 is a usage error."""
+    on the bytes of its levels 0..j_max sampled on ``grid`` (None: not
+    sampled) against ``DEFAULT_BYTE_CAP``; an n below 1 or a grid below 256
+    is a usage error."""
+    if min(ns) < 1:
+        raise UsageError("n must be >= 1")
     for n in ns:
         _guard(1 << n, DEFAULT_BRANCH_CAP, force, f"n={n}: the collocation takes 2^{n} branches")
-        for grid in grids:
-            size = metric.level_bytes(n, j_max, grid)
-            _guard(size, DEFAULT_BYTE_CAP, force,
-                   f"n={n}, grid {grid}: levels 0..{j_max} need {size} bytes")
+        size = metric.level_bytes(n, j_max, grid)
+        _guard(size, DEFAULT_BYTE_CAP, force,
+               f"n={n}, grid {grid}: levels 0..{j_max} need {size} bytes")
 
 
 def _point_set(args, command: str) -> PointSet2:
@@ -243,9 +245,7 @@ def cmd_trig(args) -> int:
 
 def cmd_lambda(args) -> int:
     ns = parse_range(args.n)
-    compare = args.compare_grid is not None
-    keys = ["n", "depth", "grid"] + ["compare_grid"] * compare
-    _check_levels(ns, args.depth + 1, [args.grid] + [args.compare_grid] * compare, args.force)
+    _check_levels(ns, args.depth + 1, args.grid, args.force)
     brackets = {n: metric.lambda_bracket(n, args.depth, args.grid) for n in ns}
     lead = len(ns) > 1  # a range of n puts n in the first column
     rows = [
@@ -263,29 +263,20 @@ def cmd_lambda(args) -> int:
             for n, br in brackets.items()
         }
     }
-    if compare:
-        deltas = {}
-        for n in ns:
-            other = metric.lambda_bracket(n, args.depth, args.compare_grid)
-            deltas[str(n)] = {
-                "exp_lower_delta": brackets[n].exponent_lower - other.exponent_lower,
-                "exp_upper_delta": brackets[n].exponent_upper - other.exponent_upper,
-            }
-        payload["refinement"] = deltas
-    _emit(args, _config(args, keys), body, payload)
+    _emit(args, _config(args, ["n", "depth", "grid"]), body, payload)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
     ns = parse_range(args.n)
-    _check_levels(ns, metric.STRUCTURAL_LEVEL, [args.struct_grid], args.force)
+    _check_levels(ns, metric.STRUCTURAL_LEVEL, metric.DEFAULT_GRID, args.force)
     # every n's sharpness identity first: its size rule fails before any other work
     sharps = [trigprod.sharpness_identity(n, args.blocks) for n in ns]
     reports = []
     failed = False
     for n, sharp in zip(ns, sharps):
         cert = trigprod.gelfond_certify(n, args.grid)
-        struct = metric.structural_checks(n, args.struct_grid)
+        struct = metric.structural_checks(n)
         ok = cert.passed and struct.all_pass and sharp.log_diff < 1e-9
         failed = failed or not ok
         reports.append(
@@ -299,7 +290,7 @@ def cmd_certify(args) -> int:
                 "passed": ok,
             }
         )
-    _emit(args, _config(args, ["n", "grid", "blocks", "struct_grid"]),
+    _emit(args, _config(args, ["n", "grid", "blocks"]),
           payload={"reports": reports}, indent=2)
     return EXIT_CERTIFY if failed else EXIT_OK
 
@@ -327,18 +318,15 @@ def cmd_bound(args) -> int:
 
 def cmd_integral(args) -> int:
     n = _single_n(parse_range(args.n), "integral")
-    size = metric.quadrature_bytes(n, args.L, args.quad)
-    _guard(size, DEFAULT_BYTE_CAP, args.force,
-           f"n={n}, L={args.L}, quad {args.quad}: the direct quadrature needs {size} bytes")
-    _check_levels([n], args.L, [None], args.force)  # its levels are not sampled
-    res = metric.integral_pi(n, args.L, args.quad)
+    _check_levels([n], args.L, None, args.force)  # its levels are not sampled
+    res = metric.integral_pi(n, args.L)
     payload = {
         "by_recurrence": res.by_recurrence,
         "by_direct": res.by_direct,
         "disagreement": res.disagreement,
         "consistent": res.consistent,
     }
-    _emit(args, _config(args, ["n", "L", "quad"]), payload=payload)
+    _emit(args, _config(args, ["n", "L"]), payload=payload)
     return EXIT_OK
 
 
@@ -389,14 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("lambda", cmd_lambda, "per-level exponent bracket table", force, json_out)
     sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     sp.add_argument("--grid", type=int, default=metric.DEFAULT_GRID)
-    sp.add_argument("--compare-grid", type=int, default=None,
-                    help="second grid size; report refinement deltas")
 
     sp = command("certify", cmd_certify, "dichotomy + sharpness + structural checks",
                  force, json_out)
     sp.add_argument("--grid", type=int, default=DEFAULT_CERTIFY_GRID)
     sp.add_argument("--blocks", type=int, default=20, help="L for the sharpness identity")
-    sp.add_argument("--struct-grid", type=int, default=metric.DEFAULT_GRID)
 
     sp = command("bound", cmd_bound, "generic upper-bound right-hand side terms",
                  alpha, force, json_out)
@@ -407,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("integral", cmd_integral, "integral of the product by both routes",
                  force, json_out)
     sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--quad", type=int, default=8)
 
     return p
 

@@ -32,6 +32,7 @@ DEFAULT_GRID = 1 << 14  # sample cells of a level where the caller names none
 _MIN_GRID = 256
 _NODES = 48  # collocation nodes M; 3M/2 nodes move no exponent by 1e-14 (test_metric)
 _BRANCH_BLOCK = 64  # branches whose basis values the build takes together
+_QUAD_POINTS = 8  # Gauss-Legendre points a panel of the direct quadrature
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # depths of the structural checks: symmetric levels, monotone ratio levels, integral bounds
 _J_SYMMETRY, _J_MONOTONE, _L_MAX = 6, 12, 10
@@ -60,11 +61,14 @@ def _basis(x):
     that node's unit vector."""
     nodes, weights, _ = _chebyshev(_NODES)
     d = np.subtract.outer(x, nodes)
-    hit = d == 0.0
     with np.errstate(divide="ignore"):
         c = np.divide(weights, d, out=d)
-    np.copyto(c, hit, where=hit.any(axis=-1, keepdims=True))
-    c /= c.sum(axis=-1, keepdims=True)
+    total = c.sum(axis=-1, keepdims=True)
+    hit = np.isinf(total)  # a node hit's term is +-inf, and no other term overflows
+    if hit.any():
+        np.copyto(c, np.isinf(c), where=hit)
+        total[hit] = 1.0
+    c /= total
     return c
 
 
@@ -126,12 +130,12 @@ def _check_grid(n: int, grid_size: int) -> None:
 def level_bytes(n: int, j_max: int, grid_size: int | None = None) -> int:
     """Bytes of what levels 0..j_max of n allocate: the [j_max + 1, M] node
     values, a ufunc buffer (``np.getbufsize``), and per ``_basis`` point its
-    argument, M basis values, M-entry boolean node-hit mask and row sum, plus
-    the branch weight of each of the M min(2^n, _BRANCH_BLOCK) points of one
-    build block, or the j_max + 1 samples of each of the grid_size + 1
-    points.  Raises ``ValueError`` on a grid that ``phi_levels`` refuses."""
+    argument, M basis values, row sum and node-hit flag, plus the branch
+    weight of each of the M min(2^n, _BRANCH_BLOCK) points of one build
+    block, or the j_max + 1 samples of each of the grid_size + 1 points.
+    Raises ``ValueError`` on a grid that ``phi_levels`` refuses."""
     m = _NODES
-    basis = 9 * m + 16  # bytes a point
+    basis = 8 * m + 17  # bytes a point
     points = m * min(1 << n, _BRANCH_BLOCK)
     size = points * (basis + 8) + 8 * ((j_max + 1) * m + np.getbufsize())
     if grid_size is not None:
@@ -323,30 +327,6 @@ class IntegralPi:
         return None if d is None else d <= 1e-5
 
 
-def _check_integral(n: int, blocks: int, qpts: int) -> None:
-    if n < 1 or blocks < 0:
-        raise ValueError("need n >= 1 and blocks >= 0")
-    if qpts < 2:
-        raise ValueError("quadrature_points must be >= 2")
-    if n * blocks > 60:
-        raise ValueError("n * blocks must stay <= 60 for the recurrence path")
-
-
-def quadrature_bytes(n: int, blocks: int, qpts: int) -> int:
-    """Bytes of the direct quadrature, r = n blocks in 1..24 (else 0), at
-    R = min(r, 18): the float64 product at 2^R x qpts points, the phases and
-    factors of the largest group of 2^(R-1) panels, that group's centres
-    twice over while they are formed, the qpts x qpts companion matrix of
-    the Gauss-Legendre nodes, and a ufunc buffer (``np.getbufsize``).
-    Raises ``ValueError`` on the arguments ``integral_pi`` refuses."""
-    _check_integral(n, blocks, qpts)
-    r = n * blocks
-    if not 1 <= r <= 24:
-        return 0
-    panels = 1 << min(r, 18)
-    return 8 * (2 * panels * qpts + panels + qpts * qpts + np.getbufsize())
-
-
 def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     """Composite Gauss-Legendre over 2^R dyadic panels, R = min(r, 18), r = n blocks.
 
@@ -390,13 +370,16 @@ def _pi_direct_quadrature(n: int, blocks: int, qpts: int) -> float:
     return float(prod.sum() * 0.5 * h)
 
 
-def integral_pi(n: int, blocks: int, quadrature_points: int = 8) -> IntegralPi:
-    _check_integral(n, blocks, quadrature_points)
+def integral_pi(n: int, blocks: int) -> IntegralPi:
+    if n < 1 or blocks < 0:
+        raise ValueError("need n >= 1 and blocks >= 0")
+    if n * blocks > 60:
+        raise ValueError("n * blocks must stay <= 60 for the recurrence path")
     if blocks == 0:
         return IntegralPi(n, 0, 1.0, 1.0)
     vals, logs = _node_levels(n, blocks)
     by_rec = float(_chebyshev(_NODES)[2] @ vals[-1]) * math.exp(logs[-1])
-    by_direct = _pi_direct_quadrature(n, blocks, quadrature_points) if n * blocks <= 24 else None
+    by_direct = _pi_direct_quadrature(n, blocks, _QUAD_POINTS) if n * blocks <= 24 else None
     return IntegralPi(n, blocks, by_rec, by_direct)
 
 

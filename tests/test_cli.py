@@ -165,7 +165,6 @@ class TestTrigAndLambda:
         assert code == 0
         doc = json.loads(jpath.read_text())
         assert doc["table"]["1"]["exp_upper"] == pytest.approx(0.5, abs=1e-9)
-        assert "compare_grid" not in doc["config"]
 
     def test_lambda_single_n_header(self, capsys):
         code, out, _ = run(capsys, "lambda", "--n", "2", "--depth", "2", "--grid", "4096")
@@ -174,23 +173,22 @@ class TestTrigAndLambda:
 
     def test_lambda_range_refinement(self, tmp_path, capsys):
         jpath = tmp_path / "l2.json"
+        # the collocation converges geometrically, so a second grid refines
+        # nothing: the payload is the table alone
         code, out, _ = run(capsys, "lambda", "--n", "1..2", "--depth", "2",
-                           "--grid", "2048", "--compare-grid", "4096",
-                           "--json", str(jpath))
+                           "--grid", "2048", "--json", str(jpath))
         assert code == 0
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert lines[0] == "n,j,m_j,M_j,exp_lower,exp_upper"
         doc = json.loads(jpath.read_text())
-        assert "refinement" in doc
-        assert doc["config"]["compare_grid"] == 4096
-        assert abs(doc["refinement"]["1"]["exp_upper_delta"]) < 1e-3
+        assert set(doc) == {"config", "format_version", "table"}
 
-    def test_lambda_compare_grid_zero_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "lambda", "--n", "1", "--depth", "1", "--grid", "256",
-                             "--compare-grid", "0")
-        assert code == 2
-        assert out == ""
-        assert "grid_size must be >= 256" in err
+    def test_lambda_grid_below_256_is_usage_error(self, capsys):
+        for grid in ("0", "255"):
+            code, out, err = run(capsys, "lambda", "--n", "1", "--depth", "1", "--grid", grid)
+            assert code == 2
+            assert out == ""
+            assert err == "error: grid_size must be >= 256\n"
 
 
 class TestKernelGuard:
@@ -208,12 +206,12 @@ class TestKernelGuard:
 
     def test_large_grid_is_guarded(self, capsys):
         # 2^22 + 1 samples of levels 0..13 and the basis of their points,
-        # each basis taking 9 * 48 + 16 bytes a point: about 2.3 GB
+        # each basis taking 8 * 48 + 17 bytes a point: about 2.2 GB
         code, out, err = run(capsys, "lambda", "--n", "1", "--depth", "12", "--grid", str(1 << 22))
         assert code == 3
         assert out == ""
         points = 48 * 2 + 2**22 + 1
-        need = points * (9 * 48 + 16) + 8 * (48 * 2 + 14 * 48 + 8192 + 14 * (2**22 + 1))
+        need = points * (8 * 48 + 17) + 8 * (48 * 2 + 14 * 48 + 8192 + 14 * (2**22 + 1))
         assert f"levels 0..13 need {need} bytes" in err and "--force" in err
 
     def test_force_overrides_the_cap(self, capsys, monkeypatch):
@@ -222,57 +220,20 @@ class TestKernelGuard:
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert "guard:" in err and "--force" in err
-        code, _, _ = run(capsys, *argv, "--compare-grid", "512")
-        assert code == 3
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0
         assert "exponent bracket" in out
-        for argv in (["certify", "--n", "1", "--grid", "2000", "--struct-grid", "256"],
+        for argv in (["certify", "--n", "1", "--grid", "2000"],
                      ["integral", "--n", "1", "--L", "1"]):
             code, _, _ = run(capsys, *argv)
             assert code == 3
-
-    def test_quadrature_is_guarded(self, capsys, monkeypatch):
-        def build(*args):
-            raise AssertionError("the quadrature was built")
-
-        monkeypatch.setattr(cli.metric, "integral_pi", build)
-        # 2^18 panels x 2000 points, and the phases and factors of the
-        # largest group of 2^17 panels: about 8.4 GB
-        code, out, err = run(capsys, "integral", "--n", "1", "--L", "18", "--quad", "2000")
-        assert code == 3
-        assert out == ""
-        need = 8 * (2 * 2**18 * 2000 + 2**18 + 2000**2 + 8192)
-        assert f"needs {need} bytes" in err and "--force" in err
-
-    def test_force_overrides_the_quadrature_cap(self, capsys, monkeypatch):
-        # the n = 1 levels (about 111,000 bytes) pass this cap, the quadrature does not
-        monkeypatch.setattr(cli, "DEFAULT_BYTE_CAP", 300_000)
-        argv = ["integral", "--n", "1", "--L", "3", "--quad", "200"]
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        assert f"needs {8 * (2 * 2**3 * 200 + 2**3 + 200**2 + 8192)} bytes" in err
-        code, out, _ = run(capsys, *argv, "--force")
-        assert code == 0
-        assert json.loads(out)["by_direct"] is not None
-        # past r = 24 the direct route does not run, so it is not guarded
-        code, out, _ = run(capsys, "integral", "--n", "1", "--L", "25", "--quad", "200")
-        assert code == 0
-        assert json.loads(out)["by_direct"] is None
-
-    def test_quadrature_order_is_checked_before_its_bytes(self, capsys):
-        code, out, err = run(capsys, "integral", "--n", "1", "--L", "3", "--quad", "0")
-        assert code == 2
-        assert out == ""
-        assert err == "error: quadrature_points must be >= 2\n"
 
     def test_grid_rule_is_checked_first(self, capsys, monkeypatch):
         # the branch cap of 2^16 refuses n = 30 before anything is built,
         # and admits n = 16
         built = []
 
-        def build(n, blocks, qpts):
+        def build(n, blocks):
             built.append(n)
             return cli.metric.IntegralPi(n, blocks, 1.0, 1.0)
 
@@ -297,8 +258,7 @@ class TestCertify:
             assert err == "error: grid_size must be >= 1000\n"
 
     def test_passes_for_n1(self, capsys):
-        code, out, _ = run(capsys, "certify", "--n", "1", "--grid", "2000",
-                           "--blocks", "5", "--struct-grid", "2048")
+        code, out, _ = run(capsys, "certify", "--n", "1", "--grid", "2000", "--blocks", "5")
         assert code == 0
         doc = json.loads(out)
         rep = doc["reports"][0]
@@ -312,8 +272,7 @@ class TestCertify:
             return GelfondCertificate(n, grid, 1.0, 0.5)
 
         monkeypatch.setattr(cli.trigprod, "gelfond_certify", fake)
-        code, _, _ = run(capsys, "certify", "--n", "1", "--grid", "2000",
-                         "--blocks", "2", "--struct-grid", "2048")
+        code, _, _ = run(capsys, "certify", "--n", "1", "--grid", "2000", "--blocks", "2")
         assert code == 4
 
     def test_sharpness_beyond_its_size_rule_is_usage_error(self, capsys, monkeypatch):
@@ -393,8 +352,7 @@ class TestAllocationFailure:
         ["gen", "--n", "1", "--count", str(10**15), "--force"],
         ["trig", "--n", "3", "--mode", "gn", "--grid", str(10**15)],
         ["certify", "--n", "1", "--grid", str(10**15)],
-        ["integral", "--n", "1", "--L", "2", "--quad", str(10**15), "--force"],
-    ], ids=["gen", "trig", "certify", "integral"])
+    ], ids=["gen", "trig", "certify"])
     def test_exit_3(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 3
@@ -417,17 +375,14 @@ class TestConfig:
         (["trig", "--n", "3", "--mode", "gn", "--grid", "1000"], {"n", "mode", "grid"}),
         (["scan", "--n", "1", "--L", "3..4"], {"n", "alpha", "L", "width"}),
         (["lambda", "--n", "1", "--depth", "1", "--grid", "256"], {"n", "depth", "grid"}),
-        (["lambda", "--n", "1", "--depth", "1", "--grid", "256", "--compare-grid", "512"],
-         {"n", "depth", "grid", "compare_grid"}),
-        (["certify", "--n", "1", "--grid", "2000", "--blocks", "5", "--struct-grid", "2048"],
-         {"n", "grid", "blocks", "struct_grid"}),
-        (["integral", "--n", "1", "--L", "1"], {"n", "L", "quad"}),
+        (["certify", "--n", "1", "--grid", "2000", "--blocks", "5"], {"n", "grid", "blocks"}),
+        (["integral", "--n", "1", "--L", "1"], {"n", "L"}),
         (["gen", "--n", "1", "--count", "4"], {"n", "alpha", "count", "width"}),
         (["disc", "--n", "1", "--count", "4"], {"n", "alpha", "count", "width"}),
         (["bound", "--n", "1", "--N", "16", "--H", "16", "--K", "16"],
          {"n", "alpha", "N", "H", "K", "width"}),
-    ], ids=["trig-an", "trig-gn", "scan", "lambda", "lambda-compare", "certify", "integral",
-            "gen", "disc", "bound"])
+    ], ids=["trig-an", "trig-gn", "scan", "lambda", "certify", "integral", "gen", "disc",
+            "bound"])
     def test_keys(self, capsys, argv, keys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
@@ -478,7 +433,7 @@ ALPHA_COMMANDS = [
 ALPHA_FREE_COMMANDS = [
     ["trig", "--n", "1"],
     ["lambda", "--n", "1", "--depth", "3", "--grid", "2048"],
-    ["certify", "--n", "1", "--grid", "2000", "--blocks", "2", "--struct-grid", "2048"],
+    ["certify", "--n", "1", "--grid", "2000", "--blocks", "2"],
     ["integral", "--n", "1", "--L", "3"],
 ]
 
@@ -526,12 +481,12 @@ def test_help_lists_width_for_the_alpha_commands_only(capsys, command):
     ["scan", "--n", "1", "--L", "2..4"],
     ["trig", "--n", "1..5"],
     ["trig", "--n", "3", "--mode", "gn", "--grid", "1000"],
-    ["lambda", "--n", "1..2", "--depth", "2", "--grid", "256", "--compare-grid", "512"],
-    ["certify", "--n", "1", "--grid", "2000", "--blocks", "5", "--struct-grid", "2048"],
+    ["lambda", "--n", "1..2", "--depth", "2", "--grid", "256"],
+    ["certify", "--n", "1", "--grid", "2000", "--blocks", "5"],
     ["bound", "--n", "3", "--N", "1024", "--H", "8", "--K", "8", "--width", "200"],
-    ["integral", "--n", "1", "--L", "2", "--quad", "4"],
-], ids=["gen-frac-40", "gen-bits", "disc", "scan", "trig-an", "trig-gn", "lambda-compare",
-        "certify", "bound-wide", "integral"])
+    ["integral", "--n", "1", "--L", "2"],
+], ids=["gen-frac-40", "gen-bits", "disc", "scan", "trig-an", "trig-gn", "lambda", "certify",
+        "bound-wide", "integral"])
 def test_an_output_rebuilds_from_its_own_config(capsys, argv):
     # the header replays as <command> --key value ..., with no other flag
     code, out, _ = run(capsys, *argv)
@@ -550,6 +505,30 @@ def test_single_n_commands_reject_a_range(capsys):
         assert code == 2
         command = " ".join(argv[:3]) if argv[0] == "trig" else argv[0]
         assert err == f"error: {command} takes a single n\n"
+
+
+@pytest.mark.parametrize("argv", [["lambda", "--depth", "1", "--grid", "256"],
+                                  ["certify", "--grid", "2000"], ["integral", "--L", "1"]],
+                         ids=["lambda", "certify", "integral"])
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_n_below_one_is_usage_error(capsys, argv, n):
+    # checked before the branch guard takes 2^n
+    code, out, err = run(capsys, *argv, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--n", "1", "--depth", "1", "--grid", "256", "--compare-grid", "512"],
+    ["certify", "--n", "1", "--grid", "2000", "--struct-grid", "2048"],
+    ["integral", "--n", "1", "--L", "1", "--quad", "8"],
+], ids=["lambda", "certify", "integral"])
+def test_removed_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

@@ -31,24 +31,24 @@ PINS = [
      "7d23b0bb38e779ff99b73eb9359b86aae76d2fd1cbf80498870dbfacec729ffe"),
     (["lambda", "--n", "2", "--depth", "3", "--grid", "2048"],
      "d26ce47ebe897ffcdadf93ae04c41e088a63fadfae1c687406576e704292b3e9", None),
-    (["certify", "--n", "1..2", "--grid", "2000", "--blocks", "5", "--struct-grid", "2048"],
-     "16bfb8e43d0746c2423482979509219b01eb86ec7f256ef6d30be793d962d169",
-     "16bfb8e43d0746c2423482979509219b01eb86ec7f256ef6d30be793d962d169"),
+    (["certify", "--n", "1..2", "--grid", "2000", "--blocks", "5"],
+     "029832f6793852d361b9c5e95da3fad362c2d623cf1c99054a30cb76c46afa5a",
+     "029832f6793852d361b9c5e95da3fad362c2d623cf1c99054a30cb76c46afa5a"),
     (["bound", "--n", "2", "--alpha", "shallit", "--N", "256", "--H", "256", "--K", "256"],
      "e4d21d7c4f2f0a0805ba88c54fce1bd2dfe618468d1e709ab87a4e4010803d04",
      "da161694591188ec8dddecb8dbf5b969e51ee32dacd4f442fc2ed8335493a8d5"),
     (["integral", "--n", "1", "--L", "3"],
-     "0fe9bb83fc7a83d466cabfb7c731715affeb80784f9ac54bf085754edb05af3e",
-     "01ad17c09f81b83ba646ccbd2408b04e057b65bc0dfcd254f5d32125939cc2b0"),
+     "96fbd50b3724ae296c2444b72ab0a8c134ebadcbfec8039a36c624d52f1a97bd",
+     "f6f03ef186209324a41a9a9b1e996bbaa26e7d1ba665c8f13f1d43e14b0b7ff0"),
     # width above 128 and N = 2^70: sticky rows and doubled columns j >= 64
     (["bound", "--n", "3", "--N", "1180591620717411303424", "--H", "8", "--K", "8",
       "--width", "200"],
      "7ab0ed55ab1b9f6791d4f56016dc6d704906afac88523ca726ebd1391ec83107",
      "905bfd43cd659b9cae14dc90d30a846945ce88a7e579f1b18d4f487d23edd779"),
     # the sharpness product at the rational 4/9, r = 900
-    (["certify", "--n", "3", "--grid", "2000", "--blocks", "300", "--struct-grid", "2048"],
-     "f9243a2a377744e872e48de8324747a3fa602d76b909875a319bad7ea876b358",
-     "f9243a2a377744e872e48de8324747a3fa602d76b909875a319bad7ea876b358"),
+    (["certify", "--n", "3", "--grid", "2000", "--blocks", "300"],
+     "f8c52d1cf59fd937c2bb90b2c8a10d96d26e9b0945398bcbf01aea4014a4a909",
+     "f8c52d1cf59fd937c2bb90b2c8a10d96d26e9b0945398bcbf01aea4014a4a909"),
     # N = H = K = 2^16: two orbit blocks; l = 1 spans both, l = 2 ends where the second begins
     (["bound", "--n", "1", "--N", "65536", "--H", "65536", "--K", "65536"],
      "7aefc73ada8cdc71ca9b2dc09951641ade798573cea8bc707d860ea0619ecf7a",

@@ -21,7 +21,6 @@ from halkron.metric import (
     mu,
     phi_level,
     phi_levels,
-    quadrature_bytes,
     structural_checks,
 )
 from halkron.trigprod import lacunary_factor
@@ -327,15 +326,6 @@ class TestDirectQuadratureOracle:
         # once per period of each block of 2048 panels would be 18,911,568
         assert sum(taken) < 9_000_000
 
-    def test_bytes_count_the_largest_group(self):
-        # the product at 2^12 panels, the phases and factors of the largest
-        # group (2^11 panels), its centres twice, the companion matrix and
-        # one ufunc buffer of 8192 doubles
-        panels = 1 << 12
-        assert quadrature_bytes(1, 12, 200) == 8 * (
-            panels * 200 + 2 * (panels // 2) * 200 + panels + 200**2 + 8192
-        )
-
 
 def traced_peak(fn, *args) -> int:
     """The peak bytes that tracemalloc traces while fn(*args) runs; numpy
@@ -351,8 +341,9 @@ def traced_peak(fn, *args) -> int:
 
 class TestByteGuards:
     """The byte counts that the CLI guards against its cap are at least the
-    traced peak of what they guard, up to a fixed slack for Python objects
-    and numpy's small temporaries."""
+    traced peak of what they guard, and the direct quadrature, which it does
+    not guard, stays below a fixed bound, each up to a fixed slack for
+    Python objects and numpy's small temporaries."""
 
     SLACK = 1 << 16
 
@@ -363,18 +354,20 @@ class TestByteGuards:
         _chebyshev(_NODES)
         _pi_direct_quadrature(1, 1, 2)
 
-    @pytest.mark.parametrize(
-        "n,l,q", [(2, 12, 8), (1, 18, 8), (1, 20, 2), (3, 6, 5), (1, 16, 40), (1, 12, 200)]
-    )
-    def test_quadrature_bytes(self, n, l, q):
-        peak = traced_peak(_pi_direct_quadrature, n, l, q)
-        assert peak <= quadrature_bytes(n, l, q) + self.SLACK
+    @pytest.mark.parametrize("n,l", [(1, r) for r in range(1, 25)] + [(2, 12), (24, 1)])
+    def test_quadrature_peak(self, n, l):
+        # at r = n l >= 18, the largest: the product at 2^18 panels x 8
+        # points, the phases and factors of the largest group (2^17 panels),
+        # its centres twice, the companion matrix and one ufunc buffer of
+        # 8192 doubles, about 36 MB; so no r <= 24 needs a guard
+        peak = traced_peak(_pi_direct_quadrature, n, l, metric._QUAD_POINTS)
+        assert peak <= 8 * (2**19 * 8 + 2**18 + 8**2 + 8192) + self.SLACK
 
     @pytest.mark.parametrize("grid", [1 << 14, 1 << 18])
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_level_bytes(self, n, grid):
-        # the [grid + 1, 48] basis, its boolean node-hit mask and the
-        # samples of levels 0..13 dominate; n = 7 fills a branch block
+        # the [grid + 1, 48] basis and the samples of levels 0..13
+        # dominate; n = 7 fills a branch block
         need = level_bytes(n, 13, grid) + self.SLACK
         assert traced_peak(lambda_bracket, n, 12, grid) <= need
         assert traced_peak(structural_checks, n, grid) <= need
