@@ -44,7 +44,7 @@ DEFAULT_DEPTH = 12
 DEFAULT_GUARD = 1 << 16
 DEFAULT_CERTIFY_GRID = 100_000
 DEFAULT_BYTE_CAP = 1 << 30  # bytes of one level stack
-DEFAULT_BRANCH_CAP = 1 << 16  # branches 2^n of one collocation build
+DEFAULT_MU_CAP = 1 << 16  # terms 2^n of the mu(n) sum of `certify`
 DEFAULT_BOUND_ROW_CAP = 1 << 22  # rows of one bound table
 
 
@@ -153,15 +153,13 @@ def _guard(need: int, cap: int, force: bool, what: str) -> None:
         raise GuardError(f"{what}, above the cap of {cap}; pass --force to go past it")
 
 
-def _check_levels(ns: list[int], j_max: int, grid: int | None, force: bool) -> None:
-    """Guard on each n's branch count 2^n against ``DEFAULT_BRANCH_CAP``, then
-    on the bytes of its levels 0..j_max sampled on ``grid`` (None: not
-    sampled) against ``DEFAULT_BYTE_CAP``; an n below 1 or a grid below 256
-    is a usage error."""
+def _check_levels(ns: list[int], j_max: int, grid: int, force: bool) -> None:
+    """Guard on the bytes of each n's levels 0..j_max sampled on ``grid``
+    against ``DEFAULT_BYTE_CAP``; an n below 1 is a usage error, and so is
+    an n or a grid that ``metric.phi_levels`` refuses."""
     if min(ns) < 1:
         raise UsageError("n must be >= 1")
     for n in ns:
-        _guard(1 << n, DEFAULT_BRANCH_CAP, force, f"n={n}: the collocation takes 2^{n} branches")
         size = metric.level_bytes(n, j_max, grid)
         _guard(size, DEFAULT_BYTE_CAP, force,
                f"n={n}, grid {grid}: levels 0..{j_max} need {size} bytes")
@@ -270,6 +268,8 @@ def cmd_lambda(args) -> int:
 def cmd_certify(args) -> int:
     ns = parse_range(args.n)
     _check_levels(ns, metric.STRUCTURAL_LEVEL, metric.DEFAULT_GRID, args.force)
+    for n in ns:
+        _guard(1 << n, DEFAULT_MU_CAP, args.force, f"n={n}: mu sums 2^{n} terms")
     # every n's sharpness identity first: its size rule fails before any other work
     sharps = [trigprod.sharpness_identity(n, args.blocks) for n in ns]
     reports = []
@@ -318,7 +318,8 @@ def cmd_bound(args) -> int:
 
 def cmd_integral(args) -> int:
     n = _single_n(parse_range(args.n), "integral")
-    _check_levels([n], args.L, None, args.force)  # its levels are not sampled
+    if n < 1:
+        raise UsageError("n must be >= 1")
     res = metric.integral_pi(n, args.L)
     payload = {
         "by_recurrence": res.by_recurrence,

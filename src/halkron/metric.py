@@ -3,18 +3,23 @@ mu constant, monotone ratio brackets for the metric exponents, integral
 evaluation, and structural checks (symmetry, concavity, monotonicity).
 
 The operator L f(x) = 2^-n sum_{k<2^n} w_k(x) f((x + k)/2^n), with
-w_k(x) = |sin(pi x)| / (2^n |cos(pi (x + k)/2^n)|), is one M x M
-collocation matrix at the M first-kind Chebyshev nodes of [0,1].  Every
-w_k is entire, so the leading eigenfunction is analytic and collocation
-converges geometrically in M (Bandtlow & Jenkinson, Adv. Math. 218
-(2008)).  A level is its M node values, rescaled by their maximum with
-the scale tracked in log space, and the next level is the matrix times
-them.  Its interpolant is evaluated in barycentric form (Berrut &
-Trefethen, SIAM Review 46 (2004)) and integrated by Fejer's first rule.
-A level's ``grid_size`` + 1 uniform points are where the ratio extrema
-are located, by golden-section searches run in lockstep as arrays, and
-where the structural checks are made.  The direct quadrature takes each
-factor once per group of panels of one binade, on one period of it.
+w_k(x) = |sin(pi x)| / (2^n |cos(pi (x + k)/2^n)|), is the product
+S_0^(n-1) S_1 of one-step operators S_c g(x) = 1/2 sum_{e<2} f_c((x + e)/2)
+g((x + e)/2), f_1 = |sin(pi .)| and f_0 = |cos(pi .)|: the halvings
+telescope, and the weight of a branch is its sine times the cosines of its
+doublings.  On node values it is M_0^(n-1) M_1, the product of the M x M
+collocation matrices of the S_c at the M first-kind Chebyshev nodes of
+[0,1].  Every branch weight f_c((x + e)/2) is entire in x, so the leading
+eigenfunction is analytic and collocation converges geometrically in M
+(Bandtlow & Jenkinson, Adv. Math. 218 (2008)).  A level is its M node
+values, rescaled by their maximum with the scale tracked in log space, and
+the next level is the matrix times them.  Its interpolant is evaluated in
+barycentric form (Berrut & Trefethen, SIAM Review 46 (2004)) and
+integrated by Fejer's first rule.  A level's ``grid_size`` + 1 uniform
+points are where the ratio extrema are located, by golden-section searches
+run in lockstep as arrays, and where the structural checks are made.  The
+direct quadrature takes each factor once per group of panels of one
+binade, on one period of it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .trigprod import lacunary_factor
 DEFAULT_GRID = 1 << 14  # sample cells of a level where the caller names none
 _MIN_GRID = 256
 _NODES = 48  # collocation nodes M; 3M/2 nodes move no exponent by 1e-14 (test_metric)
-_BRANCH_BLOCK = 64  # branches whose basis values the build takes together
+_MAX_N = 1000  # largest n; at n = 1024 the first level's node values go subnormal (7.7e-309)
 _QUAD_POINTS = 8  # Gauss-Legendre points a panel of the direct quadrature
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # depths of the structural checks: symmetric levels, monotone ratio levels, integral bounds
@@ -121,48 +126,39 @@ class PhiGrid:
 
 
 def _check_grid(n: int, grid_size: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"n must lie in 1..{_MAX_N}")
     if grid_size < _MIN_GRID:
         raise ValueError(f"grid_size must be >= {_MIN_GRID}")
 
 
-def level_bytes(n: int, j_max: int, grid_size: int | None = None) -> int:
+def level_bytes(n: int, j_max: int, grid_size: int) -> int:
     """Bytes of what levels 0..j_max of n allocate: the [j_max + 1, M] node
     values, a ufunc buffer (``np.getbufsize``), and per ``_basis`` point its
-    argument, M basis values, row sum and node-hit flag, plus the branch
-    weight of each of the M min(2^n, _BRANCH_BLOCK) points of one build
-    block, or the j_max + 1 samples of each of the grid_size + 1 points.
-    Raises ``ValueError`` on a grid that ``phi_levels`` refuses."""
+    argument, M basis values, row sum and node-hit flag, plus the factor of
+    each of the 2M points of a one-step build, or the j_max + 1 samples of
+    each of the grid_size + 1 points.  Raises ``ValueError`` on an n or a
+    grid that ``phi_levels`` refuses."""
+    _check_grid(n, grid_size)
     m = _NODES
     basis = 8 * m + 17  # bytes a point
-    points = m * min(1 << n, _BRANCH_BLOCK)
-    size = points * (basis + 8) + 8 * ((j_max + 1) * m + np.getbufsize())
-    if grid_size is not None:
-        _check_grid(n, grid_size)
-        size += (grid_size + 1) * (basis + 8 * (j_max + 1))
-    return size
+    return (2 * m * (basis + 8) + 8 * ((j_max + 1) * m + np.getbufsize())
+            + (grid_size + 1) * (basis + 8 * (j_max + 1)))
+
+
+def _step(sine: bool) -> np.ndarray:
+    """The M x M collocation of the one-step operator
+    S g(x) = 1/2 sum_{e<2} f((x + e)/2) g((x + e)/2), f = |sin(pi .)| if
+    ``sine`` else |cos(pi .)|: entry (i, j) is 1/2 sum_e f(y) l_j(y) at
+    y = (t_i + e)/2, l_j the ``_basis``."""
+    y = (_chebyshev(_NODES)[0][:, None] + np.array([0.0, 1.0])) / 2.0
+    return 0.5 * np.einsum("ie,iej->ij", lacunary_factor(y, sine), _basis(y))
 
 
 def _collocation(n: int) -> np.ndarray:
-    """The M x M matrix of L on node values: entry (i, j) is
-    2^-n sum_k w_k(t_i) l_j((t_i + k)/2^n), l_j the ``_basis``.
-
-    The cosine of branch k is |sin(pi a)| of its phase offset from 1/2,
-    a = ((k - 2^(n-1)) + x)/2^n, formed before the sine: the two branches
-    whose cosine vanishes at an end of [0,1] (k = 2^(n-1) at x = 0 and
-    k = 2^(n-1) - 1 at x = 1, removable against |sin(pi x)|) keep their
-    relative accuracy next to it.  The branches are taken _BRANCH_BLOCK at a
-    time, so the build's memory does not grow with 2^n."""
-    b = 1 << n
-    x = _chebyshev(_NODES)[0][:, None]
-    sin_x = lacunary_factor(x, True)
-    a = np.zeros((len(x), len(x)))
-    for k0 in range(0, b, _BRANCH_BLOCK):
-        k = np.arange(k0, min(k0 + _BRANCH_BLOCK, b), dtype=float)
-        w = sin_x / lacunary_factor(np.abs(((k - b / 2) + x) / b), True)
-        a += np.einsum("ik,ikj->ij", w, _basis((x + k) / b))
-    return a / (b * b)
+    """The M x M matrix of L on node values, M_0^(n-1) M_1 for the
+    one-step matrices M_c = ``_step(c)``: the sine step acts first."""
+    return np.linalg.matrix_power(_step(False), n - 1) @ _step(True)
 
 
 def _node_levels(n: int, j_max: int) -> tuple[np.ndarray, list[float]]:

@@ -194,15 +194,33 @@ class TestTrigAndLambda:
 class TestKernelGuard:
     def test_large_n_is_guarded(self, capsys, tmp_path):
         # n = 14 runs, and its depth-12 bracket holds the spectral exponent;
-        # n = 17 takes 2^17 branches, above the branch cap of 2^16
+        # n = 17 runs too, since the collocation takes 2 branches a step, but
+        # certify's mu(17) sums 2^17 terms, above the cap of 2^16
         jpath = tmp_path / "l.json"
         code, out, _ = run(capsys, "lambda", "--n", "14", "--depth", "12", "--json", str(jpath))
         assert code == 0
         bracket = json.loads(jpath.read_text())["table"]["14"]
         assert bracket["exp_lower"] - 1e-12 <= 0.1970369445925 <= bracket["exp_upper"] + 1e-12
-        code, out, err = run(capsys, "lambda", "--n", "17")
+        code, out, _ = run(capsys, "lambda", "--n", "17", "--depth", "12")
+        assert code == 0 and "# n=17: exponent bracket" in out
+        code, out, err = run(capsys, "certify", "--n", "17")
         assert code == 3
-        assert out == "" and "2^17 branches" in err and "--force" in err
+        assert out == "" and "mu sums 2^17 terms" in err and "--force" in err
+
+    def test_n_above_1000_is_usage_error(self, capsys, monkeypatch):
+        # at n = 1024 the first level's node values are subnormal; the rule
+        # refuses a range before any of its levels is built
+        code, out, _ = run(capsys, "lambda", "--n", "1000", "--depth", "12", "--grid", "256")
+        assert code == 0 and "# n=1000: exponent bracket" in out
+
+        def build(*args):
+            raise AssertionError("a level was built before the n rule")
+
+        monkeypatch.setattr(cli.metric, "phi_levels", build)
+        for n in ("1001", "999..1001"):
+            code, out, err = run(capsys, "lambda", "--n", n, "--depth", "12", "--grid", "256")
+            assert code == 2 and out == ""
+            assert err == "error: n must lie in 1..1000\n"
 
     def test_large_grid_is_guarded(self, capsys):
         # 2^22 + 1 samples of levels 0..13 and the basis of their points,
@@ -223,14 +241,15 @@ class TestKernelGuard:
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0
         assert "exponent bracket" in out
-        for argv in (["certify", "--n", "1", "--grid", "2000"],
-                     ["integral", "--n", "1", "--L", "1"]):
-            code, _, _ = run(capsys, *argv)
-            assert code == 3
+        code, _, _ = run(capsys, "certify", "--n", "1", "--grid", "2000")
+        assert code == 3
 
     def test_grid_rule_is_checked_first(self, capsys, monkeypatch):
-        # the branch cap of 2^16 refuses n = 30 before anything is built,
-        # and admits n = 16
+        # integral's one size rule is integral_pi's n * L <= 60, a usage
+        # error; within it n = 30 runs with no guard
+        code, out, err = run(capsys, "integral", "--n", "1", "--L", "100000000")
+        assert code == 2 and out == ""
+        assert err == "error: n * blocks must stay <= 60 for the recurrence path\n"
         built = []
 
         def build(n, blocks):
@@ -238,11 +257,8 @@ class TestKernelGuard:
             return cli.metric.IntegralPi(n, blocks, 1.0, 1.0)
 
         monkeypatch.setattr(cli.metric, "integral_pi", build)
-        code, out, err = run(capsys, "integral", "--n", "30", "--L", "1")
-        assert code == 3 and out == ""
-        assert "2^30 branches" in err and "--force" in err
-        code, _, _ = run(capsys, "integral", "--n", "16", "--L", "1")
-        assert code == 0 and built == [16]
+        code, _, _ = run(capsys, "integral", "--n", "30", "--L", "1")
+        assert code == 0 and built == [30]
 
 
 class TestCertify:
@@ -512,7 +528,7 @@ def test_single_n_commands_reject_a_range(capsys):
                          ids=["lambda", "certify", "integral"])
 @pytest.mark.parametrize("n", ["-1", "0"])
 def test_n_below_one_is_usage_error(capsys, argv, n):
-    # checked before the branch guard takes 2^n
+    # the CLI's own message, checked before the library's rules on n
     code, out, err = run(capsys, *argv, "--n", n)
     assert code == 2
     assert out == ""

@@ -78,6 +78,9 @@ class TestPhiLevel:
             phi_level(1, -1, GRID)
         with pytest.raises(ValueError):
             phi_level(1, 1, GRID).value_at(1.5)
+        for n in (0, 1001):
+            with pytest.raises(ValueError, match=r"n must lie in 1\.\.1000"):
+                phi_level(n, 1, GRID)
 
     def test_cached_grid_is_read_only(self):
         before = lambda_bracket(2, 4, GRID)
@@ -128,7 +131,7 @@ class TestLevelStepOracle:
     ``level_step_oracle``, on power-of-two and other grids."""
 
     CASES = [(n, g) for n in range(1, 7) for g in (1 << 10, 1 << 14, 3 << 10)]
-    CASES += [(7, 1 << 12), (8, 1 << 12)]
+    CASES += [(7, 1 << 12), (8, 1 << 12), (12, 1 << 10), (14, 1 << 10)]
 
     @pytest.mark.parametrize("n,grid", CASES)
     def test_levels_match(self, n, grid):
@@ -160,10 +163,11 @@ class TestKernelOracle:
 
     def test_cosines_taken_once(self, monkeypatch):
         taken = factor_sizes(monkeypatch)
-        metric._collocation(8)
-        # the sines at the M nodes, then one cosine per node and branch
-        assert taken[0] == _NODES
-        assert sum(taken) == _NODES * (1 + 256)
+        for n in (8, 200):
+            taken.clear()
+            metric._collocation(n)
+            # each one-step build takes one factor per node and branch, whatever n is
+            assert taken == [2 * _NODES] * 2
 
 
 class TestMu:
@@ -367,7 +371,7 @@ class TestByteGuards:
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_level_bytes(self, n, grid):
         # the [grid + 1, 48] basis and the samples of levels 0..13
-        # dominate; n = 7 fills a branch block
+        # dominate; the one-step builds take 2 x 48 points whatever n is
         need = level_bytes(n, 13, grid) + self.SLACK
         assert traced_peak(lambda_bracket, n, 12, grid) <= need
         assert traced_peak(structural_checks, n, grid) <= need
