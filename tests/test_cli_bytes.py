@@ -27,10 +27,10 @@ PINS = [
     (["trig", "--n", "3", "--mode", "gn", "--grid", "2000"],
      "89e5b03fefadad99f7d01fdf1b3725f6b21bb66f95c07bf01ce3c6ab0b4be471", None),
     (["lambda", "--n", "1..2", "--depth", "3", "--grid", "2048"],
-     "84fae8ca77f747e32604b6f8be86aed24575c38e7478366d97c212d663101c0a",
-     "7d23b0bb38e779ff99b73eb9359b86aae76d2fd1cbf80498870dbfacec729ffe"),
+     "d733170c172b70a9e7bf3ec10266c683f102b44ac9c020b82f6938643be08942",
+     "c6779850d58e75bab2cc97d69dc8b1f7a763c95100c758034a2c1c48456b1b4e"),
     (["lambda", "--n", "2", "--depth", "3", "--grid", "2048"],
-     "d26ce47ebe897ffcdadf93ae04c41e088a63fadfae1c687406576e704292b3e9", None),
+     "5a439e74be7837baeae410a6ba8e6b877bcd866c159f4eeb6865fd53c9812fd1", None),
     (["certify", "--n", "1..2", "--grid", "2000", "--blocks", "5"],
      "029832f6793852d361b9c5e95da3fad362c2d623cf1c99054a30cb76c46afa5a",
      "029832f6793852d361b9c5e95da3fad362c2d623cf1c99054a30cb76c46afa5a"),
