@@ -43,7 +43,7 @@ EXIT_CERTIFY = 4
 DEFAULT_DEPTH = 12
 DEFAULT_GUARD = 1 << 16
 DEFAULT_CERTIFY_GRID = 100_000
-DEFAULT_BYTE_CAP = 1 << 30  # bytes of one level stack
+DEFAULT_BYTE_CAP = 1 << 30  # bytes of one ratio search of `lambda`
 DEFAULT_MU_CAP = 1 << 16  # terms 2^n of the mu(n) sum of `certify`
 DEFAULT_BOUND_ROW_CAP = 1 << 22  # rows of one bound table
 
@@ -153,16 +153,13 @@ def _guard(need: int, cap: int, force: bool, what: str) -> None:
         raise GuardError(f"{what}, above the cap of {cap}; pass --force to go past it")
 
 
-def _check_levels(ns: list[int], j_max: int, grid: int, force: bool) -> None:
-    """Guard on the bytes of each n's levels 0..j_max sampled on ``grid``
-    against ``DEFAULT_BYTE_CAP``; an n below 1 is a usage error, and so is
-    an n or a grid that ``metric.phi_levels`` refuses."""
+def _check_levels(ns: list[int], grid: int) -> None:
+    """An n below 1 is a usage error, and so is an n or a grid that
+    ``metric.phi_levels`` refuses, before any level is built."""
     if min(ns) < 1:
         raise UsageError("n must be >= 1")
     for n in ns:
-        size = metric.level_bytes(n, j_max, grid)
-        _guard(size, DEFAULT_BYTE_CAP, force,
-               f"n={n}, grid {grid}: levels 0..{j_max} need {size} bytes")
+        metric.check_levels(n, grid)
 
 
 def _point_set(args, command: str) -> PointSet2:
@@ -243,7 +240,10 @@ def cmd_trig(args) -> int:
 
 def cmd_lambda(args) -> int:
     ns = parse_range(args.n)
-    _check_levels(ns, args.depth + 1, args.grid, args.force)
+    _check_levels(ns, args.grid)
+    size = metric.level_bytes(args.depth + 1)
+    _guard(size, DEFAULT_BYTE_CAP, args.force,
+           f"depth {args.depth}: levels 0..{args.depth + 1} need {size} bytes")
     brackets = {n: metric.lambda_bracket(n, args.depth, args.grid) for n in ns}
     lead = len(ns) > 1  # a range of n puts n in the first column
     rows = [
@@ -267,7 +267,7 @@ def cmd_lambda(args) -> int:
 
 def cmd_certify(args) -> int:
     ns = parse_range(args.n)
-    _check_levels(ns, metric.STRUCTURAL_LEVEL, metric.DEFAULT_GRID, args.force)
+    _check_levels(ns, metric.DEFAULT_GRID)
     for n in ns:
         _guard(1 << n, DEFAULT_MU_CAP, args.force, f"n={n}: mu sums 2^{n} terms")
     # every n's sharpness identity first: its size rule fails before any other work
@@ -390,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--H", type=int, required=True)
     sp.add_argument("--K", type=int, required=True)
 
-    sp = command("integral", cmd_integral, "integral of the product by both routes",
-                 force, json_out)
+    sp = command("integral", cmd_integral, "integral of the product by both routes", json_out)
     sp.add_argument("--L", type=int, required=True)
 
     return p

@@ -15,11 +15,11 @@ eigenfunction is analytic and collocation converges geometrically in M
 values, rescaled by their maximum with the scale tracked in log space, and
 the next level is the matrix times them.  Its interpolant is evaluated in
 barycentric form (Berrut & Trefethen, SIAM Review 46 (2004)) and
-integrated by Fejer's first rule.  A level's ``grid_size`` + 1 uniform
-points are where the ratio extrema are located, by golden-section searches
-run in lockstep as arrays, and where the structural checks are made.  The
-direct quadrature takes each factor once per group of panels of one
-binade, on one period of it.
+integrated by Fejer's first rule.  The ratio extrema are located on a
+uniform grid of ``grid_size`` cells, sampled a bounded block of points at a
+time, and refined by golden-section searches run in lockstep as arrays;
+the grid costs time, not memory.  The direct quadrature takes each factor
+once per group of panels of one binade, on one period of it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .trigprod import lacunary_factor
 
 DEFAULT_GRID = 1 << 14  # sample cells of a level where the caller names none
 _MIN_GRID = 256
+_BLOCK = DEFAULT_GRID + 1  # grid points sampled at once, so the default grid is one block
 _NODES = 48  # collocation nodes M; 3M/2 nodes move no exponent by 1e-14 (test_metric)
 _MAX_N = 1000  # largest n; at n = 1024 the first level's node values go subnormal (7.7e-309)
 _QUAD_POINTS = 8  # Gauss-Legendre points a panel of the direct quadrature
@@ -80,42 +82,27 @@ def _basis(x):
 @dataclass(frozen=True)
 class PhiGrid:
     """One level of the recurrence: its values at the collocation nodes,
-    ``node_values``, and its interpolant sampled at grid_size + 1 uniform
-    points, ``grid``.
-
-    Both are normalized so that the node values have max 1; the true level
-    values are these times ``exp(log_scale)``.  Levels decay geometrically,
-    so deep runs would underflow without the split.  The fields are frozen
-    and the arrays read-only.
+    ``node_values``, normalized to max 1; the true level values are these
+    times ``exp(log_scale)``.  Levels decay geometrically, so deep runs
+    would underflow without the split.  ``grid_size`` is the number of
+    cells of the uniform grid that seeds the ratio search; no samples are
+    stored.  The fields are frozen and the array read-only.
     """
 
     n: int
     level: int
     node_values: np.ndarray
     log_scale: float
-    grid: np.ndarray
+    grid_size: int
 
     def __post_init__(self) -> None:
         self.node_values.flags.writeable = False
-        self.grid.flags.writeable = False
-
-    @property
-    def grid_size(self) -> int:
-        return len(self.grid) - 1
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """The uniform sample points of ``grid``."""
-        return np.linspace(0.0, 1.0, len(self.grid))
 
     def interpolate(self, x: float) -> float:
         """Normalized value of the interpolant at x in [0,1]."""
         if not 0.0 <= x <= 1.0:
             raise ValueError("x must lie in [0,1]")
         return float((_basis(np.float64(x)) * self.node_values).sum())
-
-    def values(self) -> np.ndarray:
-        return self.grid * math.exp(self.log_scale)
 
     def value_at(self, x: float) -> float:
         return self.interpolate(x) * math.exp(self.log_scale)
@@ -125,25 +112,27 @@ class PhiGrid:
         return float(_chebyshev(_NODES)[2] @ self.node_values) * math.exp(self.log_scale)
 
 
-def _check_grid(n: int, grid_size: int) -> None:
+def check_levels(n: int, grid_size: int) -> None:
+    """Raises ``ValueError`` on an n or a grid that ``phi_levels`` refuses."""
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"n must lie in 1..{_MAX_N}")
     if grid_size < _MIN_GRID:
         raise ValueError(f"grid_size must be >= {_MIN_GRID}")
 
 
-def level_bytes(n: int, j_max: int, grid_size: int) -> int:
-    """Bytes of what levels 0..j_max of n allocate: the [j_max + 1, M] node
-    values, a ufunc buffer (``np.getbufsize``), and per ``_basis`` point its
-    argument, M basis values, row sum and node-hit flag, plus the factor of
-    each of the 2M points of a one-step build, or the j_max + 1 samples of
-    each of the grid_size + 1 points.  Raises ``ValueError`` on an n or a
-    grid that ``phi_levels`` refuses."""
-    _check_grid(n, grid_size)
+def level_bytes(j_max: int) -> int:
+    """Bytes that the ratio search over levels 0..j_max allocates, whatever
+    n and the grid: the [j_max + 1, M] node values, a ufunc buffer
+    (``np.getbufsize``), per ``_basis`` point its argument, M basis values,
+    row sum and node-hit flag, with the factor of each of the 2M points of
+    a one-step build; per point of a sample block also its index, the
+    j_max + 1 samples, the j_max ratios and a second difference; and per
+    search of the 2 j_max its node values of two levels, the basis of its
+    point and their product."""
     m = _NODES
     basis = 8 * m + 17  # bytes a point
-    return (2 * m * (basis + 8) + 8 * ((j_max + 1) * m + np.getbufsize())
-            + (grid_size + 1) * (basis + 8 * (j_max + 1)))
+    return (8 * ((j_max + 1) * m + np.getbufsize()) + 2 * m * (basis + 8)
+            + _BLOCK * (basis + 8 + 16 * (j_max + 1)) + 2 * j_max * (4 * 8 * m + basis))
 
 
 def _step(sine: bool) -> np.ndarray:
@@ -176,21 +165,76 @@ def _node_levels(n: int, j_max: int) -> tuple[np.ndarray, list[float]]:
 
 
 def phi_levels(n: int, j_max: int, grid_size: int) -> list[PhiGrid]:
-    """Levels 0..j_max of the recurrence, each sampled on grid_size + 1
-    points, iterated from the constant 1 on every call; nothing is kept once
-    the caller drops the list.  Level 0 is 1 at every point; the samples of
-    the others are one matmul of their node values with the basis."""
-    _check_grid(n, grid_size)
+    """Levels 0..j_max of the recurrence, iterated from the constant 1 on
+    every call; nothing is kept once the caller drops the list.  Each
+    carries ``grid_size``, the grid its ratio search starts from."""
+    check_levels(n, grid_size)
     if j_max < 0:
         raise ValueError("level must be >= 0")
     vals, logs = _node_levels(n, j_max)
-    grids = np.ones((j_max + 1, grid_size + 1))
-    np.matmul(vals[1:], _basis(np.linspace(0.0, 1.0, grid_size + 1)).T, out=grids[1:])
-    return [PhiGrid(n, j, *level) for j, level in enumerate(zip(vals, logs, grids))]
+    return [PhiGrid(n, j, v, s, grid_size) for j, (v, s) in enumerate(zip(vals, logs))]
 
 
-def phi_level(n: int, j: int, grid_size: int) -> PhiGrid:
-    return phi_levels(n, j, grid_size)[j]
+def _grid_points(i: np.ndarray, g: int) -> np.ndarray:
+    """The points i/g of the grid of g cells as ``np.linspace(0, 1, g + 1)``
+    takes them: i times the step 1/g, and 1.0 at i = g."""
+    return np.where(i == g, 1.0, i * (1.0 / g))
+
+
+def _sample_blocks(levels: list[PhiGrid]):
+    """Yield (start, samples) for blocks of ``_BLOCK`` consecutive points of
+    the levels' grid, or one block of the whole grid if it is smaller:
+    samples[j, k] is level j's normalized value at point start + k, level 0
+    is 1 everywhere, and the others are one matmul of their node values
+    with the basis.  Consecutive blocks share at least two points, so the
+    second differences of the blocks cover the grid's, and the last block
+    ends at the grid's last point.  The blocks are all of one size because
+    a BLAS matmul of a few columns can take another kernel and round
+    otherwise; of one size, the blocks give the samples of one matmul over
+    the whole grid.  The next block overwrites the samples."""
+    g = levels[0].grid_size
+    size = min(_BLOCK, g + 1)
+    vals = np.array([lv.node_values for lv in levels])
+    samples = np.ones((len(levels), size))
+    last = g + 1 - size
+    for start in chain(range(0, last, size - 2), [last]):
+        x = _grid_points(np.arange(start, start + size), g)
+        np.matmul(vals[1:], _basis(x).T, out=samples[1:])
+        yield start, samples
+
+
+def _block_extrema(start: int, samples: np.ndarray, scale: np.ndarray):
+    """The sampled extrema of one block, as point indices and values: per
+    ratio Phi_{j+1}/Phi_j its max and then its min, and last level 1's
+    largest second difference; the first of equals wins."""
+    ratio = np.divide(samples[1:], samples[:-1])
+    ratio *= scale[:, None]
+    at = np.stack([ratio.argmax(axis=1), ratio.argmin(axis=1)], axis=1).ravel()
+    v = samples[1]
+    d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
+    k = int(np.argmax(d2))
+    value = np.append(ratio[np.repeat(np.arange(len(ratio)), 2), at], d2[k])
+    return start + np.append(at, k + 1), value
+
+
+def _grid_extrema(levels: list[PhiGrid]) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """The sampled extrema of the whole grid: per ratio of consecutive
+    levels its max and then its min, as point indices and values, and level
+    1's largest second difference, as point index and value.  The blocks
+    are merged as they come, so the grid costs no memory; the first of
+    equals wins, and so does the first NaN, as in ``np.argmax``."""
+    scale = np.array([math.exp(b.log_scale - a.log_scale) for a, b in zip(levels, levels[1:])])
+    sign = np.append(np.tile([1.0, -1.0], len(scale)), 1.0)
+    cols = np.arange(len(sign))
+    at = value = None
+    for start, samples in _sample_blocks(levels):
+        a, v = _block_extrema(start, samples, scale)
+        if value is not None:
+            a, v = np.stack([at, a]), np.stack([value, v])
+            first = np.argmax(sign * v, axis=0)  # 0, the earlier blocks, on a tie
+            a, v = a[first, cols], v[first, cols]
+        at, value = a, v
+    return at[:-1], value[:-1], int(at[-1]), float(value[-1])
 
 
 def mu(n: int) -> float:
@@ -231,34 +275,28 @@ def _exponent(n: int, value: float) -> float:
     return 1.0 + math.log(value) / (n * math.log(2.0))
 
 
-def _level_records(n: int, levels: list[PhiGrid], j_max: int) -> list[LevelRecord]:
-    """Ratio extrema of levels j+1 over j, with their exponents, for j <= j_max.
+def _level_records(n: int, levels: list[PhiGrid], ext: np.ndarray,
+                   grid_best: np.ndarray) -> list[LevelRecord]:
+    """Ratio extrema of each level over the one before, with their exponents.
 
     An extremum of q = Phi_{j+1}/Phi_j is its extremum on the sample grid,
     at a point c, or, where more extreme, the best of 60 golden-section
-    steps over [x_{c-1}, x_{c+1}].  All 2(j_max+1) searches, max and min
-    alternating, step in lockstep as arrays, each reading both levels'
+    steps over [x_{c-1}, x_{c+1}]; ``ext`` and ``grid_best`` are the points
+    c and the sampled extrema that ``_grid_extrema`` gives.  All the
+    searches, max and min alternating, step in lockstep as arrays, each reading both levels'
     node values through one ``_basis`` of its points."""
     g = levels[0].grid_size
-    xs = levels[0].nodes
-    scale, ext, grid_best, pairs = [], [], [], []
-    for prev, nxt in zip(levels[: j_max + 1], levels[1 : j_max + 2]):
-        s = math.exp(nxt.log_scale - prev.log_scale)
-        ratio = nxt.grid / prev.grid * s
-        c = [int(np.argmax(ratio)), int(np.argmin(ratio))]
-        scale += [s, s]
-        ext += c
-        grid_best += ratio[c].tolist()
-        pairs += [(prev.node_values, nxt.node_values)] * 2
-    scale, ext = np.array(scale), np.array(ext)
-    lower, upper = (np.array(v) for v in zip(*pairs))  # [search, node]
-    sign = np.tile([1.0, -1.0], j_max + 1)
+    pairs = list(zip(levels, levels[1:]))
+    scale = np.repeat([math.exp(b.log_scale - a.log_scale) for a, b in pairs], 2)
+    lower = np.repeat([a.node_values for a, _ in pairs], 2, axis=0)  # [search, node]
+    upper = np.repeat([b.node_values for _, b in pairs], 2, axis=0)
+    sign = np.tile([1.0, -1.0], len(pairs))
 
     def q(x: np.ndarray) -> np.ndarray:
         basis = _basis(x)
         return scale * (basis * upper).sum(axis=-1) / (basis * lower).sum(axis=-1)
 
-    a, d = xs[np.maximum(ext - 1, 0)], xs[np.minimum(ext + 1, g)]
+    a, d = _grid_points(np.maximum(ext - 1, 0), g), _grid_points(np.minimum(ext + 1, g), g)
     b, c = d - _GOLDEN * (d - a), a + _GOLDEN * (d - a)
     fb, fc = q(b), q(c)
     for _ in range(60):
@@ -271,7 +309,7 @@ def _level_records(n: int, levels: list[PhiGrid], j_max: int) -> list[LevelRecor
         fb, fc = np.where(left, fx, fc), np.where(left, fb, fx)
     # the first of two equals wins, as in Python's max and min
     best = np.where(sign * fc > sign * fb, fc, fb)
-    best = np.where(sign * best > sign * np.array(grid_best), best, grid_best).tolist()
+    best = np.where(sign * best > sign * grid_best, best, grid_best).tolist()
     return [
         LevelRecord(j, lo, hi, _exponent(n, lo), _exponent(n, hi))
         for j, (hi, lo) in enumerate(zip(best[::2], best[1::2]))
@@ -285,7 +323,7 @@ def lambda_bracket(n: int, j_max: int, grid_size: int = DEFAULT_GRID) -> LambdaB
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     levels = phi_levels(n, j_max + 1, grid_size)
-    records = _level_records(n, levels, j_max)
+    records = _level_records(n, levels, *_grid_extrema(levels)[:2])
     last = records[-1]
     return LambdaBracket(
         n,
@@ -396,28 +434,26 @@ class StructuralReport:
 
 
 def structural_checks(n: int, grid_size: int = DEFAULT_GRID) -> StructuralReport:
-    """Verifies, on the sample grid: mirror symmetry about 1/2 for levels up
-    to _J_SYMMETRY, concavity of the first level, monotonicity of the ratio
+    """Verifies mirror symmetry about 1/2 of the node values of levels up
+    to _J_SYMMETRY (the nodes are mirrored, t_{M-1-i} = 1 - t_i), concavity
+    of the first level on the sample grid, monotonicity of the ratio
     extrema up to level _J_MONOTONE, and the integral bound
     int Pi_{nL,c} <= mu(n)^L for L up to _L_MAX."""
     failures: list[str] = []
     levels = phi_levels(n, STRUCTURAL_LEVEL, grid_size)
 
     sym_dev = 0.0
-    for j in range(_J_SYMMETRY + 1):
-        dev = float(np.max(np.abs(levels[j].grid - levels[j].grid[::-1])))
-        sym_dev = max(sym_dev, dev)
+    for lv in levels[: _J_SYMMETRY + 1]:
+        sym_dev = max(sym_dev, float(np.max(np.abs(lv.node_values - lv.node_values[::-1]))))
     if not sym_dev <= 1e-10:
         failures.append(f"symmetry deviation {sym_dev:.3e} above 1e-10")
 
-    v = levels[1].grid
-    d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    max_d2 = float(d2.max())
+    monotone = levels[: _J_MONOTONE + 2]
+    ext, grid_best, i, max_d2 = _grid_extrema(monotone)
     if not max_d2 <= 1e-8:  # a NaN fails too
-        i = int(np.argmax(d2)) + 1
         failures.append(f"second difference {max_d2:.3e} > 1e-8 at node {i}")
 
-    records = _level_records(n, levels, _J_MONOTONE)
+    records = _level_records(n, monotone, ext, grid_best)
     for a, b in zip(records, records[1:]):
         if b.ratio_max > a.ratio_max + 1e-9:
             failures.append(f"ratio max increased at level {b.j}")

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from halkron.metric import _NODES, PhiGrid
+from halkron.metric import _NODES
 
 
 def _operator(n: int, f):
@@ -33,19 +33,18 @@ def _operator(n: int, f):
     return lf
 
 
-def oracle_phi_levels(n: int, j_max: int, grid_size: int) -> list[PhiGrid]:
-    """Levels 0..j_max of the recurrence from the constant 1, each sampled on
-    grid_size + 1 uniform points."""
+def oracle_phi_levels(n: int, j_max: int, grid_size: int) -> list[tuple[np.ndarray, float]]:
+    """Levels 0..j_max of the recurrence from the constant 1, each as its
+    normalized samples on grid_size + 1 uniform points and its log scale."""
     series = np.polynomial.Chebyshev
     deg = _NODES - 1
     t = (np.polynomial.chebyshev.chebpts1(_NODES) + 1.0) / 2.0  # the points on [0,1]
     xs = np.linspace(0.0, 1.0, grid_size + 1)
-    levels = [PhiGrid(n, 0, np.ones(_NODES), 0.0, np.ones(grid_size + 1))]
+    levels = [(np.ones(grid_size + 1), 0.0)]
     f = series.interpolate(np.ones_like, deg, domain=[0.0, 1.0])
     while len(levels) <= j_max:
         lf = _operator(n, f)
         s = float(lf(t).max())
         f = series.interpolate(lambda x: lf(x) / s, deg, domain=[0.0, 1.0])
-        log_scale = levels[-1].log_scale + math.log(s)
-        levels.append(PhiGrid(n, len(levels), f(t), log_scale, f(xs)))
+        levels.append((f(xs), levels[-1][1] + math.log(s)))
     return levels

@@ -222,15 +222,19 @@ class TestKernelGuard:
             assert code == 2 and out == ""
             assert err == "error: n must lie in 1..1000\n"
 
-    def test_large_grid_is_guarded(self, capsys):
-        # 2^22 + 1 samples of levels 0..13 and the basis of their points,
-        # each basis taking 8 * 48 + 17 bytes a point: about 2.2 GB
-        code, out, err = run(capsys, "lambda", "--n", "1", "--depth", "12", "--grid", str(1 << 22))
+    def test_large_depth_is_guarded(self, capsys):
+        # the grid is sampled a block at a time, so 2^22 cells need no
+        # --force; the depth sets the level stack, the sample block and the
+        # searches: levels 0..5001 of a block of 2^14 + 1 points need 1.3 GB
+        code, out, _ = run(capsys, "lambda", "--n", "1", "--depth", "12", "--grid", str(1 << 22))
+        assert code == 0 and "# n=1: exponent bracket" in out
+        code, out, err = run(capsys, "lambda", "--n", "1", "--depth", "5000")
         assert code == 3
         assert out == ""
-        points = 48 * 2 + 2**22 + 1
-        need = points * (8 * 48 + 17) + 8 * (48 * 2 + 14 * 48 + 8192 + 14 * (2**22 + 1))
-        assert f"levels 0..13 need {need} bytes" in err and "--force" in err
+        levels, basis = 5002, 8 * 48 + 17
+        need = (8 * (levels * 48 + 8192) + 2 * 48 * (basis + 8)
+                + (2**14 + 1) * (basis + 8 + 16 * levels) + 2 * 5001 * (4 * 8 * 48 + basis))
+        assert f"levels 0..5001 need {need} bytes" in err and "--force" in err
 
     def test_force_overrides_the_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DEFAULT_BYTE_CAP", 1000)
@@ -241,8 +245,9 @@ class TestKernelGuard:
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0
         assert "exponent bracket" in out
-        code, _, _ = run(capsys, "certify", "--n", "1", "--grid", "2000")
-        assert code == 3
+        # certify's levels take the same bytes for every n, so no byte cap guards them
+        code, _, _ = run(capsys, "certify", "--n", "1", "--grid", "2000", "--blocks", "5")
+        assert code == 0
 
     def test_grid_rule_is_checked_first(self, capsys, monkeypatch):
         # integral's one size rule is integral_pi's n * L <= 60, a usage
@@ -535,16 +540,17 @@ def test_n_below_one_is_usage_error(capsys, argv, n):
     assert err == "error: n must be >= 1\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["lambda", "--n", "1", "--depth", "1", "--grid", "256", "--compare-grid", "512"],
-    ["certify", "--n", "1", "--grid", "2000", "--struct-grid", "2048"],
-    ["integral", "--n", "1", "--L", "1", "--quad", "8"],
-], ids=["lambda", "certify", "integral"])
-def test_removed_flags_are_rejected(capsys, argv):
+@pytest.mark.parametrize("argv,removed", [
+    (["lambda", "--n", "1", "--depth", "1", "--grid", "256"], ["--compare-grid", "512"]),
+    (["certify", "--n", "1", "--grid", "2000"], ["--struct-grid", "2048"]),
+    (["integral", "--n", "1", "--L", "1"], ["--quad", "8"]),
+    (["integral", "--n", "1", "--L", "1"], ["--force"]),
+], ids=["lambda", "certify", "integral", "integral-force"])
+def test_removed_flags_are_rejected(capsys, argv, removed):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
+        cli.main(argv + removed)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

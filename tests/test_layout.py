@@ -19,6 +19,10 @@ The only exceptions are the paper's identities that acceptance criteria 8
 exponential sum) and 9 (the discrepancy lower bound) check: no command
 needs them, and they are the library's statement of the paper, not test
 helpers.
+
+Every module-level function of the package is likewise used in the
+program, outside its own def, or exported by ``halkron/__init__.py``: a
+function that only tests call belongs in the tests.
 """
 
 import ast
@@ -57,13 +61,31 @@ def used_names(node: ast.AST, enclosing: tuple[str, ...] = ()) -> set[str]:
     return found
 
 
-def test_every_export_runs_in_the_program():
+def program_names() -> set[str]:
+    """The names that the modules of the package other than ``__init__``
+    use, each outside the def or class of the same name."""
     used = set()
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
             used |= used_names(ast.parse(path.read_text()))
-    unused = exported_names() - used
+    return used
+
+
+def test_every_export_runs_in_the_program():
+    unused = exported_names() - program_names()
     assert unused == PAPER_IDENTITIES, f"exported with no user in src/: {sorted(unused - PAPER_IDENTITIES)}"
+
+
+def test_every_function_runs_in_the_program():
+    defined = {
+        f"{path.name}:{node.name}": node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    keep = program_names() | exported_names()
+    unused = sorted(where for where, name in defined.items() if name not in keep)
+    assert unused == [], f"functions with no user in src/ and no export: {unused}"
 
 
 def calls(path: Path):

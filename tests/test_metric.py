@@ -8,24 +8,33 @@ import pytest
 
 from kernel_oracle import full_fill
 from level_step_oracle import oracle_phi_levels
-from ratio_search_oracle import oracle_ratio_extrema
+from ratio_search_oracle import grid_samples, oracle_ratio_extrema
 from quadrature_oracle import pi_direct_quadrature
 from halkron import metric
 from halkron.metric import (
     _NODES,
+    PhiGrid,
     _chebyshev,
     _pi_direct_quadrature,
     integral_pi,
     lambda_bracket,
     level_bytes,
     mu,
-    phi_level,
     phi_levels,
     structural_checks,
 )
 from halkron.trigprod import lacunary_factor
 
 GRID = 1 << 12  # enough for unit tests; acceptance uses 2^14
+
+
+def phi_level(n: int, j: int, grid_size: int) -> PhiGrid:
+    return phi_levels(n, j, grid_size)[j]
+
+
+def level_samples(n: int, j: int, grid_size: int) -> np.ndarray:
+    """Level j's normalized samples on the grid_size + 1 points of its grid."""
+    return grid_samples(phi_levels(n, j, grid_size))[j]
 
 
 def factor_sizes(monkeypatch) -> list[int]:
@@ -44,16 +53,17 @@ def factor_sizes(monkeypatch) -> list[int]:
 class TestPhiLevel:
     def test_level_zero_is_one(self):
         lv = phi_level(3, 0, GRID)
-        assert (lv.grid == 1.0).all()
+        assert (lv.node_values == 1.0).all()
+        assert (level_samples(3, 0, GRID) == 1.0).all()
         assert lv.log_scale == 0.0
 
     def test_closed_form_level_one_n1(self):
         # folding the two branches by half-angle identities:
         # (sin(x pi/2) + cos(x pi/2)) / 2
         lv = phi_level(1, 1, 1 << 14)
-        xs = lv.nodes
+        xs = np.linspace(0.0, 1.0, (1 << 14) + 1)
         expected = (np.sin(xs * np.pi / 2) + np.cos(xs * np.pi / 2)) / 2.0
-        got = lv.values()
+        got = level_samples(1, 1, 1 << 14) * math.exp(lv.log_scale)
         assert np.max(np.abs(got - expected)) < 1e-9
 
     def test_half_point_value_n1(self):
@@ -63,13 +73,12 @@ class TestPhiLevel:
     def test_interior_positive(self):
         for n in (1, 2, 3):
             for j in (1, 2, 3):
-                lv = phi_level(n, j, GRID)
-                assert (lv.grid[1:-1] > 0.0).all()
+                assert (level_samples(n, j, GRID)[1:-1] > 0.0).all()
 
     def test_symmetry(self):
         for n in (1, 2, 4):
-            lv = phi_level(n, 3, GRID)
-            assert np.max(np.abs(lv.grid - lv.grid[::-1])) < 1e-10
+            v = level_samples(n, 3, GRID)
+            assert np.max(np.abs(v - v[::-1])) < 1e-10
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -82,11 +91,9 @@ class TestPhiLevel:
             with pytest.raises(ValueError, match=r"n must lie in 1\.\.1000"):
                 phi_level(n, 1, GRID)
 
-    def test_cached_grid_is_read_only(self):
+    def test_node_values_are_read_only(self):
         before = lambda_bracket(2, 4, GRID)
         lv = phi_level(2, 3, GRID)
-        with pytest.raises(ValueError):
-            lv.grid[GRID // 2] = 0.0
         with pytest.raises(ValueError):
             lv.node_values[3] = 0.0
         assert lambda_bracket(2, 4, GRID) == before
@@ -106,11 +113,14 @@ class TestPhiLevel:
         assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_fields_cannot_be_rebound(self):
+        # a level holds no samples: the grid is only where its ratio search starts
         lv = phi_level(1, 2, 256)
         cubic = lv.interpolate(0.3001)
-        for name, value in (("grid", np.zeros(257)), ("log_scale", 0.0)):
+        fields = [f.name for f in dataclasses.fields(lv)]
+        assert fields == ["n", "level", "node_values", "log_scale", "grid_size"]
+        for name in fields:
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(lv, name, value)
+                setattr(lv, name, 0)
         assert lv.interpolate(0.3001) == cubic
 
     def test_levels_are_not_retained(self):
@@ -138,9 +148,9 @@ class TestLevelStepOracle:
         got = phi_levels(n, 13, grid)
         want = oracle_phi_levels(n, 13, grid)
         assert len(got) == len(want) == 14
-        for a, b in zip(got, want):
-            assert np.max(np.abs(a.grid - b.grid)) <= 1e-12
-            assert abs(a.log_scale - b.log_scale) <= 1e-12
+        for a, samples, (want_samples, want_log) in zip(got, grid_samples(got), want):
+            assert np.max(np.abs(samples - want_samples)) <= 1e-12
+            assert abs(a.log_scale - want_log) <= 1e-12
 
 
 class TestKernelOracle:
@@ -156,10 +166,10 @@ class TestKernelOracle:
     def test_node_rows_equal_the_full_fill(self, n, grid):
         levels = phi_levels(n, 2, grid)
         nodes = _chebyshev(_NODES)[0]
-        for prev, lv in zip(levels, levels[1:]):
+        for prev, lv, samples in zip(levels, levels[1:], grid_samples(levels)[1:]):
             want = full_fill(n, grid, nodes, prev.node_values) * math.exp(prev.log_scale - lv.log_scale)
             assert np.isfinite(want).all()
-            assert np.max(np.abs(lv.grid - want)) <= 1e-13
+            assert np.max(np.abs(samples - want)) <= 1e-13
 
     def test_cosines_taken_once(self, monkeypatch):
         taken = factor_sizes(monkeypatch)
@@ -230,8 +240,9 @@ class TestLambdaBracket:
         # denormalized level values
         levels = phi_levels(2, 5, GRID)
         a, b = levels[4], levels[5]
-        q_norm = b.grid / a.grid * math.exp(b.log_scale - a.log_scale)
-        q_plain = b.values() / a.values()
+        grid_a, grid_b = grid_samples(levels)[4:]
+        q_norm = grid_b / grid_a * math.exp(b.log_scale - a.log_scale)
+        q_plain = (grid_b * math.exp(b.log_scale)) / (grid_a * math.exp(a.log_scale))
         assert np.max(np.abs(q_norm - q_plain)) < 1e-12 * np.max(q_plain)
 
     def test_grid_doubling_convergence(self):
@@ -278,13 +289,13 @@ class TestIntegralPi:
         n, l, j = 2, 3, 1
         lv = phi_level(n, j, 1 << 12)
         # composite Simpson rule for Phi_{n,j}(x) * Pi_{n(L-j),c}(x) on the level's sample grid
-        xs = lv.nodes
+        xs = np.linspace(0.0, 1.0, (1 << 12) + 1)
         gamma = PerturbSpec(n).gamma(n * (l - j))
         prod = np.ones_like(xs)
         for idx in range(n * (l - j)):
             t = (xs * float(2**idx)) % 1.0
             prod *= np.sin(np.pi * np.minimum(t, 1 - t)) if gamma[idx] else np.sin(np.pi * np.abs(0.5 - t))
-        y = lv.values() * prod
+        y = level_samples(n, j, 1 << 12) * math.exp(lv.log_scale) * prod
         lhs = (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()) / (3.0 * len(xs) - 3.0)
         rhs = _pi_direct_quadrature(n, l, 8)
         assert lhs == pytest.approx(rhs, abs=2e-7)
@@ -367,14 +378,17 @@ class TestByteGuards:
         peak = traced_peak(_pi_direct_quadrature, n, l, metric._QUAD_POINTS)
         assert peak <= 8 * (2**19 * 8 + 2**18 + 8**2 + 8192) + self.SLACK
 
-    @pytest.mark.parametrize("grid", [1 << 14, 1 << 18])
+    @pytest.mark.parametrize("grid", [1 << 14, 1 << 18, 1 << 20])
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_level_bytes(self, n, grid):
-        # the [grid + 1, 48] basis and the samples of levels 0..13
-        # dominate; the one-step builds take 2 x 48 points whatever n is
-        need = level_bytes(n, 13, grid) + self.SLACK
-        assert traced_peak(lambda_bracket, n, 12, grid) <= need
-        assert traced_peak(structural_checks, n, grid) <= need
+        # the grid is sampled a block of 2^14 + 1 points at a time, so its
+        # size moves the peak by no more than the slack; the basis and the
+        # samples of one block dominate, whatever n is
+        need = level_bytes(13) + self.SLACK
+        for fn, args in ((lambda_bracket, (n, 12)), (structural_checks, (n,))):
+            peak = traced_peak(fn, *args, grid)
+            assert peak <= need
+            assert abs(peak - traced_peak(fn, *args, 1 << 14)) <= self.SLACK
 
 
 class TestStructuralChecks:
@@ -395,9 +409,11 @@ class TestStructuralChecks:
 class TestRatioSearchOracle:
     """The lockstep array search of every ratio extremum against the former
     scalar golden-section search in ``ratio_search_oracle``, bit for bit, on
-    power-of-two and other grids; 2^8 divides each grid."""
+    power-of-two and other grids of one block or several; 2^8 divides each
+    grid."""
 
     CASES = [(n, g) for g in (1 << 11, 1 << 14, 3 << 10, 5 << 9) for n in range(1, 9)]
+    CASES += [(1, 1 << 18), (3, 1 << 18)]  # 17 blocks of samples
 
     @pytest.mark.parametrize("n,grid", CASES)
     def test_extrema_match(self, n, grid):
