@@ -6,8 +6,10 @@ Each flag that several commands share is declared once, as a parent
 parser (``--width`` with ``--alpha``).  Every output goes through
 ``_emit``, which embeds a format version and the config, exactly the
 flags the result reads: the command and ``--key value`` per config key
-re-produce the file byte for byte.  Every size cap goes through
-``_guard``: the caps are CLI policy, and library functions cap no size.
+re-produce the file byte for byte.  Every size cap is a constant that
+counts what the flags ask for (points, levels, terms or rows), checked
+through ``_guard``, and ``--force`` is the one way past it: the caps are
+CLI policy, and library functions cap no size.
 Exit codes: 0 success, 2 usage, 3 guard (a size above its cap, or an
 allocation that fails), 4 certification failure.
 """
@@ -41,9 +43,9 @@ EXIT_CERTIFY = 4
 
 # central defaults, see README
 DEFAULT_DEPTH = 12
-DEFAULT_GUARD = 1 << 16
 DEFAULT_CERTIFY_GRID = 100_000
-DEFAULT_BYTE_CAP = 1 << 30  # bytes of one ratio search of `lambda`
+DEFAULT_POINT_CAP = 1 << 16  # points of `gen` and `disc`, N = 2^(nL) of `scan`
+DEFAULT_DEPTH_CAP = 4000  # levels of `lambda`, at most 16 (2^14 + 1) bytes each
 DEFAULT_MU_CAP = 1 << 16  # terms 2^n of the mu(n) sum of `certify`
 DEFAULT_BOUND_ROW_CAP = 1 << 22  # rows of one bound table
 
@@ -168,7 +170,7 @@ def _point_set(args, command: str) -> PointSet2:
     n = _single_n(parse_range(args.n), command)
     if args.count < 1:
         raise UsageError("count must be >= 1")
-    _guard(args.count, args.guard, args.force, f"the point set has {args.count} points")
+    _guard(args.count, DEFAULT_POINT_CAP, args.force, f"the point set has {args.count} points")
     return generate_point_set(PerturbSpec(n), parse_alpha(args.alpha, n, args.width), args.count)
 
 
@@ -206,7 +208,7 @@ def cmd_scan(args) -> int:
     if ls[0] < 1:
         raise UsageError("L values must be >= 1")
     bits = n * ls[-1]
-    _guard(1 << bits, args.guard, args.force, f"L = {ls[-1]} gives N = 2^{bits} points")
+    _guard(1 << bits, DEFAULT_POINT_CAP, args.force, f"L = {ls[-1]} gives N = 2^{bits} points")
     rec = discrepancy.growth_scan(PerturbSpec(n), alpha, ls)
     rows = [
         [ell, n_pts, repr(nd), repr(math.log(n_pts)), repr(math.log(nd))]
@@ -241,9 +243,7 @@ def cmd_trig(args) -> int:
 def cmd_lambda(args) -> int:
     ns = parse_range(args.n)
     _check_levels(ns, args.grid)
-    size = metric.level_bytes(args.depth + 1)
-    _guard(size, DEFAULT_BYTE_CAP, args.force,
-           f"depth {args.depth}: levels 0..{args.depth + 1} need {size} bytes")
+    _guard(args.depth, DEFAULT_DEPTH_CAP, args.force, f"depth {args.depth}")
     brackets = {n: metric.lambda_bracket(n, args.depth, args.grid) for n in ns}
     lead = len(ns) > 1  # a range of n puts n in the first column
     rows = [
@@ -346,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed-point width in bits (default 128); bits: carries its own")
     json_out = flag("--json", help="also write the result as a JSON document to this file")
     force = flag("--force", action="store_true", help="build sizes above their cap")
-    guard = flag("--guard", type=int, default=DEFAULT_GUARD,
-                 help="largest point count built without --force")
 
     p = argparse.ArgumentParser(
         prog="halkron",
@@ -360,15 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    sp = command("gen", cmd_gen, "write a point-set CSV", alpha, guard, force)
+    sp = command("gen", cmd_gen, "write a point-set CSV", alpha, force)
     sp.add_argument("--count", type=int, required=True)
 
     sp = command("disc", cmd_disc, "exact 2D star discrepancy of a generated set",
-                 alpha, guard, force, json_out)
+                 alpha, force, json_out)
     sp.add_argument("--count", type=int, required=True)
 
-    sp = command("scan", cmd_scan, "growth scan N*D*_N over N = 2^{nL}",
-                 alpha, guard, force, json_out)
+    sp = command("scan", cmd_scan, "growth scan N*D*_N over N = 2^{nL}", alpha, force, json_out)
     sp.add_argument("--L", required=True)
 
     sp = command("trig", cmd_trig, "exponent curve a(n) or dichotomy sweep")

@@ -276,7 +276,7 @@ def growth_scan(spec: PerturbSpec, alpha: UnitFraction, exponents: Sequence[int]
     of log(N*D*) against log N.  The underlying bounds only control the
     limsup rate, so the fit is reported with its residual, never asserted.
     No size is capped here: the time is quadratic in the largest N, and the
-    CLI's ``scan`` refuses N above its ``--guard`` unless forced."""
+    CLI's ``scan`` refuses N above its point cap unless forced."""
     if not exponents:
         raise ValueError("need at least one L value")
     n = spec.period

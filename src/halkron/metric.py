@@ -120,21 +120,6 @@ def check_levels(n: int, grid_size: int) -> None:
         raise ValueError(f"grid_size must be >= {_MIN_GRID}")
 
 
-def level_bytes(j_max: int) -> int:
-    """Bytes that the ratio search over levels 0..j_max allocates, whatever
-    n and the grid: the [j_max + 1, M] node values, a ufunc buffer
-    (``np.getbufsize``), per ``_basis`` point its argument, M basis values,
-    row sum and node-hit flag, with the factor of each of the 2M points of
-    a one-step build; per point of a sample block also its index, the
-    j_max + 1 samples, the j_max ratios and a second difference; and per
-    search of the 2 j_max its node values of two levels, the basis of its
-    point and their product."""
-    m = _NODES
-    basis = 8 * m + 17  # bytes a point
-    return (8 * ((j_max + 1) * m + np.getbufsize()) + 2 * m * (basis + 8)
-            + _BLOCK * (basis + 8 + 16 * (j_max + 1)) + 2 * j_max * (4 * 8 * m + basis))
-
-
 def _step(sine: bool) -> np.ndarray:
     """The M x M collocation of the one-step operator
     S g(x) = 1/2 sum_{e<2} f((x + e)/2) g((x + e)/2), f = |sin(pi .)| if
@@ -221,19 +206,15 @@ def _grid_extrema(levels: list[PhiGrid]) -> tuple[np.ndarray, np.ndarray, int, f
     """The sampled extrema of the whole grid: per ratio of consecutive
     levels its max and then its min, as point indices and values, and level
     1's largest second difference, as point index and value.  The blocks
-    are merged as they come, so the grid costs no memory; the first of
-    equals wins, and so does the first NaN, as in ``np.argmax``."""
+    keep only their extrema, 2j + 1 each, and one ``np.argmax`` over the
+    stack merges them: the first of equals wins, and so does the first NaN."""
     scale = np.array([math.exp(b.log_scale - a.log_scale) for a, b in zip(levels, levels[1:])])
     sign = np.append(np.tile([1.0, -1.0], len(scale)), 1.0)
+    at, value = map(np.array, zip(*(_block_extrema(start, samples, scale)
+                                    for start, samples in _sample_blocks(levels))))
+    first = np.argmax(sign * value, axis=0)  # the earliest block on a tie
     cols = np.arange(len(sign))
-    at = value = None
-    for start, samples in _sample_blocks(levels):
-        a, v = _block_extrema(start, samples, scale)
-        if value is not None:
-            a, v = np.stack([at, a]), np.stack([value, v])
-            first = np.argmax(sign * v, axis=0)  # 0, the earlier blocks, on a tie
-            a, v = a[first, cols], v[first, cols]
-        at, value = a, v
+    at, value = at[first, cols], value[first, cols]
     return at[:-1], value[:-1], int(at[-1]), float(value[-1])
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -60,8 +61,9 @@ class TestGen:
             assert code == 2
             assert "bits spec must look like bits:0x1234:128" in err
 
-    def test_guard_and_force(self, capsys):
-        argv = ["gen", "--n", "1", "--count", "5", "--guard", "4"]
+    def test_guard_and_force(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_POINT_CAP", 4)
+        argv = ["gen", "--n", "1", "--count", "5"]
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
@@ -117,8 +119,9 @@ class TestDiscAndScan:
 
     @pytest.mark.parametrize("argv", [["disc", "--count", "64"], ["scan", "--L", "4..6"]],
                              ids=["disc", "scan"])
-    def test_guard_and_force(self, capsys, argv):
-        argv = [*argv, "--n", "1", "--guard", "16"]
+    def test_guard_and_force(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "DEFAULT_POINT_CAP", 16)
+        argv = [*argv, "--n", "1"]
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
@@ -222,22 +225,27 @@ class TestKernelGuard:
             assert code == 2 and out == ""
             assert err == "error: n must lie in 1..1000\n"
 
-    def test_large_depth_is_guarded(self, capsys):
+    def test_large_depth_is_guarded(self, capsys, monkeypatch):
         # the grid is sampled a block at a time, so 2^22 cells need no
-        # --force; the depth sets the level stack, the sample block and the
-        # searches: levels 0..5001 of a block of 2^14 + 1 points need 1.3 GB
+        # --force; the depth cap counts levels, and a depth above it is
+        # refused before any level is built
         code, out, _ = run(capsys, "lambda", "--n", "1", "--depth", "12", "--grid", str(1 << 22))
         assert code == 0 and "# n=1: exponent bracket" in out
-        code, out, err = run(capsys, "lambda", "--n", "1", "--depth", "5000")
-        assert code == 3
-        assert out == ""
-        levels, basis = 5002, 8 * 48 + 17
-        need = (8 * (levels * 48 + 8192) + 2 * 48 * (basis + 8)
-                + (2**14 + 1) * (basis + 8 + 16 * levels) + 2 * 5001 * (4 * 8 * 48 + basis))
-        assert f"levels 0..5001 need {need} bytes" in err and "--force" in err
+
+        def build(*args):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(cli.metric, "phi_levels", build)
+        for depth in (4001, 5000):
+            code, out, err = run(capsys, "lambda", "--n", "1", "--depth", str(depth))
+            assert code == 3 and out == ""
+            assert err == (f"guard: depth {depth}, above the cap of 4000; "
+                           "pass --force to go past it\n")
+        with pytest.raises(AssertionError, match="a level was built"):
+            cli.main(["lambda", "--n", "1", "--depth", "4000"])
 
     def test_force_overrides_the_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "DEFAULT_BYTE_CAP", 1000)
+        monkeypatch.setattr(cli, "DEFAULT_DEPTH_CAP", 0)
         argv = ["lambda", "--n", "1", "--depth", "1", "--grid", "256"]
         code, _, err = run(capsys, *argv)
         assert code == 3
@@ -245,7 +253,7 @@ class TestKernelGuard:
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0
         assert "exponent bracket" in out
-        # certify's levels take the same bytes for every n, so no byte cap guards them
+        # certify's levels 0..13 take the same bytes for every n, so no depth cap guards them
         code, _, _ = run(capsys, "certify", "--n", "1", "--grid", "2000", "--blocks", "5")
         assert code == 0
 
@@ -495,19 +503,21 @@ def test_help_lists_width_for_the_alpha_commands_only(capsys, command):
     assert ("--width" in capsys.readouterr().out) == (command in ("gen", "disc", "scan", "bound"))
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "--n", "2", "--alpha", "frac:1/3", "--count", "8", "--width", "40"],
-    ["gen", "--n", "2", "--alpha", "bits:0xdeadbeef:32", "--count", "8"],
-    ["disc", "--n", "1", "--alpha", "rational", "--count", "64"],
-    ["scan", "--n", "1", "--L", "2..4"],
-    ["trig", "--n", "1..5"],
-    ["trig", "--n", "3", "--mode", "gn", "--grid", "1000"],
-    ["lambda", "--n", "1..2", "--depth", "2", "--grid", "256"],
-    ["certify", "--n", "1", "--grid", "2000", "--blocks", "5"],
-    ["bound", "--n", "3", "--N", "1024", "--H", "8", "--K", "8", "--width", "200"],
-    ["integral", "--n", "1", "--L", "2"],
-], ids=["gen-frac-40", "gen-bits", "disc", "scan", "trig-an", "trig-gn", "lambda", "certify",
-        "bound-wide", "integral"])
+SMALL_COMMANDS = {
+    "gen-frac-40": ["gen", "--n", "2", "--alpha", "frac:1/3", "--count", "8", "--width", "40"],
+    "gen-bits": ["gen", "--n", "2", "--alpha", "bits:0xdeadbeef:32", "--count", "8"],
+    "disc": ["disc", "--n", "1", "--alpha", "rational", "--count", "64"],
+    "scan": ["scan", "--n", "1", "--L", "2..4"],
+    "trig-an": ["trig", "--n", "1..5"],
+    "trig-gn": ["trig", "--n", "3", "--mode", "gn", "--grid", "1000"],
+    "lambda": ["lambda", "--n", "1..2", "--depth", "2", "--grid", "256"],
+    "certify": ["certify", "--n", "1", "--grid", "2000", "--blocks", "5"],
+    "bound-wide": ["bound", "--n", "3", "--N", "1024", "--H", "8", "--K", "8", "--width", "200"],
+    "integral": ["integral", "--n", "1", "--L", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", SMALL_COMMANDS.values(), ids=SMALL_COMMANDS.keys())
 def test_an_output_rebuilds_from_its_own_config(capsys, argv):
     # the header replays as <command> --key value ..., with no other flag
     code, out, _ = run(capsys, *argv)
@@ -540,12 +550,56 @@ def test_n_below_one_is_usage_error(capsys, argv, n):
     assert err == "error: n must be >= 1\n"
 
 
+def test_a_range_below_one_is_written_with_equals(capsys):
+    # argparse reads a bare -3..2 as a flag; written --n=-3..2 it reaches
+    # the CLI's own rule on n, for the commands that take a range
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lambda", "--n", "-3..2"])
+    assert exc.value.code == 2
+    assert "argument --n: expected one argument" in capsys.readouterr().err
+    for argv in (["lambda", "--depth", "1", "--grid", "256"], ["certify", "--grid", "2000"]):
+        assert run(capsys, *argv, "--n=-3..2") == (2, "", "error: n must be >= 1\n")
+
+
+def options_read(argv: list[str]) -> set[str]:
+    """The attributes that the command of ``argv`` reads from its parsed
+    options while it runs; what argparse reads while it parses is not counted."""
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = cli.build_parser().parse_args(argv, namespace=Recording())
+    read.clear()
+    assert args.func(args) == 0
+    return read
+
+
+@pytest.mark.parametrize("command", sorted({argv[0] for argv in SMALL_COMMANDS.values()}))
+def test_every_option_is_read(capsys, command):
+    # an option that its command never reads does nothing; trig reads
+    # --grid in gn mode only, so the reads of all argvs of a command count
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+    read = set().union(*(options_read(argv) for argv in SMALL_COMMANDS.values()
+                         if argv[0] == command))
+    capsys.readouterr()
+    assert dests - read == set()
+
+
 @pytest.mark.parametrize("argv,removed", [
     (["lambda", "--n", "1", "--depth", "1", "--grid", "256"], ["--compare-grid", "512"]),
     (["certify", "--n", "1", "--grid", "2000"], ["--struct-grid", "2048"]),
     (["integral", "--n", "1", "--L", "1"], ["--quad", "8"]),
     (["integral", "--n", "1", "--L", "1"], ["--force"]),
-], ids=["lambda", "certify", "integral", "integral-force"])
+    (["gen", "--n", "1", "--count", "4"], ["--guard", "16"]),
+    (["disc", "--n", "1", "--count", "4"], ["--guard", "16"]),
+    (["scan", "--n", "1", "--L", "2"], ["--guard", "16"]),
+], ids=["lambda", "certify", "integral", "integral-force", "gen-guard", "disc-guard",
+        "scan-guard"])
 def test_removed_flags_are_rejected(capsys, argv, removed):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + removed)

@@ -11,6 +11,7 @@ from level_step_oracle import oracle_phi_levels
 from ratio_search_oracle import grid_samples, oracle_ratio_extrema
 from quadrature_oracle import pi_direct_quadrature
 from halkron import metric
+from halkron.cli import DEFAULT_DEPTH_CAP
 from halkron.metric import (
     _NODES,
     PhiGrid,
@@ -18,7 +19,6 @@ from halkron.metric import (
     _pi_direct_quadrature,
     integral_pi,
     lambda_bracket,
-    level_bytes,
     mu,
     phi_levels,
     structural_checks,
@@ -355,10 +355,10 @@ def traced_peak(fn, *args) -> int:
 
 
 class TestByteGuards:
-    """The byte counts that the CLI guards against its cap are at least the
-    traced peak of what they guard, and the direct quadrature, which it does
-    not guard, stays below a fixed bound, each up to a fixed slack for
-    Python objects and numpy's small temporaries."""
+    """The levels that ``lambda``'s depth cap admits stay below 2^30 traced
+    bytes, and the direct quadrature, which no cap guards, stays below a
+    fixed bound, each up to a fixed slack for Python objects and numpy's
+    small temporaries."""
 
     SLACK = 1 << 16
 
@@ -381,14 +381,17 @@ class TestByteGuards:
     @pytest.mark.parametrize("grid", [1 << 14, 1 << 18, 1 << 20])
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_level_bytes(self, n, grid):
-        # the grid is sampled a block of 2^14 + 1 points at a time, so its
-        # size moves the peak by no more than the slack; the basis and the
-        # samples of one block dominate, whatever n is
-        need = level_bytes(13) + self.SLACK
+        # the grid is sampled a block of 2^14 + 1 points at a time, so up to
+        # 2^20 its size moves the peak by no more than the slack; a level
+        # adds its samples and its ratios on one block, 16 (2^14 + 1)
+        # bytes whatever n, so the cap's depth stays below 2^30 bytes
         for fn, args in ((lambda_bracket, (n, 12)), (structural_checks, (n,))):
             peak = traced_peak(fn, *args, grid)
-            assert peak <= need
             assert abs(peak - traced_peak(fn, *args, 1 << 14)) <= self.SLACK
+        per_level = 16 * ((1 << 14) + 1)
+        low, high = (traced_peak(lambda_bracket, n, depth, 1 << 14) for depth in (12, 400))
+        assert high - low <= (400 - 12) * per_level + self.SLACK
+        assert low + (DEFAULT_DEPTH_CAP - 12) * per_level + self.SLACK < 1 << 30
 
 
 class TestStructuralChecks:
