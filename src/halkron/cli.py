@@ -58,8 +58,9 @@ class GuardError(ValueError):
     """A size above its cap without ``--force`` (exit 3)."""
 
 
-def parse_range(text: str) -> list[int]:
-    """'4..13' -> [4..13]; '3' -> [3]."""
+def parse_range(text: str) -> range:
+    """'4..13' -> range(4, 14); '3' -> range(3, 4).  No list is built, so a
+    huge range costs nothing before a check reads its ends."""
     lo, sep, hi = text.partition("..")
     try:
         lo_i = int(lo)
@@ -68,10 +69,19 @@ def parse_range(text: str) -> list[int]:
         raise UsageError("range must look like 4..13 or 3") from None
     if hi_i < lo_i:
         raise UsageError(f"empty range {text!r}")
-    return list(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
-def _single_n(ns: list[int], command: str) -> int:
+def parse_n(text: str) -> range:
+    """The ``--n`` range of every command: an n below 1 is a usage error,
+    before any other rule reads n."""
+    ns = parse_range(text)
+    if ns[0] < 1:
+        raise UsageError("n must be >= 1")
+    return ns
+
+
+def _single_n(ns: range, command: str) -> int:
     """The one n of a parsed range, for commands that take a single n."""
     if len(ns) != 1:
         raise UsageError(f"{command} takes a single n")
@@ -112,7 +122,8 @@ def _emit(args, config: dict, body: str | None = None, payload: dict | None = No
     where the command has it, gets ``payload`` with indent 2.  A JSON
     document is one object, keys sorted, that holds the format version and
     config next to ``payload``.  The path ``-`` is stdout, written last: a
-    file that cannot be written is a usage error before any output."""
+    file that cannot be written is a usage error before anything reaches
+    stdout, though a file written before it stays written."""
 
     def document(ind: int | None) -> str:
         doc = {"format_version": FORMAT_VERSION, "config": config, **payload}
@@ -155,19 +166,10 @@ def _guard(need: int, cap: int, force: bool, what: str) -> None:
         raise GuardError(f"{what}, above the cap of {cap}; pass --force to go past it")
 
 
-def _check_levels(ns: list[int], grid: int) -> None:
-    """An n below 1 is a usage error, and so is an n or a grid that
-    ``metric.phi_levels`` refuses, before any level is built."""
-    if min(ns) < 1:
-        raise UsageError("n must be >= 1")
-    for n in ns:
-        metric.check_levels(n, grid)
-
-
 def _point_set(args, command: str) -> PointSet2:
     """The first ``--count`` points for ``--n`` and the alpha, after the
     usage checks and the point guard (``gen`` and ``disc``)."""
-    n = _single_n(parse_range(args.n), command)
+    n = _single_n(parse_n(args.n), command)
     if args.count < 1:
         raise UsageError("count must be >= 1")
     _guard(args.count, DEFAULT_POINT_CAP, args.force, f"the point set has {args.count} points")
@@ -202,7 +204,7 @@ def cmd_disc(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    n = _single_n(parse_range(args.n), "scan")
+    n = _single_n(parse_n(args.n), "scan")
     alpha = parse_alpha(args.alpha, n, args.width)
     ls = parse_range(args.L)
     if ls[0] < 1:
@@ -225,7 +227,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_trig(args) -> int:
-    ns = parse_range(args.n)
+    ns = parse_n(args.n)
     cfg = _config(args, ["n", "mode"] + ["grid"] * (args.mode == "gn"))
     if args.mode == "an":
         _emit(args, cfg, _csv(["n", "a_n"], [[n, repr(trigprod.a_exponent(n))] for n in ns]))
@@ -241,8 +243,9 @@ def cmd_trig(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    ns = parse_range(args.n)
-    _check_levels(ns, args.grid)
+    ns = parse_n(args.n)
+    for n in ns:  # the rules of metric.phi_levels, before any level is built
+        metric.check_levels(n, args.grid)
     _guard(args.depth, DEFAULT_DEPTH_CAP, args.force, f"depth {args.depth}")
     brackets = {n: metric.lambda_bracket(n, args.depth, args.grid) for n in ns}
     lead = len(ns) > 1  # a range of n puts n in the first column
@@ -266,8 +269,9 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    ns = parse_range(args.n)
-    _check_levels(ns, metric.DEFAULT_GRID)
+    ns = parse_n(args.n)
+    for n in ns:  # the rules of metric.phi_levels, before any level is built
+        metric.check_levels(n, metric.DEFAULT_GRID)
     for n in ns:
         _guard(1 << n, DEFAULT_MU_CAP, args.force, f"n={n}: mu sums 2^{n} terms")
     # every n's sharpness identity first: its size rule fails before any other work
@@ -296,7 +300,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    n = _single_n(parse_range(args.n), "bound")
+    n = _single_n(parse_n(args.n), "bound")
     alpha = parse_alpha(args.alpha, n, args.width)
     params = expsum.BoundParams(args.N, args.H, args.K)
     _guard(params.table_rows, DEFAULT_BOUND_ROW_CAP, args.force,
@@ -317,9 +321,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_integral(args) -> int:
-    n = _single_n(parse_range(args.n), "integral")
-    if n < 1:
-        raise UsageError("n must be >= 1")
+    n = _single_n(parse_n(args.n), "integral")
     res = metric.integral_pi(n, args.L)
     payload = {
         "by_recurrence": res.by_recurrence,

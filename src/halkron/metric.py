@@ -16,10 +16,10 @@ values, rescaled by their maximum with the scale tracked in log space, and
 the next level is the matrix times them.  Its interpolant is evaluated in
 barycentric form (Berrut & Trefethen, SIAM Review 46 (2004)) and
 integrated by Fejer's first rule.  The ratio extrema are located on a
-uniform grid of ``grid_size`` cells, sampled a bounded block of points at a
-time, and refined by golden-section searches run in lockstep as arrays;
-the grid costs time, not memory.  The direct quadrature takes each factor
-once per group of panels of one binade, on one period of it.
+uniform grid of 256..2^14 cells, sampled in one matmul, and refined by
+golden-section searches run in lockstep as arrays.  The direct quadrature
+takes each factor once per group of panels of one binade, on one period of
+it.
 """
 
 from __future__ import annotations
@@ -27,16 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 
 import numpy as np
 
 from .sequences import PerturbSpec
 from .trigprod import lacunary_factor
 
-DEFAULT_GRID = 1 << 14  # sample cells of a level where the caller names none
+DEFAULT_GRID = 1 << 14  # bracket grid cells where the caller names none, and the most allowed
 _MIN_GRID = 256
-_BLOCK = DEFAULT_GRID + 1  # grid points sampled at once, so the default grid is one block
 _NODES = 48  # collocation nodes M; 3M/2 nodes move no exponent by 1e-14 (test_metric)
 _MAX_N = 1000  # largest n; at n = 1024 the first level's node values go subnormal (7.7e-309)
 _QUAD_POINTS = 8  # Gauss-Legendre points a panel of the direct quadrature
@@ -116,8 +114,8 @@ def check_levels(n: int, grid_size: int) -> None:
     """Raises ``ValueError`` on an n or a grid that ``phi_levels`` refuses."""
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"n must lie in 1..{_MAX_N}")
-    if grid_size < _MIN_GRID:
-        raise ValueError(f"grid_size must be >= {_MIN_GRID}")
+    if not _MIN_GRID <= grid_size <= DEFAULT_GRID:
+        raise ValueError(f"grid_size must lie in {_MIN_GRID}..{DEFAULT_GRID}")
 
 
 def _step(sine: bool) -> np.ndarray:
@@ -166,56 +164,31 @@ def _grid_points(i: np.ndarray, g: int) -> np.ndarray:
     return np.where(i == g, 1.0, i * (1.0 / g))
 
 
-def _sample_blocks(levels: list[PhiGrid]):
-    """Yield (start, samples) for blocks of ``_BLOCK`` consecutive points of
-    the levels' grid, or one block of the whole grid if it is smaller:
-    samples[j, k] is level j's normalized value at point start + k, level 0
-    is 1 everywhere, and the others are one matmul of their node values
-    with the basis.  Consecutive blocks share at least two points, so the
-    second differences of the blocks cover the grid's, and the last block
-    ends at the grid's last point.  The blocks are all of one size because
-    a BLAS matmul of a few columns can take another kernel and round
-    otherwise; of one size, the blocks give the samples of one matmul over
-    the whole grid.  The next block overwrites the samples."""
+def _samples(levels: list[PhiGrid]) -> np.ndarray:
+    """The normalized samples [level, point] of the levels at the g + 1
+    points of their grid: level 0 is 1 everywhere, and the others are one
+    matmul of their node values with the basis at the points."""
     g = levels[0].grid_size
-    size = min(_BLOCK, g + 1)
     vals = np.array([lv.node_values for lv in levels])
-    samples = np.ones((len(levels), size))
-    last = g + 1 - size
-    for start in chain(range(0, last, size - 2), [last]):
-        x = _grid_points(np.arange(start, start + size), g)
-        np.matmul(vals[1:], _basis(x).T, out=samples[1:])
-        yield start, samples
+    samples = np.ones((len(levels), g + 1))
+    np.matmul(vals[1:], _basis(_grid_points(np.arange(g + 1), g)).T, out=samples[1:])
+    return samples
 
 
-def _block_extrema(start: int, samples: np.ndarray, scale: np.ndarray):
-    """The sampled extrema of one block, as point indices and values: per
-    ratio Phi_{j+1}/Phi_j its max and then its min, and last level 1's
-    largest second difference; the first of equals wins."""
+def _grid_extrema(levels: list[PhiGrid]) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """The sampled extrema of the grid: per ratio of consecutive levels its
+    max and then its min, as point indices and values, and level 1's
+    largest second difference, as point index and value.  The first of
+    equals wins, and so does the first NaN."""
+    scale = np.array([math.exp(b.log_scale - a.log_scale) for a, b in zip(levels, levels[1:])])
+    samples = _samples(levels)
     ratio = np.divide(samples[1:], samples[:-1])
     ratio *= scale[:, None]
     at = np.stack([ratio.argmax(axis=1), ratio.argmin(axis=1)], axis=1).ravel()
     v = samples[1]
     d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
     k = int(np.argmax(d2))
-    value = np.append(ratio[np.repeat(np.arange(len(ratio)), 2), at], d2[k])
-    return start + np.append(at, k + 1), value
-
-
-def _grid_extrema(levels: list[PhiGrid]) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """The sampled extrema of the whole grid: per ratio of consecutive
-    levels its max and then its min, as point indices and values, and level
-    1's largest second difference, as point index and value.  The blocks
-    keep only their extrema, 2j + 1 each, and one ``np.argmax`` over the
-    stack merges them: the first of equals wins, and so does the first NaN."""
-    scale = np.array([math.exp(b.log_scale - a.log_scale) for a, b in zip(levels, levels[1:])])
-    sign = np.append(np.tile([1.0, -1.0], len(scale)), 1.0)
-    at, value = map(np.array, zip(*(_block_extrema(start, samples, scale)
-                                    for start, samples in _sample_blocks(levels))))
-    first = np.argmax(sign * value, axis=0)  # the earliest block on a tie
-    cols = np.arange(len(sign))
-    at, value = at[first, cols], value[first, cols]
-    return at[:-1], value[:-1], int(at[-1]), float(value[-1])
+    return at, ratio[np.repeat(np.arange(len(ratio)), 2), at], k + 1, float(d2[k])
 
 
 def mu(n: int) -> float:

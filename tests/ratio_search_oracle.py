@@ -1,10 +1,10 @@
 """Oracle for the ratio extrema of a level stack: a scalar golden-section
 search, one search at a time, through ``PhiGrid.interpolate``.
 
-For each pair of levels it takes the extrema of the ratio on the whole
-sample grid, put together from the program's blocks, and refines each in
-the two grid cells around it by 60 golden-section steps, calling the
-scalar barycentric interpolation twice per point.
+For each pair of levels it takes the extrema of the ratio on the
+program's samples of the whole grid, and refines each in the two grid
+cells around it by 60 golden-section steps, calling the scalar
+barycentric interpolation twice per point.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from halkron.metric import PhiGrid, _sample_blocks
+from halkron.metric import PhiGrid, _samples
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -36,16 +36,6 @@ def _golden_extremum(f, lo: float, hi: float, maximize: bool, iters: int = 60) -
             fc = f(c)
     best = max(fb, fc) if maximize else min(fb, fc)
     return best
-
-
-def grid_samples(levels: list[PhiGrid]) -> np.ndarray:
-    """The normalized samples [level, point] of ``levels`` at all the
-    grid_size + 1 points of their grid, copied from the program's blocks."""
-    g = levels[0].grid_size
-    out = np.empty((len(levels), g + 1))
-    for start, samples in _sample_blocks(levels):
-        out[:, start : start + samples.shape[1]] = samples
-    return out
 
 
 def _ratio_extrema(prev: PhiGrid, nxt: PhiGrid, prev_grid: np.ndarray,
@@ -75,6 +65,6 @@ def _ratio_extrema(prev: PhiGrid, nxt: PhiGrid, prev_grid: np.ndarray,
 
 def oracle_ratio_extrema(levels: list[PhiGrid], j_max: int) -> list[tuple[float, float]]:
     """(min, max) of the ratio of levels j+1 over j for j <= j_max."""
-    grids = grid_samples(levels)
+    grids = _samples(levels)
     return [_ratio_extrema(levels[j], levels[j + 1], grids[j], grids[j + 1])
             for j in range(j_max + 1)]

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -186,12 +187,19 @@ class TestTrigAndLambda:
         doc = json.loads(jpath.read_text())
         assert set(doc) == {"config", "format_version", "table"}
 
-    def test_lambda_grid_below_256_is_usage_error(self, capsys):
-        for grid in ("0", "255"):
-            code, out, err = run(capsys, "lambda", "--n", "1", "--depth", "1", "--grid", grid)
-            assert code == 2
-            assert out == ""
-            assert err == "error: grid_size must be >= 256\n"
+    def test_lambda_grid_outside_256_to_16384_is_usage_error(self, capsys):
+        # the grid's domain is a rule of the library, like n <= 1000: --force
+        # lifts a size cap, not a rule
+        argv = ["lambda", "--n", "1", "--depth", "1"]
+        for grid in ("0", "255", "16385", str(1 << 22)):
+            for force in ([], ["--force"]):
+                code, out, err = run(capsys, *argv, "--grid", grid, *force)
+                assert code == 2
+                assert out == ""
+                assert err == "error: grid_size must lie in 256..16384\n"
+        for grid in ("256", "16384"):
+            code, out, _ = run(capsys, *argv, "--grid", grid)
+            assert code == 0 and "# n=1: exponent bracket" in out
 
 
 class TestKernelGuard:
@@ -226,11 +234,12 @@ class TestKernelGuard:
             assert err == "error: n must lie in 1..1000\n"
 
     def test_large_depth_is_guarded(self, capsys, monkeypatch):
-        # the grid is sampled a block at a time, so 2^22 cells need no
-        # --force; the depth cap counts levels, and a depth above it is
+        # a grid of 2^22 cells lies outside the grid's domain, a usage
+        # error; the depth cap counts levels, and a depth above it is
         # refused before any level is built
-        code, out, _ = run(capsys, "lambda", "--n", "1", "--depth", "12", "--grid", str(1 << 22))
-        assert code == 0 and "# n=1: exponent bracket" in out
+        code, out, err = run(capsys, "lambda", "--n", "1", "--depth", "12", "--grid", str(1 << 22))
+        assert code == 2 and out == ""
+        assert err == "error: grid_size must lie in 256..16384\n"
 
         def build(*args):
             raise AssertionError("a level was built")
@@ -538,16 +547,42 @@ def test_single_n_commands_reject_a_range(capsys):
         assert err == f"error: {command} takes a single n\n"
 
 
-@pytest.mark.parametrize("argv", [["lambda", "--depth", "1", "--grid", "256"],
-                                  ["certify", "--grid", "2000"], ["integral", "--L", "1"]],
-                         ids=["lambda", "certify", "integral"])
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--depth", "1", "--grid", "256"],
+    ["certify", "--grid", "2000"],
+    ["integral", "--L", "1"],
+    ["gen", "--alpha", "shallit", "--count", "4"],
+    ["disc", "--alpha", "shallit", "--count", "4"],
+    ["scan", "--alpha", "shallit", "--L", "1..3"],
+    ["bound", "--alpha", "shallit", "--N", "16", "--H", "16", "--K", "16"],
+    ["trig", "--mode", "an"],
+    ["trig", "--mode", "gn", "--grid", "1000"],
+], ids=["lambda", "certify", "integral", "gen", "disc", "scan", "bound", "trig-an", "trig-gn"])
 @pytest.mark.parametrize("n", ["-1", "0"])
 def test_n_below_one_is_usage_error(capsys, argv, n):
-    # the CLI's own message, checked before the library's rules on n
+    # the CLI's own message, checked before the library's rules on n and
+    # before the alpha or the point guard reads it
     code, out, err = run(capsys, *argv, "--n", n)
     assert code == 2
     assert out == ""
     assert err == "error: n must be >= 1\n"
+
+
+@pytest.mark.parametrize("command,message", [
+    ("lambda", "n must lie in 1..1000"),
+    ("certify", "n must lie in 1..1000"),
+    ("trig", "n must lie in 1..1022"),
+], ids=["lambda", "certify", "trig"])
+def test_a_huge_range_is_refused_at_once(capsys, command, message):
+    # the range is never built as a list: the library's rule on n stops it
+    # within its first thousand values
+    assert run(capsys, command, "--n", "1..1000000000000") == (2, "", f"error: {message}\n")
+
+
+def test_parse_range_returns_a_range():
+    assert cli.parse_range("4..13") == range(4, 14)
+    assert cli.parse_range("3") == range(3, 4)
+    assert isinstance(cli.parse_range("1..1000000000000"), range)
 
 
 def test_a_range_below_one_is_written_with_equals(capsys):
@@ -557,7 +592,8 @@ def test_a_range_below_one_is_written_with_equals(capsys):
         cli.main(["lambda", "--n", "-3..2"])
     assert exc.value.code == 2
     assert "argument --n: expected one argument" in capsys.readouterr().err
-    for argv in (["lambda", "--depth", "1", "--grid", "256"], ["certify", "--grid", "2000"]):
+    for argv in (["lambda", "--depth", "1", "--grid", "256"], ["certify", "--grid", "2000"],
+                 ["trig"]):
         assert run(capsys, *argv, "--n=-3..2") == (2, "", "error: n must be >= 1\n")
 
 
@@ -647,3 +683,23 @@ def test_lambda_bytes_do_not_depend_on_blas_threads():
                                    timeout=120).stdout)
     assert outs[0] == outs[1]
     assert outs[0].count(b"\n") == 3 + 4 + 1
+
+
+def readme_commands() -> list[str]:
+    """The lines of README's fenced block of ``halkron`` commands."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return next(block.strip().splitlines() for block in text.split("```")[1::2]
+                if block.lstrip().startswith("halkron "))
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    # every README command runs as written, its --out and --json files in a
+    # temporary directory
+    monkeypatch.chdir(tmp_path)
+    lines = readme_commands()
+    assert len(lines) >= 9
+    for line in lines:
+        prog, *argv = shlex.split(line, comments=True)
+        assert prog == "halkron"
+        assert (line, cli.main(argv)) == (line, 0)
+        capsys.readouterr()

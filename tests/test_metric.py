@@ -8,7 +8,7 @@ import pytest
 
 from kernel_oracle import full_fill
 from level_step_oracle import oracle_phi_levels
-from ratio_search_oracle import grid_samples, oracle_ratio_extrema
+from ratio_search_oracle import oracle_ratio_extrema
 from quadrature_oracle import pi_direct_quadrature
 from halkron import metric
 from halkron.cli import DEFAULT_DEPTH_CAP
@@ -17,6 +17,7 @@ from halkron.metric import (
     PhiGrid,
     _chebyshev,
     _pi_direct_quadrature,
+    _samples,
     integral_pi,
     lambda_bracket,
     mu,
@@ -34,7 +35,7 @@ def phi_level(n: int, j: int, grid_size: int) -> PhiGrid:
 
 def level_samples(n: int, j: int, grid_size: int) -> np.ndarray:
     """Level j's normalized samples on the grid_size + 1 points of its grid."""
-    return grid_samples(phi_levels(n, j, grid_size))[j]
+    return _samples(phi_levels(n, j, grid_size))[j]
 
 
 def factor_sizes(monkeypatch) -> list[int]:
@@ -90,6 +91,9 @@ class TestPhiLevel:
         for n in (0, 1001):
             with pytest.raises(ValueError, match=r"n must lie in 1\.\.1000"):
                 phi_level(n, 1, GRID)
+        for grid in (255, (1 << 14) + 1):
+            with pytest.raises(ValueError, match=r"grid_size must lie in 256\.\.16384"):
+                phi_level(1, 1, grid)
 
     def test_node_values_are_read_only(self):
         before = lambda_bracket(2, 4, GRID)
@@ -148,7 +152,7 @@ class TestLevelStepOracle:
         got = phi_levels(n, 13, grid)
         want = oracle_phi_levels(n, 13, grid)
         assert len(got) == len(want) == 14
-        for a, samples, (want_samples, want_log) in zip(got, grid_samples(got), want):
+        for a, samples, (want_samples, want_log) in zip(got, _samples(got), want):
             assert np.max(np.abs(samples - want_samples)) <= 1e-12
             assert abs(a.log_scale - want_log) <= 1e-12
 
@@ -166,7 +170,7 @@ class TestKernelOracle:
     def test_node_rows_equal_the_full_fill(self, n, grid):
         levels = phi_levels(n, 2, grid)
         nodes = _chebyshev(_NODES)[0]
-        for prev, lv, samples in zip(levels, levels[1:], grid_samples(levels)[1:]):
+        for prev, lv, samples in zip(levels, levels[1:], _samples(levels)[1:]):
             want = full_fill(n, grid, nodes, prev.node_values) * math.exp(prev.log_scale - lv.log_scale)
             assert np.isfinite(want).all()
             assert np.max(np.abs(samples - want)) <= 1e-13
@@ -240,7 +244,7 @@ class TestLambdaBracket:
         # denormalized level values
         levels = phi_levels(2, 5, GRID)
         a, b = levels[4], levels[5]
-        grid_a, grid_b = grid_samples(levels)[4:]
+        grid_a, grid_b = _samples(levels)[4:]
         q_norm = grid_b / grid_a * math.exp(b.log_scale - a.log_scale)
         q_plain = (grid_b * math.exp(b.log_scale)) / (grid_a * math.exp(a.log_scale))
         assert np.max(np.abs(q_norm - q_plain)) < 1e-12 * np.max(q_plain)
@@ -378,17 +382,16 @@ class TestByteGuards:
         peak = traced_peak(_pi_direct_quadrature, n, l, metric._QUAD_POINTS)
         assert peak <= 8 * (2**19 * 8 + 2**18 + 8**2 + 8192) + self.SLACK
 
-    @pytest.mark.parametrize("grid", [1 << 14, 1 << 18, 1 << 20])
     @pytest.mark.parametrize("n", [1, 3, 7])
-    def test_level_bytes(self, n, grid):
-        # the grid is sampled a block of 2^14 + 1 points at a time, so up to
-        # 2^20 its size moves the peak by no more than the slack; a level
-        # adds its samples and its ratios on one block, 16 (2^14 + 1)
-        # bytes whatever n, so the cap's depth stays below 2^30 bytes
+    def test_level_bytes(self, n):
+        # at the largest grid, 2^14 cells, the peak holds one basis (48
+        # doubles a point) and the samples and ratios of 14 levels; a level
+        # adds its samples and its ratios, 16 (2^14 + 1) bytes whatever n,
+        # so the cap's depth stays below 2^30 bytes
+        points = (1 << 14) + 1
         for fn, args in ((lambda_bracket, (n, 12)), (structural_checks, (n,))):
-            peak = traced_peak(fn, *args, grid)
-            assert abs(peak - traced_peak(fn, *args, 1 << 14)) <= self.SLACK
-        per_level = 16 * ((1 << 14) + 1)
+            assert traced_peak(fn, *args, 1 << 14) <= 8 * points * (48 + 2 * 14) + self.SLACK
+        per_level = 16 * points
         low, high = (traced_peak(lambda_bracket, n, depth, 1 << 14) for depth in (12, 400))
         assert high - low <= (400 - 12) * per_level + self.SLACK
         assert low + (DEFAULT_DEPTH_CAP - 12) * per_level + self.SLACK < 1 << 30
@@ -412,11 +415,10 @@ class TestStructuralChecks:
 class TestRatioSearchOracle:
     """The lockstep array search of every ratio extremum against the former
     scalar golden-section search in ``ratio_search_oracle``, bit for bit, on
-    power-of-two and other grids of one block or several; 2^8 divides each
-    grid."""
+    power-of-two and other grids from either end of the domain 256..2^14;
+    2^8 divides each grid."""
 
-    CASES = [(n, g) for g in (1 << 11, 1 << 14, 3 << 10, 5 << 9) for n in range(1, 9)]
-    CASES += [(1, 1 << 18), (3, 1 << 18)]  # 17 blocks of samples
+    CASES = [(n, g) for g in (1 << 8, 1 << 11, 1 << 14, 3 << 10, 5 << 9) for n in range(1, 9)]
 
     @pytest.mark.parametrize("n,grid", CASES)
     def test_extrema_match(self, n, grid):
