@@ -209,8 +209,9 @@ def cmd_scan(args) -> int:
     ls = parse_range(args.L)
     if ls[0] < 1:
         raise UsageError("L values must be >= 1")
-    bits = n * ls[-1]
-    _guard(1 << bits, DEFAULT_POINT_CAP, args.force, f"L = {ls[-1]} gives N = 2^{bits} points")
+    bits = n * ls[-1]  # any N = 2^bits past the cap's bit length is above the cap
+    _guard(1 << min(bits, DEFAULT_POINT_CAP.bit_length()), DEFAULT_POINT_CAP, args.force,
+           f"L = {ls[-1]} gives N = 2^{bits} points")
     rec = discrepancy.growth_scan(PerturbSpec(n), alpha, ls)
     rows = [
         [ell, n_pts, repr(nd), repr(math.log(n_pts)), repr(math.log(nd))]

@@ -13,13 +13,13 @@ collocation matrices of the S_c at the M first-kind Chebyshev nodes of
 eigenfunction is analytic and collocation converges geometrically in M
 (Bandtlow & Jenkinson, Adv. Math. 218 (2008)).  A level is its M node
 values, rescaled by their maximum with the scale tracked in log space, and
-the next level is the matrix times them.  Its interpolant is evaluated in
-barycentric form (Berrut & Trefethen, SIAM Review 46 (2004)) and
-integrated by Fejer's first rule.  The ratio extrema are located on a
-uniform grid of 256..2^14 cells, sampled in one matmul, and refined by
-golden-section searches run in lockstep as arrays.  The direct quadrature
-takes each factor once per group of panels of one binade, on one period of
-it.
+the next level is the matrix times them (``phi_levels``).  Its
+interpolant is evaluated in barycentric form (Berrut & Trefethen, SIAM
+Review 46 (2004)) and integrated by Fejer's first rule.  One search,
+``_level_records``, locates the ratio extrema on a uniform grid of
+256..2^14 cells, sampled in one matmul, and refines them by golden-section
+searches run in lockstep as arrays.  The direct quadrature takes each
+factor once per group of panels of one binade, on one period of it.
 """
 
 from __future__ import annotations
@@ -84,11 +84,10 @@ class PhiGrid:
     times ``exp(log_scale)``.  Levels decay geometrically, so deep runs
     would underflow without the split.  ``grid_size`` is the number of
     cells of the uniform grid that seeds the ratio search; no samples are
-    stored.  The fields are frozen and the array read-only.
+    stored.  A level's depth is its index in the list of ``phi_levels``.
+    The fields are frozen and the array read-only.
     """
 
-    n: int
-    level: int
     node_values: np.ndarray
     log_scale: float
     grid_size: int
@@ -133,35 +132,21 @@ def _collocation(n: int) -> np.ndarray:
     return np.linalg.matrix_power(_step(False), n - 1) @ _step(True)
 
 
-def _node_levels(n: int, j_max: int) -> tuple[np.ndarray, list[float]]:
-    """Node values [j, node] of levels 0..j_max, iterated from the constant 1
-    and each normalized to max 1, and their log scales."""
-    a = _collocation(n)
-    vals = np.ones((j_max + 1, len(a)))
-    logs = [0.0]
-    for j in range(1, j_max + 1):
-        v = a @ vals[j - 1]
-        s = float(v.max())
-        vals[j] = v / s
-        logs.append(logs[-1] + math.log(s))
-    return vals, logs
-
-
-def phi_levels(n: int, j_max: int, grid_size: int) -> list[PhiGrid]:
-    """Levels 0..j_max of the recurrence, iterated from the constant 1 on
-    every call; nothing is kept once the caller drops the list.  Each
-    carries ``grid_size``, the grid its ratio search starts from."""
+def phi_levels(n: int, j_max: int, grid_size: int = DEFAULT_GRID) -> list[PhiGrid]:
+    """Levels 0..j_max of the recurrence from the constant 1, built on every
+    call and kept nowhere: each the collocation matrix times the one before,
+    normalized to max 1 with the scale added in log space.  Each carries
+    ``grid_size``, the grid its ratio search starts from."""
     check_levels(n, grid_size)
     if j_max < 0:
         raise ValueError("level must be >= 0")
-    vals, logs = _node_levels(n, j_max)
-    return [PhiGrid(n, j, v, s, grid_size) for j, (v, s) in enumerate(zip(vals, logs))]
-
-
-def _grid_points(i: np.ndarray, g: int) -> np.ndarray:
-    """The points i/g of the grid of g cells as ``np.linspace(0, 1, g + 1)``
-    takes them: i times the step 1/g, and 1.0 at i = g."""
-    return np.where(i == g, 1.0, i * (1.0 / g))
+    a = _collocation(n)
+    levels = [PhiGrid(np.ones(len(a)), 0.0, grid_size)]
+    for _ in range(j_max):
+        v = a @ levels[-1].node_values
+        s = float(v.max())
+        levels.append(PhiGrid(v / s, levels[-1].log_scale + math.log(s), grid_size))
+    return levels
 
 
 def _samples(levels: list[PhiGrid]) -> np.ndarray:
@@ -171,24 +156,8 @@ def _samples(levels: list[PhiGrid]) -> np.ndarray:
     g = levels[0].grid_size
     vals = np.array([lv.node_values for lv in levels])
     samples = np.ones((len(levels), g + 1))
-    np.matmul(vals[1:], _basis(_grid_points(np.arange(g + 1), g)).T, out=samples[1:])
+    np.matmul(vals[1:], _basis(np.linspace(0.0, 1.0, g + 1)).T, out=samples[1:])
     return samples
-
-
-def _grid_extrema(levels: list[PhiGrid]) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """The sampled extrema of the grid: per ratio of consecutive levels its
-    max and then its min, as point indices and values, and level 1's
-    largest second difference, as point index and value.  The first of
-    equals wins, and so does the first NaN."""
-    scale = np.array([math.exp(b.log_scale - a.log_scale) for a, b in zip(levels, levels[1:])])
-    samples = _samples(levels)
-    ratio = np.divide(samples[1:], samples[:-1])
-    ratio *= scale[:, None]
-    at = np.stack([ratio.argmax(axis=1), ratio.argmin(axis=1)], axis=1).ravel()
-    v = samples[1]
-    d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    k = int(np.argmax(d2))
-    return at, ratio[np.repeat(np.arange(len(ratio)), 2), at], k + 1, float(d2[k])
 
 
 def mu(n: int) -> float:
@@ -229,19 +198,29 @@ def _exponent(n: int, value: float) -> float:
     return 1.0 + math.log(value) / (n * math.log(2.0))
 
 
-def _level_records(n: int, levels: list[PhiGrid], ext: np.ndarray,
-                   grid_best: np.ndarray) -> list[LevelRecord]:
-    """Ratio extrema of each level over the one before, with their exponents.
+def _level_records(n: int, levels: list[PhiGrid]) -> tuple[list[LevelRecord], int, float]:
+    """Ratio extrema of each level over the one before, with their
+    exponents, and level 1's largest second difference on the sample grid,
+    as point index and value.
 
     An extremum of q = Phi_{j+1}/Phi_j is its extremum on the sample grid,
     at a point c, or, where more extreme, the best of 60 golden-section
-    steps over [x_{c-1}, x_{c+1}]; ``ext`` and ``grid_best`` are the points
-    c and the sampled extrema that ``_grid_extrema`` gives.  All the
-    searches, max and min alternating, step in lockstep as arrays, each reading both levels'
-    node values through one ``_basis`` of its points."""
+    steps over [x_{c-1}, x_{c+1}].  On the grid the first of equals wins,
+    and so does the first NaN.  All the searches, max and min alternating,
+    step in lockstep as arrays, each reading both levels' node values
+    through one ``_basis`` of its points."""
     g = levels[0].grid_size
     pairs = list(zip(levels, levels[1:]))
-    scale = np.repeat([math.exp(b.log_scale - a.log_scale) for a, b in pairs], 2)
+    scale = np.array([math.exp(b.log_scale - a.log_scale) for a, b in pairs])
+    samples = _samples(levels)
+    ratio = np.divide(samples[1:], samples[:-1])
+    ratio *= scale[:, None]
+    ext = np.stack([ratio.argmax(axis=1), ratio.argmin(axis=1)], axis=1).ravel()
+    grid_best = ratio[np.repeat(np.arange(len(ratio)), 2), ext]
+    v = samples[1]
+    d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
+    k = int(np.argmax(d2))
+    scale = np.repeat(scale, 2)
     lower = np.repeat([a.node_values for a, _ in pairs], 2, axis=0)  # [search, node]
     upper = np.repeat([b.node_values for _, b in pairs], 2, axis=0)
     sign = np.tile([1.0, -1.0], len(pairs))
@@ -250,7 +229,8 @@ def _level_records(n: int, levels: list[PhiGrid], ext: np.ndarray,
         basis = _basis(x)
         return scale * (basis * upper).sum(axis=-1) / (basis * lower).sum(axis=-1)
 
-    a, d = _grid_points(np.maximum(ext - 1, 0), g), _grid_points(np.minimum(ext + 1, g), g)
+    xs = np.linspace(0.0, 1.0, g + 1)
+    a, d = xs[np.maximum(ext - 1, 0)], xs[np.minimum(ext + 1, g)]
     b, c = d - _GOLDEN * (d - a), a + _GOLDEN * (d - a)
     fb, fc = q(b), q(c)
     for _ in range(60):
@@ -264,10 +244,11 @@ def _level_records(n: int, levels: list[PhiGrid], ext: np.ndarray,
     # the first of two equals wins, as in Python's max and min
     best = np.where(sign * fc > sign * fb, fc, fb)
     best = np.where(sign * best > sign * grid_best, best, grid_best).tolist()
-    return [
+    records = [
         LevelRecord(j, lo, hi, _exponent(n, lo), _exponent(n, hi))
         for j, (hi, lo) in enumerate(zip(best[::2], best[1::2]))
     ]
+    return records, k + 1, float(d2[k])
 
 
 def lambda_bracket(n: int, j_max: int, grid_size: int = DEFAULT_GRID) -> LambdaBracket:
@@ -277,7 +258,7 @@ def lambda_bracket(n: int, j_max: int, grid_size: int = DEFAULT_GRID) -> LambdaB
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     levels = phi_levels(n, j_max + 1, grid_size)
-    records = _level_records(n, levels, *_grid_extrema(levels)[:2])
+    records = _level_records(n, levels)[0]
     last = records[-1]
     return LambdaBracket(
         n,
@@ -365,8 +346,7 @@ def integral_pi(n: int, blocks: int) -> IntegralPi:
         raise ValueError("n * blocks must stay <= 60 for the recurrence path")
     if blocks == 0:
         return IntegralPi(n, 0, 1.0, 1.0)
-    vals, logs = _node_levels(n, blocks)
-    by_rec = float(_chebyshev(_NODES)[2] @ vals[-1]) * math.exp(logs[-1])
+    by_rec = phi_levels(n, blocks)[-1].integral()
     by_direct = _pi_direct_quadrature(n, blocks, _QUAD_POINTS) if n * blocks <= 24 else None
     return IntegralPi(n, blocks, by_rec, by_direct)
 
@@ -402,12 +382,10 @@ def structural_checks(n: int, grid_size: int = DEFAULT_GRID) -> StructuralReport
     if not sym_dev <= 1e-10:
         failures.append(f"symmetry deviation {sym_dev:.3e} above 1e-10")
 
-    monotone = levels[: _J_MONOTONE + 2]
-    ext, grid_best, i, max_d2 = _grid_extrema(monotone)
+    records, i, max_d2 = _level_records(n, levels[: _J_MONOTONE + 2])
     if not max_d2 <= 1e-8:  # a NaN fails too
         failures.append(f"second difference {max_d2:.3e} > 1e-8 at node {i}")
 
-    records = _level_records(n, monotone, ext, grid_best)
     for a, b in zip(records, records[1:]):
         if b.ratio_max > a.ratio_max + 1e-9:
             failures.append(f"ratio max increased at level {b.j}")

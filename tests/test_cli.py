@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,19 @@ class TestDiscAndScan:
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0
         assert out
+
+    def test_a_huge_l_builds_no_big_int(self, capsys):
+        # N = 2^(nL) is compared with the cap by its bit length, not built
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "scan", "--n", "1", "--L", "4..100000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == ("guard: L = 100000000 gives N = 2^100000000 points, above the cap of "
+                       "65536; pass --force to go past it\n")
+        assert peak < 1 << 20
 
     def test_bad_l_is_checked_before_the_guard(self, capsys):
         code, out, err = run(capsys, "scan", "--n", "1", "--L", "0..30")
@@ -312,6 +326,16 @@ class TestCertify:
         monkeypatch.setattr(cli.trigprod, "gelfond_certify", fake)
         code, _, _ = run(capsys, "certify", "--n", "1", "--grid", "2000", "--blocks", "2")
         assert code == 4
+
+    def test_structural_failure_exit_code(self, capsys, monkeypatch):
+        true_mu = cli.metric.mu
+        monkeypatch.setattr(cli.metric, "mu", lambda n: true_mu(n) / 2.0)
+        code, out, _ = run(capsys, "certify", "--n", "1", "--grid", "2000", "--blocks", "5")
+        assert code == 4
+        rep = json.loads(out)["reports"][0]
+        assert rep["passed"] is False and rep["gelfond_passed"] is True
+        assert rep["structural_failures"][0] == (
+            "integral at L=1 exceeds mu^L: 6.366198e-01 > 3.535534e-01")
 
     def test_sharpness_beyond_its_size_rule_is_usage_error(self, capsys, monkeypatch):
         def work(*args):
@@ -566,6 +590,22 @@ def test_n_below_one_is_usage_error(capsys, argv, n):
     assert code == 2
     assert out == ""
     assert err == "error: n must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lambda", "--n", "5..3"], "empty range '5..3'"),
+    (["bound", "--n", "1", "--N", "1", "--H", "1", "--K", "1"], "need N >= 2"),
+    (["bound", "--n", "1", "--N", "8", "--H", "9", "--K", "2"], "need 1 <= H <= N"),
+    (["bound", "--n", "1", "--N", "8", "--H", "2", "--K", "0"], "need 1 <= K <= N"),
+    (["gen", "--n", "1", "--count", "300", "--width", "8"],
+     "count too large for the fixed-point width"),
+    (["certify", "--n", "1", "--grid", "2000", "--blocks", "0"], "need n >= 1 and blocks >= 1"),
+    (["lambda", "--n", "1", "--depth", "-1"], "j_max must be >= 0"),
+    (["integral", "--n", "1", "--L", "-1"], "need n >= 1 and blocks >= 0"),
+], ids=["empty-range", "bound-N", "bound-H", "bound-K", "gen-width", "certify-blocks",
+        "lambda-depth", "integral-L"])
+def test_input_checks_are_usage_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command,message", [

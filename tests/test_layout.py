@@ -23,6 +23,9 @@ helpers.
 Every module-level function of the package is likewise used in the
 program, outside its own def, or exported by ``halkron/__init__.py``: a
 function that only tests call belongs in the tests.
+
+A transfer-operator level stack has one builder: only ``metric.phi_levels``
+calls ``metric._collocation``.
 """
 
 import ast
@@ -155,3 +158,16 @@ def test_blas_thread_default_precedes_every_import():
     imports_before = [ast.unparse(node) for node in body[:at]
                       if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports_before == ["import os"]
+
+
+def test_one_builder_of_the_level_stack():
+    # each call of ``_collocation`` as ``module.py:top-level def``
+    builders = {
+        f"{path.name}:{getattr(top, 'name', '')}"
+        for path in PACKAGE.glob("*.py")
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "_collocation" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert builders == {"metric.py:phi_levels"}

@@ -121,7 +121,7 @@ class TestPhiLevel:
         lv = phi_level(1, 2, 256)
         cubic = lv.interpolate(0.3001)
         fields = [f.name for f in dataclasses.fields(lv)]
-        assert fields == ["n", "level", "node_values", "log_scale", "grid_size"]
+        assert fields == ["node_values", "log_scale", "grid_size"]
         for name in fields:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(lv, name, 0)
@@ -410,6 +410,44 @@ class TestStructuralChecks:
         assert len(rep.integral_rows) == 10
         for ell, val, bound in rep.integral_rows:
             assert val <= bound + 1e-12
+
+    def test_search_failures(self, monkeypatch):
+        # a rising max, a falling min and a convex first level, as the one search reports them
+        def search(n, levels):
+            records = [metric.LevelRecord(0, 0.5, 1.0, 0.0, 1.0),
+                       metric.LevelRecord(1, 0.4, 1.1, 0.0, 1.0)]
+            return records, 7, 1.0
+
+        monkeypatch.setattr(metric, "_level_records", search)
+        rep = structural_checks(1, GRID)
+        assert rep.failures == ("second difference 1.000e+00 > 1e-8 at node 7",
+                                "ratio max increased at level 1",
+                                "ratio min decreased at level 1")
+        assert rep.concavity_max_d2 == 1.0
+
+    def test_integral_bound_failure(self, monkeypatch):
+        true_mu = metric.mu
+        monkeypatch.setattr(metric, "mu", lambda n: true_mu(n) / 2.0)
+        rep = structural_checks(1, GRID)
+        assert rep.failures[0] == "integral at L=1 exceeds mu^L: 6.366198e-01 > 3.535534e-01"
+        assert all(f.startswith("integral at L=") for f in rep.failures)
+
+    def test_symmetry_failure(self, monkeypatch):
+        true_levels = metric.phi_levels
+        tilt = 1.0 + 1e-6 * _chebyshev(_NODES)[0]
+
+        def tilted(*args):
+            levels = true_levels(*args)
+            levels[2] = dataclasses.replace(levels[2], node_values=levels[2].node_values * tilt)
+            return levels
+
+        monkeypatch.setattr(metric, "phi_levels", tilted)
+        v = tilted(1, 2, GRID)[2].node_values
+        dev = float(np.max(np.abs(v - v[::-1])))
+        assert dev > 1e-10
+        rep = structural_checks(1, GRID)
+        assert rep.symmetry_max_dev == dev
+        assert rep.failures[0] == f"symmetry deviation {dev:.3e} above 1e-10"
 
 
 class TestRatioSearchOracle:
