@@ -45,7 +45,7 @@ EXIT_CERTIFY = 4
 DEFAULT_DEPTH = 12
 DEFAULT_CERTIFY_GRID = 100_000
 DEFAULT_POINT_CAP = 1 << 16  # points of `gen` and `disc`, N = 2^(nL) of `scan`
-DEFAULT_DEPTH_CAP = 4000  # levels of `lambda`, at most 16 (2^14 + 1) bytes each
+DEFAULT_DEPTH_CAP = 4000  # levels of `lambda`, 8 (2^14 + 1) bytes each on the grid at most
 DEFAULT_MU_CAP = 1 << 16  # terms 2^n of the mu(n) sum of `certify`
 DEFAULT_BOUND_ROW_CAP = 1 << 22  # rows of one bound table
 
@@ -248,7 +248,7 @@ def cmd_lambda(args) -> int:
     for n in ns:  # the rules of metric.phi_levels, before any level is built
         metric.check_levels(n, args.grid)
     _guard(args.depth, DEFAULT_DEPTH_CAP, args.force, f"depth {args.depth}")
-    brackets = {n: metric.lambda_bracket(n, args.depth, args.grid) for n in ns}
+    brackets = dict(zip(ns, metric.lambda_bracket(ns, args.depth, args.grid)))
     lead = len(ns) > 1  # a range of n puts n in the first column
     rows = [
         [n] * lead + [rec.j, repr(rec.ratio_min), repr(rec.ratio_max),
@@ -277,11 +277,11 @@ def cmd_certify(args) -> int:
         _guard(1 << n, DEFAULT_MU_CAP, args.force, f"n={n}: mu sums 2^{n} terms")
     # every n's sharpness identity first: its size rule fails before any other work
     sharps = [trigprod.sharpness_identity(n, args.blocks) for n in ns]
+    # every n's dichotomy sweep next: its grid rule fails before any structural check
+    certs = [trigprod.gelfond_certify(n, args.grid) for n in ns]
     reports = []
     failed = False
-    for n, sharp in zip(ns, sharps):
-        cert = trigprod.gelfond_certify(n, args.grid)
-        struct = metric.structural_checks(n)
+    for n, sharp, cert, struct in zip(ns, sharps, certs, metric.structural_checks(ns)):
         ok = cert.passed and struct.all_pass and sharp.log_diff < 1e-9
         failed = failed or not ok
         reports.append(

@@ -16,10 +16,14 @@ values, rescaled by their maximum with the scale tracked in log space, and
 the next level is the matrix times them (``phi_levels``).  Its
 interpolant is evaluated in barycentric form (Berrut & Trefethen, SIAM
 Review 46 (2004)) and integrated by Fejer's first rule.  One search,
-``_level_records``, locates the ratio extrema on a uniform grid of
-256..2^14 cells, sampled in one matmul, and refines them by golden-section
-searches run in lockstep as arrays.  The direct quadrature takes each
-factor once per group of panels of one binade, on one period of it.
+``_level_records``, takes the level stacks of any number of n on one
+uniform grid of 256..2^14 cells: it builds the basis at the grid points
+once, samples each stack in one matmul with it, locates the ratio extrema
+there, and refines them by the golden-section searches of all the stacks
+run in lockstep as arrays, ``_LANES`` at a time.  ``lambda_bracket`` and
+``structural_checks`` take an n or a range of n.  The direct quadrature
+takes each factor once per group of panels of one binade, on one period
+of it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ _NODES = 48  # collocation nodes M; 3M/2 nodes move no exponent by 1e-14 (test_m
 _MAX_N = 1000  # largest n; at n = 1024 the first level's node values go subnormal (7.7e-309)
 _QUAD_POINTS = 8  # Gauss-Legendre points a panel of the direct quadrature
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section searches queued and stepped at once.  A search takes about 300
+# doubles: its two levels' node values as queued and as gathered (4 x 48), its
+# basis and one product (2 x 48) and a few scalars.  So 2^10 searches take about
+# 2.4 MB, below half of one grid basis of 48 (2^14 + 1) doubles (6.3 MB).
+_LANES = 1 << 10
 # depths of the structural checks: symmetric levels, monotone ratio levels, integral bounds
 _J_SYMMETRY, _J_MONOTONE, _L_MAX = 6, 12, 10
 STRUCTURAL_LEVEL = max(_J_SYMMETRY, _J_MONOTONE + 1, _L_MAX)  # deepest level they build
@@ -149,14 +158,16 @@ def phi_levels(n: int, j_max: int, grid_size: int = DEFAULT_GRID) -> list[PhiGri
     return levels
 
 
-def _samples(levels: list[PhiGrid]) -> np.ndarray:
+def _samples(levels: list[PhiGrid], basis: np.ndarray | None = None) -> np.ndarray:
     """The normalized samples [level, point] of the levels at the g + 1
     points of their grid: level 0 is 1 everywhere, and the others are one
-    matmul of their node values with the basis at the points."""
-    g = levels[0].grid_size
+    matmul of their node values with ``basis``, the ``_basis`` at the
+    points, built here when not given."""
+    if basis is None:
+        basis = _basis(np.linspace(0.0, 1.0, levels[0].grid_size + 1))
     vals = np.array([lv.node_values for lv in levels])
-    samples = np.ones((len(levels), g + 1))
-    np.matmul(vals[1:], _basis(np.linspace(0.0, 1.0, g + 1)).T, out=samples[1:])
+    samples = np.ones((len(levels), len(basis)))
+    np.matmul(vals[1:], basis.T, out=samples[1:])
     return samples
 
 
@@ -198,77 +209,123 @@ def _exponent(n: int, value: float) -> float:
     return 1.0 + math.log(value) / (n * math.log(2.0))
 
 
-def _level_records(n: int, levels: list[PhiGrid]) -> tuple[list[LevelRecord], int, float]:
-    """Ratio extrema of each level over the one before, with their
+def _ns(n: int | range, grid_size: int) -> range:
+    """The n's of an int or a range, each checked with the grid by
+    ``check_levels`` before any level is built."""
+    ns = n if isinstance(n, range) else range(n, n + 1)
+    for m in ns:
+        check_levels(m, grid_size)
+    return ns
+
+
+def _grid_extrema(levels: list[PhiGrid], xs: np.ndarray, basis: np.ndarray):
+    """The searches of one level stack, sampled at the grid points ``xs``
+    through ``basis``, their ``_basis``: per search, max and min
+    alternating for each pair of levels, the node values of both levels,
+    the pair's scale, the two grid cells around the pair's grid extremum
+    and that extremum, with the first of equals and the first NaN winning;
+    and level 1's largest second difference, as point index and value.
+    The ratios overwrite the samples, from the top level down."""
+    g = len(xs) - 1
+    scale = np.array([math.exp(b.log_scale - a.log_scale) for a, b in zip(levels, levels[1:])])
+    samples = _samples(levels, basis)
+    v = samples[1]
+    d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
+    k = int(np.argmax(d2))
+    for j in range(len(levels) - 1, 0, -1):
+        samples[j] /= samples[j - 1]
+        samples[j] *= scale[j - 1]
+    ratio = samples[1:]
+    ext = np.stack([ratio.argmax(axis=1), ratio.argmin(axis=1)], axis=1).ravel()
+    pair = np.repeat(np.arange(len(ratio)), 2)
+    vals = np.array([lv.node_values for lv in levels])
+    searches = (vals[pair], vals[pair + 1], scale[pair],
+                xs[np.maximum(ext - 1, 0)], xs[np.minimum(ext + 1, g)], ratio[pair, ext])
+    return searches, k + 1, float(d2[k])
+
+
+def _refine(queue: list) -> list[tuple[list[LevelRecord], int, float]]:
+    """The records of the stacks in ``queue``, each an (n, index, second
+    difference, searches) of ``_grid_extrema``.  The searches of all of
+    them step in lockstep as arrays, ``_LANES`` at a time, each reading
+    both levels' node values through one ``_basis`` of its points."""
+    fields = [np.concatenate(f) for f in zip(*(searches for *_, searches in queue))]
+    best = []
+    for at in range(0, len(fields[0]), _LANES):
+        lower, upper, scale, a, d, grid_best = (f[at:at + _LANES] for f in fields)
+        sign = np.tile([1.0, -1.0], len(a) // 2)  # every stack starts with a max
+
+        def q(x: np.ndarray) -> np.ndarray:
+            basis = _basis(x)
+            return scale * (basis * upper).sum(axis=-1) / (basis * lower).sum(axis=-1)
+
+        b, c = d - _GOLDEN * (d - a), a + _GOLDEN * (d - a)
+        fb, fc = q(b), q(c)
+        for _ in range(60):
+            left = sign * fb >= sign * fc  # keep [a, c] and probe a new b, else [b, d] and a new c
+            d = np.where(left, c, d)
+            a = np.where(left, a, b)
+            x = np.where(left, d - _GOLDEN * (d - a), a + _GOLDEN * (d - a))
+            fx = q(x)
+            b, c = np.where(left, x, c), np.where(left, b, x)
+            fb, fc = np.where(left, fx, fc), np.where(left, fb, fx)
+        # the first of two equals wins, as in Python's max and min
+        found = np.where(sign * fc > sign * fb, fc, fb)
+        best += np.where(sign * found > sign * grid_best, found, grid_best).tolist()
+    results, at = [], 0
+    for n, i, d2, searches in queue:
+        stack = best[at:at + len(searches[0])]
+        at += len(stack)
+        records = [LevelRecord(j, lo, hi, _exponent(n, lo), _exponent(n, hi))
+                   for j, (hi, lo) in enumerate(zip(stack[::2], stack[1::2]))]
+        results.append((records, i, d2))
+    return results
+
+
+def _level_records(stacks) -> list[tuple[list[LevelRecord], int, float]]:
+    """For each (n, level stack) of ``stacks``, an iterable of stacks on one
+    grid: the ratio extrema of each level over the one before, with their
     exponents, and level 1's largest second difference on the sample grid,
     as point index and value.
 
     An extremum of q = Phi_{j+1}/Phi_j is its extremum on the sample grid,
     at a point c, or, where more extreme, the best of 60 golden-section
-    steps over [x_{c-1}, x_{c+1}].  On the grid the first of equals wins,
-    and so does the first NaN.  All the searches, max and min alternating,
-    step in lockstep as arrays, each reading both levels' node values
-    through one ``_basis`` of its points."""
-    g = levels[0].grid_size
-    pairs = list(zip(levels, levels[1:]))
-    scale = np.array([math.exp(b.log_scale - a.log_scale) for a, b in pairs])
-    samples = _samples(levels)
-    ratio = np.divide(samples[1:], samples[:-1])
-    ratio *= scale[:, None]
-    ext = np.stack([ratio.argmax(axis=1), ratio.argmin(axis=1)], axis=1).ravel()
-    grid_best = ratio[np.repeat(np.arange(len(ratio)), 2), ext]
-    v = samples[1]
-    d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    k = int(np.argmax(d2))
-    scale = np.repeat(scale, 2)
-    lower = np.repeat([a.node_values for a, _ in pairs], 2, axis=0)  # [search, node]
-    upper = np.repeat([b.node_values for _, b in pairs], 2, axis=0)
-    sign = np.tile([1.0, -1.0], len(pairs))
-
-    def q(x: np.ndarray) -> np.ndarray:
-        basis = _basis(x)
-        return scale * (basis * upper).sum(axis=-1) / (basis * lower).sum(axis=-1)
-
-    xs = np.linspace(0.0, 1.0, g + 1)
-    a, d = xs[np.maximum(ext - 1, 0)], xs[np.minimum(ext + 1, g)]
-    b, c = d - _GOLDEN * (d - a), a + _GOLDEN * (d - a)
-    fb, fc = q(b), q(c)
-    for _ in range(60):
-        left = sign * fb >= sign * fc  # keep [a, c] and probe a new b, else [b, d] and a new c
-        d = np.where(left, c, d)
-        a = np.where(left, a, b)
-        x = np.where(left, d - _GOLDEN * (d - a), a + _GOLDEN * (d - a))
-        fx = q(x)
-        b, c = np.where(left, x, c), np.where(left, b, x)
-        fb, fc = np.where(left, fx, fc), np.where(left, fb, fx)
-    # the first of two equals wins, as in Python's max and min
-    best = np.where(sign * fc > sign * fb, fc, fb)
-    best = np.where(sign * best > sign * grid_best, best, grid_best).tolist()
-    records = [
-        LevelRecord(j, lo, hi, _exponent(n, lo), _exponent(n, hi))
-        for j, (hi, lo) in enumerate(zip(best[::2], best[1::2]))
-    ]
-    return records, k + 1, float(d2[k])
+    steps over [x_{c-1}, x_{c+1}].  The basis at the grid points is built
+    once, for the first stack, and every stack is sampled by its own matmul
+    with it (``_grid_extrema``).  The stacks are read one at a time, and
+    their searches queue until the next stack would take the queue past
+    ``_LANES``; then ``_refine`` steps the queue's searches in lockstep."""
+    results, queue, queued, xs = [], [], 0, None
+    for n, levels in stacks:
+        if xs is None:  # one grid for every stack
+            xs = np.linspace(0.0, 1.0, levels[0].grid_size + 1)
+            basis = _basis(xs)
+        searches, i, d2 = _grid_extrema(levels, xs, basis)
+        if queued + len(searches[0]) > _LANES and queue:
+            results += _refine(queue)
+            queue, queued = [], 0
+        queue.append((n, i, d2, searches))
+        queued += len(searches[0])
+    return results + _refine(queue) if queue else results
 
 
-def lambda_bracket(n: int, j_max: int, grid_size: int = DEFAULT_GRID) -> LambdaBracket:
+def lambda_bracket(n: int | range, j_max: int,
+                   grid_size: int = DEFAULT_GRID) -> LambdaBracket | list[LambdaBracket]:
     """Ratio extrema per level up to j_max; the max sequence is
     non-increasing and the min sequence non-decreasing, so the deepest pair
-    brackets both limit rates."""
+    brackets both limit rates.  For a range of n, the list of every n's
+    bracket, from one search over all their stacks; each n's levels are
+    built as the search reads them."""
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    levels = phi_levels(n, j_max + 1, grid_size)
-    records = _level_records(n, levels)[0]
-    last = records[-1]
-    return LambdaBracket(
-        n,
-        j_max,
-        last.ratio_min,
-        last.ratio_max,
-        last.exp_lower,
-        last.exp_upper,
-        tuple(records),
-    )
+    ns = _ns(n, grid_size)
+    stacks = ((m, phi_levels(m, j_max + 1, grid_size)) for m in ns)
+    brackets = [
+        LambdaBracket(m, j_max, records[-1].ratio_min, records[-1].ratio_max,
+                      records[-1].exp_lower, records[-1].exp_upper, tuple(records))
+        for m, (records, _, _) in zip(ns, _level_records(stacks))
+    ]
+    return brackets if isinstance(n, range) else brackets[0]
 
 
 # -- integral of the product -------------------------------------------------
@@ -367,38 +424,42 @@ class StructuralReport:
         return not self.failures
 
 
-def structural_checks(n: int, grid_size: int = DEFAULT_GRID) -> StructuralReport:
+def structural_checks(n: int | range,
+                      grid_size: int = DEFAULT_GRID) -> StructuralReport | list[StructuralReport]:
     """Verifies mirror symmetry about 1/2 of the node values of levels up
     to _J_SYMMETRY (the nodes are mirrored, t_{M-1-i} = 1 - t_i), concavity
     of the first level on the sample grid, monotonicity of the ratio
     extrema up to level _J_MONOTONE, and the integral bound
-    int Pi_{nL,c} <= mu(n)^L for L up to _L_MAX."""
-    failures: list[str] = []
-    levels = phi_levels(n, STRUCTURAL_LEVEL, grid_size)
+    int Pi_{nL,c} <= mu(n)^L for L up to _L_MAX.  For a range of n, the
+    list of every n's report, from one search over all their stacks."""
+    ns = _ns(n, grid_size)
+    stacks = [phi_levels(m, STRUCTURAL_LEVEL, grid_size) for m in ns]
+    searches = _level_records((m, levels[: _J_MONOTONE + 2]) for m, levels in zip(ns, stacks))
+    reports = []
+    for m, levels, (records, i, max_d2) in zip(ns, stacks, searches):
+        failures: list[str] = []
+        sym_dev = 0.0
+        for lv in levels[: _J_SYMMETRY + 1]:
+            sym_dev = max(sym_dev, float(np.max(np.abs(lv.node_values - lv.node_values[::-1]))))
+        if not sym_dev <= 1e-10:
+            failures.append(f"symmetry deviation {sym_dev:.3e} above 1e-10")
 
-    sym_dev = 0.0
-    for lv in levels[: _J_SYMMETRY + 1]:
-        sym_dev = max(sym_dev, float(np.max(np.abs(lv.node_values - lv.node_values[::-1]))))
-    if not sym_dev <= 1e-10:
-        failures.append(f"symmetry deviation {sym_dev:.3e} above 1e-10")
+        if not max_d2 <= 1e-8:  # a NaN fails too
+            failures.append(f"second difference {max_d2:.3e} > 1e-8 at node {i}")
 
-    records, i, max_d2 = _level_records(n, levels[: _J_MONOTONE + 2])
-    if not max_d2 <= 1e-8:  # a NaN fails too
-        failures.append(f"second difference {max_d2:.3e} > 1e-8 at node {i}")
+        for a, b in zip(records, records[1:]):
+            if b.ratio_max > a.ratio_max + 1e-9:
+                failures.append(f"ratio max increased at level {b.j}")
+            if b.ratio_min < a.ratio_min - 1e-9:
+                failures.append(f"ratio min decreased at level {b.j}")
 
-    for a, b in zip(records, records[1:]):
-        if b.ratio_max > a.ratio_max + 1e-9:
-            failures.append(f"ratio max increased at level {b.j}")
-        if b.ratio_min < a.ratio_min - 1e-9:
-            failures.append(f"ratio min decreased at level {b.j}")
-
-    mu_n = mu(n)
-    rows = []
-    for ell in range(1, _L_MAX + 1):
-        val = levels[ell].integral()
-        bound = mu_n**ell
-        rows.append((ell, val, bound))
-        if val > bound + 1e-12:
-            failures.append(f"integral at L={ell} exceeds mu^L: {val:.6e} > {bound:.6e}")
-
-    return StructuralReport(n, sym_dev, max_d2, tuple(failures), tuple(rows))
+        mu_n = mu(m)
+        rows = []
+        for ell in range(1, _L_MAX + 1):
+            val = levels[ell].integral()
+            bound = mu_n**ell
+            rows.append((ell, val, bound))
+            if val > bound + 1e-12:
+                failures.append(f"integral at L={ell} exceeds mu^L: {val:.6e} > {bound:.6e}")
+        reports.append(StructuralReport(m, sym_dev, max_d2, tuple(failures), tuple(rows)))
+    return reports if isinstance(n, range) else reports[0]

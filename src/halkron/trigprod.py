@@ -127,16 +127,25 @@ def a_exponent(n: int) -> float:
 
 def f_iterate(nu: int, x):
     """f_nu with f_0 = id and f_1(x) = 2 x sqrt(1-x^2) at x in [0,1], as a
-    float array of x's shape, clamped against rounding excursions."""
+    new float array of x's shape, clamped against rounding excursions.
+    Each step runs in place, on one copy of x and one scratch array of two
+    rows, and takes the same operations as the expression
+    clip(2 x sqrt((1 - x)(1 + x)), 0, 1); x itself is never written."""
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    arr = np.asarray(x, dtype=float)
+    arr = np.array(x, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("x must lie in [0,1]")
+    if nu:
+        scratch = np.empty((2, *arr.shape))
+        low, high = scratch[0, ...], scratch[1, ...]  # views, 0-d for a scalar x
     for _ in range(nu):
         # 1-x^2 as (1-x)(1+x): no cancellation near x = 1
-        arr = 2.0 * arr * np.sqrt((1.0 - arr) * (1.0 + arr))
-        arr = np.clip(arr, 0.0, 1.0)
+        np.subtract(1.0, arr, out=low)
+        low *= np.add(1.0, arr, out=high)
+        arr *= 2.0
+        arr *= np.sqrt(low, out=low)
+        np.clip(arr, 0.0, 1.0, out=arr)
     return arr
 
 

@@ -2,7 +2,8 @@
 distance to the nearest integer, continued fractions of fixed-point
 numbers, the closed-form geometric exponential sum, the exact 1D star
 discrepancy, the index sequence m_k with its exponential sum, and the
-angle-doubling fixed point xi_n with the G_n values and bounds around it."""
+angle-doubling fixed point xi_n with the G_n values and bounds around it,
+and the former f_nu expression as an oracle for ``f_iterate``."""
 
 from __future__ import annotations
 
@@ -147,6 +148,16 @@ def xi_fixed_point(n: int) -> float:
     """xi_n = sin(2^n pi / (2 (2^n + 1))) = cos(pi / (2 (2^n + 1))), the
     fixed point of the n-fold angle-doubling iterate."""
     return math.cos(_xi_angle(n))
+
+
+def f_iterate_oracle(nu: int, x) -> np.ndarray:
+    """f_nu by the former expression of ``trigprod.f_iterate``, a new array
+    per operation: clip(2 x sqrt((1 - x)(1 + x)), 0, 1), nu times."""
+    arr = np.asarray(x, dtype=float)
+    for _ in range(nu):
+        arr = 2.0 * arr * np.sqrt((1.0 - arr) * (1.0 + arr))
+        arr = np.clip(arr, 0.0, 1.0)
+    return arr
 
 
 def g_value(n: int, x):

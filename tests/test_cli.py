@@ -297,13 +297,51 @@ class TestKernelGuard:
         assert code == 0 and built == [30]
 
 
+def count_bases(monkeypatch, points: int) -> dict:
+    """Counts, from now on, the ``metric._basis`` calls at the ``points``
+    grid points and those of the ratio search, one point a search."""
+    counts = {"grid": 0, "search": 0}
+    basis = cli.metric._basis
+
+    def counting(x):
+        if x.ndim == 1:
+            counts["grid" if len(x) == points else "search"] += 1
+        return basis(x)
+
+    monkeypatch.setattr(cli.metric, "_basis", counting)
+    return counts
+
+
+class TestOneSearchPerCommand:
+    """Every n of a command is searched in one pass: one basis of the grid
+    points and 62 search evaluations (2 to start, 60 golden-section steps),
+    not one basis and 62 evaluations per n."""
+
+    def test_lambda(self, capsys, monkeypatch):
+        counts = count_bases(monkeypatch, 4097)
+        code, out, _ = run(capsys, "lambda", "--n", "1..8", "--depth", "12", "--grid", "4096")
+        assert code == 0 and out.count("exponent bracket") == 8
+        assert counts == {"grid": 1, "search": 62}
+
+    def test_certify(self, capsys, monkeypatch):
+        counts = count_bases(monkeypatch, cli.metric.DEFAULT_GRID + 1)
+        code, out, _ = run(capsys, "certify", "--n", "1..8")
+        assert code == 0 and len(json.loads(out)["reports"]) == 8
+        assert counts == {"grid": 1, "search": 62}
+
+
 class TestCertify:
     def test_small_grid_is_usage_error(self, capsys, monkeypatch):
-        # the one grid rule is trigprod.dichotomy_grid's; no structural check runs first
+        # the one grid rule is trigprod.dichotomy_grid's; no structural check
+        # and no ratio search of one runs first
         def work(*args):
             raise AssertionError("a structural check ran before the grid rule")
 
+        def search(stacks):
+            raise AssertionError("a ratio search ran before the grid rule")
+
         monkeypatch.setattr(cli.metric, "structural_checks", work)
+        monkeypatch.setattr(cli.metric, "_level_records", search)
         for argv in (["--n", "1", "--grid", "100"], ["--n", "1..2", "--grid", "999"]):
             code, out, err = run(capsys, "certify", *argv)
             assert code == 2 and out == ""

@@ -382,6 +382,14 @@ class TestByteGuards:
         peak = traced_peak(_pi_direct_quadrature, n, l, metric._QUAD_POINTS)
         assert peak <= 8 * (2**19 * 8 + 2**18 + 8**2 + 8192) + self.SLACK
 
+    def test_many_n_peak(self):
+        # 1000 stacks of 14 levels on 257 points: the peak holds the 13,000
+        # records returned (about 3 MB) and one queue of at most 2^10
+        # searches (about 2.4 MB); the searches of every n at once would
+        # take over 60 MB, and their levels over 5 MB more
+        assert metric._LANES == 1 << 10
+        assert traced_peak(lambda_bracket, range(1, 1001), 12, 256) <= 8 << 20
+
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_level_bytes(self, n):
         # at the largest grid, 2^14 cells, the peak holds one basis (48
@@ -413,10 +421,10 @@ class TestStructuralChecks:
 
     def test_search_failures(self, monkeypatch):
         # a rising max, a falling min and a convex first level, as the one search reports them
-        def search(n, levels):
+        def search(stacks):
             records = [metric.LevelRecord(0, 0.5, 1.0, 0.0, 1.0),
                        metric.LevelRecord(1, 0.4, 1.1, 0.0, 1.0)]
-            return records, 7, 1.0
+            return [(records, 7, 1.0) for _ in stacks]
 
         monkeypatch.setattr(metric, "_level_records", search)
         rep = structural_checks(1, GRID)
@@ -448,6 +456,38 @@ class TestStructuralChecks:
         rep = structural_checks(1, GRID)
         assert rep.symmetry_max_dev == dev
         assert rep.failures[0] == f"symmetry deviation {dev:.3e} above 1e-10"
+
+
+class TestRangeOfN:
+    """A range of n searches every n's stack in one pass, from one basis of
+    the grid points; each n's records equal those of its own call."""
+
+    @pytest.mark.parametrize("grid", [1 << 8, 1 << 12, 1 << 14])
+    @pytest.mark.parametrize("depth", [0, 3, 12])
+    def test_lambda_brackets_equal_the_single_n_calls(self, grid, depth):
+        ns = range(1, 9)
+        assert lambda_bracket(ns, depth, grid) == [lambda_bracket(n, depth, grid) for n in ns]
+
+    @pytest.mark.parametrize("grid", [1 << 8, 1 << 12, 1 << 14])
+    def test_structural_reports_equal_the_single_n_calls(self, grid):
+        ns = range(1, 9)
+        assert structural_checks(ns, grid) == [structural_checks(n, grid) for n in ns]
+
+    def test_a_stack_above_the_lane_count_steps_in_parts(self, monkeypatch):
+        # 3 stacks of 26 searches against 16 lanes: each stack is queued
+        # alone and stepped in two parts
+        want = lambda_bracket(range(1, 4), 12, 256)
+        monkeypatch.setattr(metric, "_LANES", 16)
+        assert lambda_bracket(range(1, 4), 12, 256) == want
+
+    def test_an_n_is_checked_before_any_level_is_built(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("a level was built before the n rule")
+
+        monkeypatch.setattr(metric, "phi_levels", build)
+        for fn, args in ((lambda_bracket, (12, 256)), (structural_checks, (256,))):
+            with pytest.raises(ValueError, match=r"n must lie in 1\.\.1000"):
+                fn(range(999, 1002), *args)
 
 
 class TestRatioSearchOracle:

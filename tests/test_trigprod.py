@@ -4,7 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from exact_helpers import g_value, g_value_product, product_upper_bound_log, xi_fixed_point
+from exact_helpers import (
+    f_iterate_oracle,
+    g_value,
+    g_value_product,
+    product_upper_bound_log,
+    xi_fixed_point,
+)
 from halkron.numtheory import UnitFraction, to_words
 from halkron.sequences import PerturbSpec
 from halkron.trigprod import (
@@ -13,6 +19,7 @@ from halkron.trigprod import (
     f_iterate,
     g_at_xi,
     gelfond_certify,
+    gelfond_sweep,
     lacunary_factor,
     lacunary_factors,
     log_g_at_xi,
@@ -224,6 +231,26 @@ class TestXiAndIterate:
     def test_rejects_outside_unit(self):
         with pytest.raises(ValueError):
             f_iterate(1, 1.5)
+
+    # the ends, the smallest subnormal, 1/2 and the double just below 1, then seeded points
+    EDGES = [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0]
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3, 8, 16])
+    def test_in_place_steps_equal_the_former_expression(self, nu):
+        xs = np.concatenate([self.EDGES, np.random.default_rng(nu).random(10_000)])
+        assert f_iterate(nu, xs).tobytes() == f_iterate_oracle(nu, xs).tobytes()
+        for x in self.EDGES:
+            assert np.asarray(f_iterate(nu, x)).tobytes() == f_iterate_oracle(nu, x).tobytes()
+
+    def test_argument_is_never_written(self):
+        xs = np.concatenate([self.EDGES, np.random.default_rng(7).random(10_000)])
+        before = xs.copy()
+        for nu in (0, 1, 5):
+            assert f_iterate(nu, xs) is not xs
+            assert xs.tobytes() == before.tobytes()
+        g1, v = gelfond_sweep(5, xs, g_at_xi(5))
+        assert xs.tobytes() == before.tobytes()
+        assert np.isfinite(g1).all() and np.isfinite(v).all()
 
 
 class TestGValue:
