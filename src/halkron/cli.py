@@ -7,7 +7,7 @@ parser (``--width`` with ``--alpha``).  Every output goes through
 ``_emit``, which embeds a format version and the config, exactly the
 flags the result reads: the command and ``--key value`` per config key
 re-produce the file byte for byte.  Every size cap is a constant that
-counts what the flags ask for (points, levels, terms or rows), checked
+counts what the flags ask for (points, levels or rows), checked
 through ``_guard``, and ``--force`` is the one way past it: the caps are
 CLI policy, and library functions cap no size.
 Exit codes: 0 success, 2 usage, 3 guard (a size above its cap, or an
@@ -46,7 +46,6 @@ DEFAULT_DEPTH = 12
 DEFAULT_CERTIFY_GRID = 100_000
 DEFAULT_POINT_CAP = 1 << 16  # points of `gen` and `disc`, N = 2^(nL) of `scan`
 DEFAULT_DEPTH_CAP = 4000  # levels of `lambda`, 8 (2^14 + 1) bytes each on the grid at most
-DEFAULT_MU_CAP = 1 << 16  # terms 2^n of the mu(n) sum of `certify`
 DEFAULT_BOUND_ROW_CAP = 1 << 22  # rows of one bound table
 
 
@@ -119,7 +118,8 @@ def _emit(args, config: dict, body: str | None = None, payload: dict | None = No
     """Write one command's output.  ``--out`` gets the ``# format_version``
     and ``# config`` lines and then ``body``, the formatted data lines; with
     no body it gets ``payload`` as one JSON document instead.  ``--json``,
-    where the command has it, gets ``payload`` with indent 2.  A JSON
+    which only ``scan``, ``lambda`` and ``bound`` have, gets ``payload``
+    with indent 2.  A JSON
     document is one object, keys sorted, that holds the format version and
     config next to ``payload``.  The path ``-`` is stdout, written last: a
     file that cannot be written is a usage error before anything reaches
@@ -273,8 +273,6 @@ def cmd_certify(args) -> int:
     ns = parse_n(args.n)
     for n in ns:  # the rules of metric.phi_levels, before any level is built
         metric.check_levels(n, metric.DEFAULT_GRID)
-    for n in ns:
-        _guard(1 << n, DEFAULT_MU_CAP, args.force, f"n={n}: mu sums 2^{n} terms")
     # every n's sharpness identity first: its size rule fails before any other work
     sharps = [trigprod.sharpness_identity(n, args.blocks) for n in ns]
     # every n's dichotomy sweep next: its grid rule fails before any structural check
@@ -364,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("gen", cmd_gen, "write a point-set CSV", alpha, force)
     sp.add_argument("--count", type=int, required=True)
 
-    sp = command("disc", cmd_disc, "exact 2D star discrepancy of a generated set",
-                 alpha, force, json_out)
+    sp = command("disc", cmd_disc, "exact 2D star discrepancy of a generated set", alpha, force)
     sp.add_argument("--count", type=int, required=True)
 
     sp = command("scan", cmd_scan, "growth scan N*D*_N over N = 2^{nL}", alpha, force, json_out)
@@ -379,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     sp.add_argument("--grid", type=int, default=metric.DEFAULT_GRID)
 
-    sp = command("certify", cmd_certify, "dichotomy + sharpness + structural checks",
-                 force, json_out)
+    sp = command("certify", cmd_certify, "dichotomy + sharpness + structural checks")
     sp.add_argument("--grid", type=int, default=DEFAULT_CERTIFY_GRID)
     sp.add_argument("--blocks", type=int, default=20, help="L for the sharpness identity")
 
@@ -390,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--H", type=int, required=True)
     sp.add_argument("--K", type=int, required=True)
 
-    sp = command("integral", cmd_integral, "integral of the product by both routes", json_out)
+    sp = command("integral", cmd_integral, "integral of the product by both routes")
     sp.add_argument("--L", type=int, required=True)
 
     return p

@@ -152,10 +152,8 @@ def f_iterate(nu: int, x):
 def _g_from_f(n: int, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
     """G_n at the nodes ``x`` from fx = f_n(x)."""
     denom = (1 << n) * np.sqrt((1.0 - x) * (1.0 + x))
-    out = np.ones_like(x)  # the limit at x = 1
-    ok = x != 1.0
-    out[ok] = fx[ok] / denom[ok]
-    return np.clip(out, 0.0, None)
+    out = np.divide(fx, denom, out=np.ones_like(x), where=x != 1.0)  # 1, the limit at x = 1
+    return np.clip(out, 0.0, None, out=out)
 
 
 def g_at_xi(n: int) -> float:

@@ -219,8 +219,8 @@ class TestTrigAndLambda:
 class TestKernelGuard:
     def test_large_n_is_guarded(self, capsys, tmp_path):
         # n = 14 runs, and its depth-12 bracket holds the spectral exponent;
-        # n = 17 runs too, since the collocation takes 2 branches a step, but
-        # certify's mu(17) sums 2^17 terms, above the cap of 2^16
+        # n = 17 runs too, since the collocation takes 2 branches a step, and
+        # so does certify, whose mu(17) is a closed form, not a 2^17-term sum
         jpath = tmp_path / "l.json"
         code, out, _ = run(capsys, "lambda", "--n", "14", "--depth", "12", "--json", str(jpath))
         assert code == 0
@@ -229,8 +229,21 @@ class TestKernelGuard:
         code, out, _ = run(capsys, "lambda", "--n", "17", "--depth", "12")
         assert code == 0 and "# n=17: exponent bracket" in out
         code, out, err = run(capsys, "certify", "--n", "17")
-        assert code == 3
-        assert out == "" and "mu sums 2^17 terms" in err and "--force" in err
+        assert code == 0 and err == ""
+        assert [r["n"] for r in json.loads(out)["reports"]] == [17]
+
+    def test_certify_n_60_allocates_nothing_of_size_2_to_the_n(self, capsys):
+        # n = 60 is within the sharpness rule n * blocks <= 1000 at 10 blocks
+        tracemalloc.start()
+        try:
+            code = cli.main(["certify", "--n", "60", "--blocks", "10"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert json.loads(out)["reports"][0]["passed"]
+        assert peak < 16 << 20
 
     def test_n_above_1000_is_usage_error(self, capsys, monkeypatch):
         # at n = 1024 the first level's node values are subnormal; the rule
@@ -517,7 +530,7 @@ class TestUnwritablePath:
 
     def test_json(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.json"
-        code, out, err = run(capsys, "disc", "--n", "1", "--count", "16", "--json", str(path))
+        code, out, err = run(capsys, "scan", "--n", "1", "--L", "2..3", "--json", str(path))
         assert code == 2
         assert out == ""
         assert err == f"error: cannot write {path}: No such file or directory\n"
@@ -712,8 +725,12 @@ def test_every_option_is_read(capsys, command):
     (["gen", "--n", "1", "--count", "4"], ["--guard", "16"]),
     (["disc", "--n", "1", "--count", "4"], ["--guard", "16"]),
     (["scan", "--n", "1", "--L", "2"], ["--guard", "16"]),
+    (["certify", "--n", "1", "--grid", "2000"], ["--force"]),
+    (["certify", "--n", "1", "--grid", "2000"], ["--json", "c.json"]),
+    (["disc", "--n", "1", "--count", "4"], ["--json", "d.json"]),
+    (["integral", "--n", "1", "--L", "1"], ["--json", "i.json"]),
 ], ids=["lambda", "certify", "integral", "integral-force", "gen-guard", "disc-guard",
-        "scan-guard"])
+        "scan-guard", "certify-force", "certify-json", "disc-json", "integral-json"])
 def test_removed_flags_are_rejected(capsys, argv, removed):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + removed)

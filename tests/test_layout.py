@@ -26,6 +26,9 @@ function that only tests call belongs in the tests.
 
 A transfer-operator level stack has one builder: only ``metric.phi_levels``
 calls ``metric._collocation``.
+
+Every size cap of the CLI, a ``DEFAULT_*_CAP`` constant of ``cli.py``, is
+read by a ``_guard`` call: a cap that no guard reads caps nothing.
 """
 
 import ast
@@ -171,3 +174,22 @@ def test_one_builder_of_the_level_stack():
         and "_collocation" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert builders == {"metric.py:phi_levels"}
+
+
+def test_every_cap_reaches_a_guard():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    caps = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and re.fullmatch(r"DEFAULT_\w+_CAP", target.id)
+    }
+    guarded = {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_guard"
+        for name in used_names(node)
+    }
+    assert caps, "cli.py declares no size cap"
+    assert caps - guarded == set(), f"caps that no _guard call reads: {sorted(caps - guarded)}"

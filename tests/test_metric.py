@@ -203,6 +203,31 @@ class TestMu:
         for n, up in ref_upper.items():
             assert 1.0 + math.log(mu(n)) / (n * math.log(2.0)) >= up
 
+    @staticmethod
+    def secant_sum(n: int) -> float:
+        # the 2^n-term definition in float64, each |cos(pi p)| taken as the
+        # sine of its reduced argument |1/2 - p|
+        b = 1 << n
+        p = (1.0 + 2.0 * np.arange(b, dtype=float)) / (2.0 * b)
+        return float((1.0 / np.sin(np.abs(0.5 - p) * np.pi)).sum()) / 4.0**n
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_sum_up_to_16(self, n):
+        assert mu(n) == self.secant_sum(n)
+
+    @pytest.mark.parametrize("n", range(17, 21))
+    def test_closed_form_above_16(self, n):
+        want = self.secant_sum(n)
+        assert abs(mu(n) - want) <= 2 * math.ulp(want)
+
+    def test_closed_form_stays_normal_to_n_1000(self):
+        assert 4.0e-299 < mu(1000) < 4.2e-299
+
+    @pytest.mark.parametrize("n", [0, -1, 1001])
+    def test_n_outside_1_to_1000_raises(self, n):
+        with pytest.raises(ValueError, match=r"^n must lie in 1\.\.1000$"):
+            mu(n)
+
 
 class TestLambdaBracket:
     def test_more_nodes_move_no_exponent(self, monkeypatch):
