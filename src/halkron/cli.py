@@ -244,9 +244,7 @@ def cmd_trig(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    ns = parse_n(args.n)
-    for n in ns:  # the rules of metric.phi_levels, before any level is built
-        metric.check_levels(n, args.grid)
+    ns = metric.check_levels(parse_n(args.n), args.grid)  # before any level is built
     _guard(args.depth, DEFAULT_DEPTH_CAP, args.force, f"depth {args.depth}")
     brackets = dict(zip(ns, metric.lambda_bracket(ns, args.depth, args.grid)))
     lead = len(ns) > 1  # a range of n puts n in the first column
@@ -270,9 +268,7 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    ns = parse_n(args.n)
-    for n in ns:  # the rules of metric.phi_levels, before any level is built
-        metric.check_levels(n, metric.DEFAULT_GRID)
+    ns = metric.check_levels(parse_n(args.n), metric.DEFAULT_GRID)  # before any level is built
     # every n's sharpness identity first: its size rule fails before any other work
     sharps = [trigprod.sharpness_identity(n, args.blocks) for n in ns]
     # every n's dichotomy sweep next: its grid rule fails before any structural check

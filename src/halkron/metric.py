@@ -20,8 +20,8 @@ Review 46 (2004)) and integrated by Fejer's first rule.  One search,
 uniform grid of 256..2^14 cells: it builds the basis at the grid points
 once, samples each stack in one matmul with it, locates the ratio extrema
 there, and refines them by the golden-section searches of all the stacks
-run in lockstep as arrays, ``_LANES`` at a time.  ``lambda_bracket`` and
-``structural_checks`` take an n or a range of n.  The direct quadrature
+run in lockstep as arrays, ``_LANES`` at a time; it returns ratio records
+only.  Concavity is read off level 1's Chebyshev series.  The direct quadrature
 takes each factor once per group of panels of one binade, on one period
 of it.
 """
@@ -50,6 +50,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # basis and one product (2 x 48) and a few scalars.  So 2^10 searches take about
 # 2.4 MB, below half of one grid basis of 48 (2^14 + 1) doubles (6.3 MB).
 _LANES = 1 << 10
+_CONCAVITY_POINTS = 257  # equispaced points of [0, 1], both ends, where level 1's p'' is taken
 # depths of the structural checks: symmetric levels, monotone ratio levels, integral bounds
 _J_SYMMETRY, _J_MONOTONE, _L_MAX = 6, 12, 10
 STRUCTURAL_LEVEL = max(_J_SYMMETRY, _J_MONOTONE + 1, _L_MAX)  # deepest level they build
@@ -126,11 +127,15 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must lie in 1..{_MAX_N}")
 
 
-def check_levels(n: int, grid_size: int) -> None:
-    """Raises ``ValueError`` on an n or a grid that ``phi_levels`` refuses."""
-    _check_n(n)
-    if not _MIN_GRID <= grid_size <= DEFAULT_GRID:
-        raise ValueError(f"grid_size must lie in {_MIN_GRID}..{DEFAULT_GRID}")
+def check_levels(n: int | range, grid_size: int) -> range:
+    """The n's of an int or a range; raises ``ValueError`` on the first n,
+    each checked with the grid, that ``phi_levels`` refuses."""
+    ns = n if isinstance(n, range) else range(n, n + 1)
+    for m in ns:
+        _check_n(m)
+        if not _MIN_GRID <= grid_size <= DEFAULT_GRID:
+            raise ValueError(f"grid_size must lie in {_MIN_GRID}..{DEFAULT_GRID}")
+    return ns
 
 
 def _step(sine: bool) -> np.ndarray:
@@ -236,29 +241,16 @@ def _exponent(n: int, value: float) -> float:
     return 1.0 + math.log(value) / (n * math.log(2.0))
 
 
-def _ns(n: int | range, grid_size: int) -> range:
-    """The n's of an int or a range, each checked with the grid by
-    ``check_levels`` before any level is built."""
-    ns = n if isinstance(n, range) else range(n, n + 1)
-    for m in ns:
-        check_levels(m, grid_size)
-    return ns
-
-
 def _grid_extrema(levels: list[PhiGrid], xs: np.ndarray, basis: np.ndarray):
     """The searches of one level stack, sampled at the grid points ``xs``
     through ``basis``, their ``_basis``: per search, max and min
     alternating for each pair of levels, the node values of both levels,
     the pair's scale, the two grid cells around the pair's grid extremum
-    and that extremum, with the first of equals and the first NaN winning;
-    and level 1's largest second difference, as point index and value.
+    and that extremum, with the first of equals and the first NaN winning.
     The ratios overwrite the samples, from the top level down."""
     g = len(xs) - 1
     scale = np.array([math.exp(b.log_scale - a.log_scale) for a, b in zip(levels, levels[1:])])
     samples = _samples(levels, basis)
-    v = samples[1]
-    d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    k = int(np.argmax(d2))
     for j in range(len(levels) - 1, 0, -1):
         samples[j] /= samples[j - 1]
         samples[j] *= scale[j - 1]
@@ -268,15 +260,15 @@ def _grid_extrema(levels: list[PhiGrid], xs: np.ndarray, basis: np.ndarray):
     vals = np.array([lv.node_values for lv in levels])
     searches = (vals[pair], vals[pair + 1], scale[pair],
                 xs[np.maximum(ext - 1, 0)], xs[np.minimum(ext + 1, g)], ratio[pair, ext])
-    return searches, k + 1, float(d2[k])
+    return searches
 
 
-def _refine(queue: list) -> list[tuple[list[LevelRecord], int, float]]:
-    """The records of the stacks in ``queue``, each an (n, index, second
-    difference, searches) of ``_grid_extrema``.  The searches of all of
-    them step in lockstep as arrays, ``_LANES`` at a time, each reading
-    both levels' node values through one ``_basis`` of its points."""
-    fields = [np.concatenate(f) for f in zip(*(searches for *_, searches in queue))]
+def _refine(queue: list) -> list[list[LevelRecord]]:
+    """The records of the stacks in ``queue``, each an (n, searches) of
+    ``_grid_extrema``.  The searches of all of them step in lockstep as
+    arrays, ``_LANES`` at a time, each reading both levels' node values
+    through one ``_basis`` of its points."""
+    fields = [np.concatenate(f) for f in zip(*(searches for _, searches in queue))]
     best = []
     for at in range(0, len(fields[0]), _LANES):
         lower, upper, scale, a, d, grid_best = (f[at:at + _LANES] for f in fields)
@@ -300,20 +292,18 @@ def _refine(queue: list) -> list[tuple[list[LevelRecord], int, float]]:
         found = np.where(sign * fc > sign * fb, fc, fb)
         best += np.where(sign * found > sign * grid_best, found, grid_best).tolist()
     results, at = [], 0
-    for n, i, d2, searches in queue:
+    for n, searches in queue:
         stack = best[at:at + len(searches[0])]
         at += len(stack)
-        records = [LevelRecord(j, lo, hi, _exponent(n, lo), _exponent(n, hi))
-                   for j, (hi, lo) in enumerate(zip(stack[::2], stack[1::2]))]
-        results.append((records, i, d2))
+        results.append([LevelRecord(j, lo, hi, _exponent(n, lo), _exponent(n, hi))
+                        for j, (hi, lo) in enumerate(zip(stack[::2], stack[1::2]))])
     return results
 
 
-def _level_records(stacks) -> list[tuple[list[LevelRecord], int, float]]:
+def _level_records(stacks) -> list[list[LevelRecord]]:
     """For each (n, level stack) of ``stacks``, an iterable of stacks on one
     grid: the ratio extrema of each level over the one before, with their
-    exponents, and level 1's largest second difference on the sample grid,
-    as point index and value.
+    exponents, as one ``LevelRecord`` per level pair.
 
     An extremum of q = Phi_{j+1}/Phi_j is its extremum on the sample grid,
     at a point c, or, where more extreme, the best of 60 golden-section
@@ -327,11 +317,11 @@ def _level_records(stacks) -> list[tuple[list[LevelRecord], int, float]]:
         if xs is None:  # one grid for every stack
             xs = np.linspace(0.0, 1.0, levels[0].grid_size + 1)
             basis = _basis(xs)
-        searches, i, d2 = _grid_extrema(levels, xs, basis)
+        searches = _grid_extrema(levels, xs, basis)
         if queued + len(searches[0]) > _LANES and queue:
             results += _refine(queue)
             queue, queued = [], 0
-        queue.append((n, i, d2, searches))
+        queue.append((n, searches))
         queued += len(searches[0])
     return results + _refine(queue) if queue else results
 
@@ -345,12 +335,12 @@ def lambda_bracket(n: int | range, j_max: int,
     built as the search reads them."""
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    ns = _ns(n, grid_size)
+    ns = check_levels(n, grid_size)
     stacks = ((m, phi_levels(m, j_max + 1, grid_size)) for m in ns)
     brackets = [
         LambdaBracket(m, j_max, records[-1].ratio_min, records[-1].ratio_max,
                       records[-1].exp_lower, records[-1].exp_upper, tuple(records))
-        for m, (records, _, _) in zip(ns, _level_records(stacks))
+        for m, records in zip(ns, _level_records(stacks))
     ]
     return brackets if isinstance(n, range) else brackets[0]
 
@@ -442,7 +432,7 @@ def integral_pi(n: int, blocks: int) -> IntegralPi:
 class StructuralReport:
     n: int
     symmetry_max_dev: float
-    concavity_max_d2: float
+    concavity_max_d2: float  # the largest p'' of the normalized level-1 interpolant
     failures: tuple[str, ...]
     integral_rows: tuple[tuple[int, float, float], ...]  # (L, integral, mu^L)
 
@@ -451,33 +441,45 @@ class StructuralReport:
         return not self.failures
 
 
+def _second_derivative(values: np.ndarray) -> np.ndarray:
+    """p'' of the interpolant of node values at the _CONCAVITY_POINTS.  Its
+    coefficients in T_k(2x - 1) are c_k = (2/M) sum_j v_j T_k(t_j), c_0
+    halved, by discrete orthogonality at the nodes (Trefethen, ATAP, ch. 3
+    and 21); numpy.polynomial loads here, on first use, not at start-up."""
+    cheb = np.polynomial.chebyshev
+    t = 2.0 * _chebyshev(_NODES)[0] - 1.0
+    c = (2.0 / _NODES) * (cheb.chebvander(t, _NODES - 1).T @ values)
+    c[0] /= 2.0
+    return cheb.chebval(np.linspace(-1.0, 1.0, _CONCAVITY_POINTS), cheb.chebder(c, 2, scl=2.0))
+
+
 def structural_checks(n: int | range,
                       grid_size: int = DEFAULT_GRID) -> StructuralReport | list[StructuralReport]:
     """Verifies mirror symmetry about 1/2 of the node values of levels up
     to _J_SYMMETRY (the nodes are mirrored, t_{M-1-i} = 1 - t_i), concavity
-    of the first level on the sample grid, monotonicity of the ratio
-    extrema up to level _J_MONOTONE, and the integral bound
-    int Pi_{nL,c} <= mu(n)^L for L up to _L_MAX.  For a range of n, the
-    list of every n's report, from one search over all their stacks."""
-    ns = _ns(n, grid_size)
+    of the first level's interpolant (p'' <= 1e-8 at _CONCAVITY_POINTS, on
+    no grid), monotonicity of the ratio extrema up to level _J_MONOTONE, and
+    the integral bound int Pi_{nL,c} <= mu(n)^L for L up to _L_MAX.  For a
+    range of n, the list of every n's report, from one search over all."""
+    ns = check_levels(n, grid_size)
     stacks = [phi_levels(m, STRUCTURAL_LEVEL, grid_size) for m in ns]
     searches = _level_records((m, levels[: _J_MONOTONE + 2]) for m, levels in zip(ns, stacks))
     reports = []
-    for m, levels, (records, i, max_d2) in zip(ns, stacks, searches):
+    for m, levels, records in zip(ns, stacks, searches):
         failures: list[str] = []
-        sym_dev = 0.0
-        for lv in levels[: _J_SYMMETRY + 1]:
-            sym_dev = max(sym_dev, float(np.max(np.abs(lv.node_values - lv.node_values[::-1]))))
+        vals = np.array([lv.node_values for lv in levels[: _J_SYMMETRY + 1]])
+        sym_dev = float(np.max(np.abs(vals - vals[:, ::-1])))  # a NaN is the max
         if not sym_dev <= 1e-10:
             failures.append(f"symmetry deviation {sym_dev:.3e} above 1e-10")
 
+        max_d2 = float(np.max(_second_derivative(levels[1].node_values)))
         if not max_d2 <= 1e-8:  # a NaN fails too
-            failures.append(f"second difference {max_d2:.3e} > 1e-8 at node {i}")
+            failures.append(f"second derivative {max_d2:.3e} of level 1 above 1e-8")
 
         for a, b in zip(records, records[1:]):
-            if b.ratio_max > a.ratio_max + 1e-9:
+            if not b.ratio_max <= a.ratio_max + 1e-9:  # a NaN fails, as below
                 failures.append(f"ratio max increased at level {b.j}")
-            if b.ratio_min < a.ratio_min - 1e-9:
+            if not b.ratio_min >= a.ratio_min - 1e-9:
                 failures.append(f"ratio min decreased at level {b.j}")
 
         mu_n = mu(m)
@@ -486,7 +488,7 @@ def structural_checks(n: int | range,
             val = levels[ell].integral()
             bound = mu_n**ell
             rows.append((ell, val, bound))
-            if val > bound + 1e-12:
+            if not val <= bound + 1e-12:  # a NaN fails too
                 failures.append(f"integral at L={ell} exceeds mu^L: {val:.6e} > {bound:.6e}")
         reports.append(StructuralReport(m, sym_dev, max_d2, tuple(failures), tuple(rows)))
     return reports if isinstance(n, range) else reports[0]

@@ -29,10 +29,17 @@ calls ``metric._collocation``.
 
 Every size cap of the CLI, a ``DEFAULT_*_CAP`` constant of ``cli.py``, is
 read by a ``_guard`` call: a cap that no guard reads caps nothing.
+
+Importing the CLI loads no ``numpy.polynomial``: only the commands that
+use it (``certify``'s concavity check, ``integral``'s quadrature) load it,
+so every other command starts without it.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import halkron
@@ -193,3 +200,13 @@ def test_every_cap_reaches_a_guard():
     }
     assert caps, "cli.py declares no size cap"
     assert caps - guarded == set(), f"caps that no _guard call reads: {sorted(caps - guarded)}"
+
+
+def test_the_cli_loads_no_polynomial_package():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, halkron.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -445,18 +446,68 @@ class TestStructuralChecks:
             assert val <= bound + 1e-12
 
     def test_search_failures(self, monkeypatch):
-        # a rising max, a falling min and a convex first level, as the one search reports them
+        # a rising max and a falling min, as the one search reports them
         def search(stacks):
             records = [metric.LevelRecord(0, 0.5, 1.0, 0.0, 1.0),
                        metric.LevelRecord(1, 0.4, 1.1, 0.0, 1.0)]
-            return [(records, 7, 1.0) for _ in stacks]
+            return [records for _ in stacks]
 
         monkeypatch.setattr(metric, "_level_records", search)
         rep = structural_checks(1, GRID)
-        assert rep.failures == ("second difference 1.000e+00 > 1e-8 at node 7",
-                                "ratio max increased at level 1",
+        assert rep.failures == ("ratio max increased at level 1",
                                 "ratio min decreased at level 1")
-        assert rep.concavity_max_d2 == 1.0
+
+    @staticmethod
+    def patch_level_1(monkeypatch, change):
+        """``phi_levels`` with level 1's node values replaced by
+        ``change(node values, nodes)``."""
+        true_levels = metric.phi_levels
+        nodes = _chebyshev(_NODES)[0]
+
+        def patched(*args):
+            levels = true_levels(*args)
+            v = change(levels[1].node_values.copy(), nodes)
+            levels[1] = dataclasses.replace(levels[1], node_values=v)
+            return levels
+
+        monkeypatch.setattr(metric, "phi_levels", patched)
+
+    def test_convex_first_level_fails(self, monkeypatch):
+        # 2 (x - 1/2)^2 adds 4 to p'', which is -1.745 at both ends for n = 1
+        self.patch_level_1(monkeypatch, lambda v, t: v + 2.0 * (t - 0.5) ** 2)
+        rep = structural_checks(1, GRID)
+        assert rep.failures[0] == "second derivative 2.255e+00 of level 1 above 1e-8"
+        assert rep.concavity_max_d2 == pytest.approx(4.0 - 1.745, abs=1e-3)
+
+    def test_second_derivative_of_the_first_level(self):
+        # for n = 1, Phi_1(x) = (sin(pi x/2) + cos(pi x/2))/2
+        lv = phi_levels(1, 1)[1]
+        x = np.linspace(0.0, 1.0, metric._CONCAVITY_POINTS)
+        want = -(math.pi**2 / 8.0) * (np.sin(math.pi * x / 2) + np.cos(math.pi * x / 2))
+        d2 = metric._second_derivative(lv.node_values)
+        assert np.max(np.abs(d2 * math.exp(lv.log_scale) - want)) <= 1e-6
+        assert structural_checks(1, GRID).concavity_max_d2 == float(np.max(d2))
+
+    def test_concavity_reads_no_grid(self):
+        small, large = structural_checks(range(1, 9), 256), structural_checks(range(1, 9), 1 << 14)
+        for a, b in zip(small, large):
+            assert a.concavity_max_d2 == b.concavity_max_d2 < 0.0
+
+    def test_nan_first_level_fails(self, monkeypatch):
+        def poison(v, t):
+            v[5] = np.nan
+            return v
+
+        self.patch_level_1(monkeypatch, poison)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = structural_checks(1, GRID)
+        assert math.isnan(rep.concavity_max_d2)
+        assert "second derivative nan of level 1 above 1e-8" in rep.failures
+        assert "symmetry deviation nan above 1e-10" in rep.failures
+        assert "ratio max increased at level 1" in rep.failures
+        assert "integral at L=1 exceeds mu^L: nan > 7.071068e-01" in rep.failures
+        assert not rep.all_pass
 
     def test_integral_bound_failure(self, monkeypatch):
         true_mu = metric.mu
